@@ -54,7 +54,7 @@ let verdict_name = function
   | Scorr.Not_equivalent _ -> "REFUTED"
   | Scorr.Unknown _ -> "unknown"
 
-(* --- machine-readable results (hand-rolled JSON; no external deps) ---------- *)
+(* --- machine-readable results (the serve JSON printer; no external deps) ----- *)
 
 let json_file : string option ref = ref None
 let smoke = ref false
@@ -78,82 +78,61 @@ let name_matches name =
   | None -> true
   | Some re -> ( try ignore (Str.search_forward re name 0); true with Not_found -> false)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Serve.Json
 
 (* Static-shape columns: one [Analysis] pass over the (spec, impl) pair,
    shared by every engine row of that circuit.  [strash_merges] counts
    the and nodes the structural-reduction pass would eliminate (two-level
    rewrites plus SAT-proven FRAIG merges) across both sides. *)
-let shape_fragment spec impl =
+let shape_columns spec impl =
   let ms = Analysis.Metrics.summary spec and mi = Analysis.Metrics.summary impl in
   let merges aig =
     let _, s = Analysis.Reduce.run aig in
     s.Analysis.Reduce.rewrites + s.Analysis.Reduce.fraig_merges
   in
-  Printf.sprintf
-    "\"ands\": %d, \"latches\": %d, \"levels\": %d, \"max_cone\": %d, \
-     \"strash_merges\": %d"
-    (ms.Analysis.Metrics.ands + mi.Analysis.Metrics.ands)
-    (ms.Analysis.Metrics.latches + mi.Analysis.Metrics.latches)
-    (max ms.Analysis.Metrics.levels mi.Analysis.Metrics.levels)
-    (max ms.Analysis.Metrics.max_cone mi.Analysis.Metrics.max_cone)
-    (merges spec + merges impl)
+  [
+    ("ands", J.Int (ms.Analysis.Metrics.ands + mi.Analysis.Metrics.ands));
+    ("latches", J.Int (ms.Analysis.Metrics.latches + mi.Analysis.Metrics.latches));
+    ("levels", J.Int (max ms.Analysis.Metrics.levels mi.Analysis.Metrics.levels));
+    ("max_cone", J.Int (max ms.Analysis.Metrics.max_cone mi.Analysis.Metrics.max_cone));
+    ("strash_merges", J.Int (merges spec + merges impl));
+  ]
 
-(* Record one measured verification run; also the smoke-mode verdict gate.
-   [run] names the bench target that produced the row: several targets
-   measure the same (circuit, engine) pair under different options, so
-   consumers must key rows on (run, circuit, engine), never on
-   (circuit, engine) alone.  [cached] / [queue_wait] are service
-   columns: in-process rows report false / 0, serve-mode rows carry
-   what the daemon measured. *)
-let record ?(cached = false) ?(queue_wait = 0.0) ~run ~circuit ~engine ~shape verdict seconds =
+(* One JSON row: the (run, circuit, engine) key, verdict and seconds, the
+   run counters (see Scorr.Counters), then the given columns.  Several
+   targets measure the same (circuit, engine) pair under different
+   options, so consumers must key rows on (run, circuit, engine), never
+   on (circuit, engine) alone. *)
+let add_row ~run ~circuit ~engine ~verdict ~seconds counters columns =
+  let key = [ ("run", run); ("circuit", circuit); ("engine", engine); ("verdict", verdict) ] in
+  json_rows :=
+    J.to_string
+      (J.Obj
+         (List.map (fun (k, v) -> (k, J.String v)) key
+         @ (("seconds", J.Float seconds) :: Serve.Protocol.counters_to_json counters)
+         @ columns))
+    :: !json_rows
+
+let gate ~circuit ~engine name =
+  if !smoke && name <> "proved" then
+    smoke_failures := Printf.sprintf "%s/%s: %s" circuit engine name :: !smoke_failures
+
+(* Record one measured verification run; also the smoke-mode verdict
+   gate.  [cached] / [queue_wait] are the service columns of
+   {!record_serve}: an in-process run is never cached and never queued. *)
+let record ~run ~circuit ~engine ~shape verdict seconds =
   let s = Scorr.verdict_stats verdict in
   let name = verdict_name verdict in
-  if !smoke && name <> "proved" then
-    smoke_failures := Printf.sprintf "%s/%s: %s" circuit engine name :: !smoke_failures;
-  (* peak_nodes is a BDD measurement: a row whose run never built a BDD
-     reports null, not a real-looking 0 *)
-  let peak =
-    if engine = "bdd" || s.Scorr.Verify.peak_bdd_nodes > 0 then
-      string_of_int s.Scorr.Verify.peak_bdd_nodes
-    else "null"
-  in
-  json_rows :=
-    Printf.sprintf
-      "{\"run\": \"%s\", \"circuit\": \"%s\", \"engine\": \"%s\", \"verdict\": \"%s\", \
-       \"seconds\": %.3f, \"sat_calls\": %d, \"peak_nodes\": %s, \
-       \"iterations\": %d, \"retime_rounds\": %d, \"pool_lanes\": %d, \
-       \"resim_splits\": %d, \"batched_solves\": %d, \"cache_hits\": %d, \
-       \"static_splits\": %d, \"conflicts\": %d, \"propagations\": %d, \
-       \"restarts\": %d, \"reused_clauses\": %d, \"shared_clauses\": %d, \
-       \"core_prunes\": %d, \"spec_rounds\": %d, \"spec_merges\": %d, \
-       \"refuted_assumptions\": %d, \"spec_by_sim\": %d, \"spec_by_bdd\": %d, \
-       \"spec_by_sat\": %d, %s, \
-       \"jobs\": %d, \"domains\": %d, \"steals\": %d, \"sched_wait\": %.3f, \
-       \"deadline\": %.3f, \"exhausted\": %s, \"eq_pct\": %.1f, \
-       \"cached\": %b, \"queue_wait\": %.3f}"
-      (json_escape run) (json_escape circuit) (json_escape engine) name seconds
-      s.Scorr.Verify.sat_calls peak s.iterations s.retime_rounds
-      s.pool_lanes s.resim_splits s.batched_solves s.cache_hits
-      s.static_splits s.conflicts s.propagations s.restarts s.reused_clauses
-      s.shared_clauses s.core_prunes s.spec_rounds s.spec_merges
-      s.refuted_assumptions s.spec_by_sim s.spec_by_bdd s.spec_by_sat shape
-      !sweep_jobs s.domains s.steals s.sched_wait_seconds !deadline_flag
-      (match s.exhausted with
-      | Some why -> Printf.sprintf "\"%s\"" (json_escape why)
-      | None -> "null")
-      s.eq_pct cached queue_wait
-    :: !json_rows
+  gate ~circuit ~engine name;
+  add_row ~run ~circuit ~engine ~verdict:name ~seconds (Scorr.Counters.to_list s)
+    (shape
+    @ [
+        ("jobs", J.Int !sweep_jobs);
+        ("deadline", J.Float !deadline_flag);
+        ("exhausted", match s.Scorr.Verify.exhausted with Some why -> J.String why | None -> J.Null);
+        ("cached", J.Bool false);
+        ("queue_wait", J.Float 0.0);
+      ])
 
 let write_json () =
   match !json_file with
@@ -403,7 +382,7 @@ let ablation_engine () =
     (fun i ((vb, tb), (vs, ts), (vp, tp), (va, ta)) ->
       let e, spec, impl = pairs.(i) in
       let name = e.Circuits.Suite.name in
-      let shape = shape_fragment spec impl in
+      let shape = shape_columns spec impl in
       record ~run:"ablation-engine" ~circuit:name ~engine:"bdd" ~shape vb tb;
       record ~run:"ablation-engine" ~circuit:name ~engine:"sat" ~shape vs ts;
       record ~run:"ablation-engine" ~circuit:name ~engine:"sat-pairwise" ~shape vp tp;
@@ -524,7 +503,7 @@ let ablation_incremental () =
       in
       let vi, ti = run true in
       let vf, tf = run false in
-      let shape = shape_fragment spec impl in
+      let shape = shape_columns spec impl in
       record ~run:"ablation-incremental" ~circuit:name ~engine:"sat" ~shape vi ti;
       record ~run:"ablation-incremental" ~circuit:name ~engine:"sat-noincr" ~shape vf tf;
       let si = Scorr.verdict_stats vi and sf = Scorr.verdict_stats vf in
@@ -561,7 +540,7 @@ let ablation_speculation () =
   List.iter
     (fun (e, spec, impl) ->
       let name = e.Circuits.Suite.name in
-      let shape = shape_fragment spec impl in
+      let shape = shape_columns spec impl in
       List.iter
         (fun (engine, tag) ->
           let run use_speculation =
@@ -651,18 +630,15 @@ let record_serve ~circuit ~shape (o : Serve.Protocol.outcome) =
     | "not_equivalent" -> "REFUTED"
     | _ -> "unknown"
   in
-  if !smoke && name <> "proved" then
-    smoke_failures := Printf.sprintf "%s/serve: %s" circuit name :: !smoke_failures;
-  json_rows :=
-    Printf.sprintf
-      "{\"run\": \"serve\", \"circuit\": \"%s\", \"engine\": \"serve\", \"verdict\": \"%s\", \
-       \"seconds\": %.3f, \"sat_calls\": %d, \"iterations\": %d, \
-       \"resumed_iterations\": %d, %s, \"deadline\": %.3f, \"eq_pct\": %.1f, \
-       \"cached\": %b, \"queue_wait\": %.3f}"
-      (json_escape circuit) name o.Serve.Protocol.runtime o.Serve.Protocol.sat_calls
-      o.Serve.Protocol.iterations o.Serve.Protocol.resumed_iterations shape !deadline_flag
-      o.Serve.Protocol.eq_pct o.Serve.Protocol.cached o.Serve.Protocol.queue_wait
-    :: !json_rows;
+  gate ~circuit ~engine:"serve" name;
+  add_row ~run:"serve" ~circuit ~engine:"serve" ~verdict:name ~seconds:o.runtime o.counters
+    (("resumed_iterations", J.Int o.resumed_iterations)
+    :: shape
+    @ [
+        ("deadline", J.Float !deadline_flag);
+        ("cached", J.Bool o.cached);
+        ("queue_wait", J.Float o.queue_wait);
+      ]);
   name
 
 let serve_bench socket =
@@ -716,7 +692,7 @@ let serve_bench socket =
             let aag a = Serve.Protocol.Aag (Aig.Aiger.to_string a) in
             snd (Serve.Client.submit_and_wait client ~spec:(aag spec) ~impl:(aag impl) ~opts ())
           in
-          let shape = shape_fragment spec impl in
+          let shape = shape_columns spec impl in
           let fresh = submit () in
           let hit = submit () in
           let v1 = record_serve ~circuit:name ~shape fresh in

@@ -62,32 +62,8 @@ let write_circuit path aig =
 type method_kind = M_scorr | M_regcorr | M_traversal | M_auto
 
 let pp_stats (s : Scorr.stats) =
-  Printf.printf
-    "  iterations:      %d\n  retime rounds:   %d\n  candidates:      %d\n\
-    \  classes:         %d\n  peak BDD nodes:  %d\n  SAT calls:       %d\n\
-    \  batched solves:  %d\n  pool lanes:      %d\n  resim splits:    %d\n\
-    \  cache hits:      %d\n  equivalences:    %.1f%%\n  time:            %.2f s\n"
-    s.Scorr.Verify.iterations s.retime_rounds s.candidates s.classes
-    s.peak_bdd_nodes s.sat_calls s.batched_solves s.pool_lanes s.resim_splits
-    s.cache_hits s.eq_pct s.seconds;
-  if s.conflicts > 0 || s.propagations > 0 then
-    Printf.printf
-      "  SAT conflicts:   %d\n  propagations:    %d\n  restarts:        %d\n\
-      \  encoded vars:    %d\n  reused clauses:  %d\n  shared clauses:  %d\n\
-      \  core prunes:     %d\n"
-      s.conflicts s.propagations s.restarts s.encoded_vars s.reused_clauses
-      s.shared_clauses s.core_prunes;
-  if s.spec_rounds > 0 then
-    Printf.printf
-      "  spec rounds:     %d\n  spec merges:     %d\n  refuted assumps: %d\n\
-      \  classes by sim:  %d\n  classes by BDD:  %d\n  classes by SAT:  %d\n"
-      s.spec_rounds s.spec_merges s.refuted_assumptions s.spec_by_sim s.spec_by_bdd
-      s.spec_by_sat;
-  if s.domains > 1 then
-    Printf.printf "  domains:         %d (lane solves: %s; steals: %d; wait: %.2f s)\n"
-      s.domains
-      (String.concat "," (List.map string_of_int s.lane_solves))
-      s.steals s.sched_wait_seconds;
+  print_string (Scorr.Counters.render s);
+  Printf.printf "  time:            %.2f s\n" s.Scorr.Verify.seconds;
   match s.phase_seconds with
   | [] -> ()
   | phases ->
@@ -784,19 +760,9 @@ let print_outcome ~json ~quiet job (o : Serve.Protocol.outcome) =
       \  cached:          %b\n\
       \  runtime:         %.6f s\n\
       \  queue wait:      %.6f s\n\
-      \  resumed iters:   %d\n\
-      \  iterations:      %d\n\
-      \  classes:         %d\n\
-      \  SAT calls:       %d\n\
-      \  equivalences:    %.1f%%\n"
-      job o.cached o.runtime o.queue_wait o.resumed_iterations o.iterations o.classes
-      o.sat_calls o.eq_pct;
-    if o.spec_rounds > 0 then
-      Printf.printf
-        "  spec rounds:     %d\n  spec merges:     %d\n  refuted assumps: %d\n\
-        \  by sim/BDD/SAT:  %d/%d/%d\n"
-        o.spec_rounds o.spec_merges o.refuted_assumptions o.spec_by_sim o.spec_by_bdd
-        o.spec_by_sat;
+      \  resumed iters:   %d\n"
+      job o.cached o.runtime o.queue_wait o.resumed_iterations;
+    print_string (Scorr.Counters.render (Scorr.Counters.of_list o.counters));
     (match o.trace with
     | [] -> ()
     | frames -> Printf.printf "  witness:         %s\n" (String.concat " " frames));

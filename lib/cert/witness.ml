@@ -134,18 +134,19 @@ let refutes aig w = match po_failure aig w with Ok _ -> true | Error _ -> false
 
 (* Greedy minimization preserving the disproof: truncate to the earliest
    mismatching frame, then flip input bits toward 0 one at a time, keeping
-   each flip only if the replay still finds a mismatch. *)
+   each flip only if the replay still finds a mismatch.  The bits are
+   flipped in copies of the frames: the argument is left as it was. *)
 let shrink ~spec ~impl w =
   match replay ~spec ~impl w with
   | Error _ -> w
   | Ok m ->
     let truncate (m : mismatch) w =
-      { frame = m.at_frame; inputs = Array.sub w.inputs 0 (m.at_frame + 1);
+      { frame = m.at_frame; inputs = Array.init (m.at_frame + 1) (fun t -> Array.copy w.inputs.(t));
         output = Some m.output }
     in
     let w = ref (truncate m w) in
-    Array.iteri
-      (fun t frame ->
+    Array.iter
+      (fun frame ->
         Array.iteri
           (fun i bit ->
             if bit then begin
@@ -154,8 +155,7 @@ let shrink ~spec ~impl w =
               | Ok _ -> ()
               | Error _ -> frame.(i) <- true
             end)
-          frame;
-        ignore t)
+          frame)
       !w.inputs;
     (* bit flips may have moved the first mismatch earlier *)
     (match replay ~spec ~impl !w with Ok m -> w := truncate m !w | Error _ -> ());

@@ -83,21 +83,6 @@ type lane = {
 
 type round = { rd_id : int; rd_sr : Specreduce.t }
 
-type counters = {
-  c_rounds : int;
-  c_sat_solves : int;
-  c_conflicts : int;
-  c_propagations : int;
-  c_restarts : int;
-  c_vars : int;  (* SAT variables created, summed over the lane solvers *)
-  c_bdd_checks : int;
-  c_peak_nodes : int;
-  c_by_sim : int;  (* obligations settled by each engine *)
-  c_by_bdd : int;
-  c_by_sat : int;
-  c_refuted : int;
-}
-
 type t = {
   cfg : config;
   product : Product.t;
@@ -115,14 +100,11 @@ type t = {
   mutable round_ctr : int;
   mutable hist : bool array list;  (* certified Q-states, newest first *)
   mutable hist_len : int;
-  mutable rounds : int;
   mutable sat_solves : int;
-  mutable bdd_checks : int;
   mutable peak_nodes : int;
-  mutable by_sim : int;
+  mutable by_sim : int;  (* obligations settled by each engine *)
   mutable by_bdd : int;
   mutable by_sat : int;
-  mutable refuted : int;
 }
 
 let hist_cap = 128
@@ -164,14 +146,11 @@ let create ?(config = default_config ~prefer:Bdd) ?latch_order
     round_ctr = 0;
     hist = [ initial_state aig ];
     hist_len = 1;
-    rounds = 0;
     sat_solves = 0;
-    bdd_checks = 0;
     peak_nodes = 0;
     by_sim = 0;
     by_bdd = 0;
     by_sat = 0;
-    refuted = 0;
   }
 
 let poll t =
@@ -443,7 +422,6 @@ type bdd_result =
 
 let bdd_solve t br raig ob =
   poll t;
-  t.bdd_checks <- t.bdd_checks + 1;
   let n_latches = Aig.num_latches raig and n_pis = Aig.num_pis raig in
   try
     let nxt_lit = bdd_build t br raig in
@@ -574,7 +552,6 @@ let sat_solve t lane ob =
 let discharge t partition sr =
   t.round_ctr <- t.round_ctr + 1;
   t.round <- Some { rd_id = t.round_ctr; rd_sr = sr };
-  t.rounds <- t.rounds + 1;
   let splits = ref 0 in
   let refuted = ref 0 in
   (* 1. simulation screen: refute what one frame of certified patterns
@@ -638,27 +615,26 @@ let discharge t partition sr =
     results;
   (* 4. flush whatever the round buffered *)
   if Simpool.lanes t.pool > 0 then splits := !splits + Simpool.flush t.pool partition;
-  t.refuted <- t.refuted + !refuted;
   (!refuted, !splits)
 
 (* ------------------------------------------------------------------ *)
 
-let counters t =
+(* The dispatcher's run counters (its scheduler's are not reported: the
+   sweep engine's own pool is the run's scheduler). *)
+let harvest t =
   let solvers = List.map (fun l -> l.l_solver) (Parsweep.initialized_states t.sched) in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 solvers in
   {
-    c_rounds = t.rounds;
-    c_sat_solves = t.sat_solves;
-    c_conflicts = sum Sat.num_conflicts;
-    c_propagations = sum Sat.num_propagations;
-    c_restarts = sum Sat.num_restarts;
-    c_vars = sum Sat.num_vars;
-    c_bdd_checks = t.bdd_checks;
-    c_peak_nodes = t.peak_nodes;
-    c_by_sim = t.by_sim;
-    c_by_bdd = t.by_bdd;
-    c_by_sat = t.by_sat;
-    c_refuted = t.refuted;
+    Counters.zero with
+    Counters.sat_calls = t.sat_solves;
+    conflicts = sum Sat.num_conflicts;
+    propagations = sum Sat.num_propagations;
+    restarts = sum Sat.num_restarts;
+    encoded_vars = sum Sat.num_vars;
+    peak_bdd_nodes = t.peak_nodes;
+    spec_by_sim = t.by_sim;
+    spec_by_bdd = t.by_bdd;
+    spec_by_sat = t.by_sat;
   }
 
 let shutdown t = Parsweep.shutdown t.sched

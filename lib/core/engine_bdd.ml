@@ -118,7 +118,17 @@ let make ?(use_fundep = true) ?latch_order ?care_of ?(node_limit = max_int)
   ctx
 
 let shutdown ctx = Parsweep.shutdown ctx.sched
-let sched_stats ctx = Parsweep.stats ctx.sched
+
+let harvest ctx =
+  {
+    (Parsweep.harvest ctx.sched) with
+    Counters.peak_bdd_nodes = ctx.peak_nodes;
+    pool_lanes = Simpool.total_lanes ctx.pool;
+    resim_splits = Simpool.resim_splits ctx.pool;
+    batched_solves = ctx.n_batched;
+    cache_hits = ctx.n_cache_hits;
+    static_splits = ctx.n_static;
+  }
 
 (* Zero-cost static refinement: split candidates whose structural PI
    supports are non-empty and disjoint — such pairs can only be equivalent

@@ -69,19 +69,6 @@ type wstate = {
   mutable w_q : (int * Sat.Lit.t list) option; (* per-version Q selectors *)
 }
 
-(* Aggregated solver-work profile of a context: live persistent solvers
-   are harvested on demand, the throwaway solvers of the non-incremental
-   mode accumulate into the context's atomics as they are discarded. *)
-type profile = {
-  pr_conflicts : int;
-  pr_propagations : int;
-  pr_restarts : int;
-  pr_encoded_vars : int; (* SAT variables created, across every solver *)
-  pr_reused_clauses : int; (* clauses already in place when a solve was issued *)
-  pr_shared_clauses : int; (* learned clauses imported across sweep lanes *)
-  pr_core_prunes : int; (* class re-solves skipped by failed-core transfer *)
-}
-
 type ctx = {
   p : Product.t;
   k : int; (* induction depth; 1 = the paper *)
@@ -255,14 +242,13 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
   }
 
 let shutdown ctx = Parsweep.shutdown ctx.sched
-let sched_stats ctx = Parsweep.stats ctx.sched
 
-(* The context's solver-work profile.  Persistent solvers are read live —
-   the primary pair plus every initialized worker lane (lane 0 aliases
-   the primary solver and is skipped) — and the discarded throwaway
-   solvers of the non-incremental baseline have already been folded into
-   the accumulators.  Coordinator-only, between rounds. *)
-let profile ctx =
+(* The context's run counters.  Persistent solvers are read live — the
+   primary pair plus every initialized worker lane (lane 0 aliases the
+   primary solver and is skipped) — and the discarded throwaway solvers
+   of the non-incremental baseline have already been folded into the
+   accumulators.  Coordinator-only, between rounds. *)
+let harvest ctx =
   let lane_solvers =
     List.filter_map
       (fun w -> if w.w_solver == ctx.solver then None else Some w.w_solver)
@@ -271,13 +257,20 @@ let profile ctx =
   let solvers = ctx.solver :: ctx.solver0 :: lane_solvers in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 solvers in
   {
-    pr_conflicts = Atomic.get ctx.acc_conflicts + sum Sat.num_conflicts;
-    pr_propagations = Atomic.get ctx.acc_propagations + sum Sat.num_propagations;
-    pr_restarts = Atomic.get ctx.acc_restarts + sum Sat.num_restarts;
-    pr_encoded_vars = Atomic.get ctx.acc_vars + sum Sat.num_vars;
-    pr_reused_clauses = Atomic.get ctx.reused_clauses;
-    pr_shared_clauses = ctx.shared_clauses;
-    pr_core_prunes = ctx.core_prunes;
+    (Parsweep.harvest ctx.sched) with
+    Counters.sat_calls = Atomic.get ctx.sat_calls;
+    pool_lanes = Simpool.total_lanes ctx.pool;
+    resim_splits = Simpool.resim_splits ctx.pool;
+    batched_solves = ctx.n_batched;
+    cache_hits = ctx.n_cache_hits;
+    static_splits = ctx.n_static;
+    conflicts = Atomic.get ctx.acc_conflicts + sum Sat.num_conflicts;
+    propagations = Atomic.get ctx.acc_propagations + sum Sat.num_propagations;
+    restarts = Atomic.get ctx.acc_restarts + sum Sat.num_restarts;
+    encoded_vars = Atomic.get ctx.acc_vars + sum Sat.num_vars;
+    reused_clauses = Atomic.get ctx.reused_clauses;
+    shared_clauses = ctx.shared_clauses;
+    core_prunes = ctx.core_prunes;
   }
 
 (* Fold a throwaway solver's counters into the accumulators before it is

@@ -37,13 +37,6 @@
    hand-off establishes all the happens-before edges the OCaml memory
    model needs. *)
 
-type stats = {
-  domains : int;  (* lanes, including the coordinator's lane 0 *)
-  lane_tasks : int array;  (* tasks completed per lane, lifetime *)
-  steals : int;  (* tasks claimed from another lane's segment *)
-  wait_seconds : float;  (* coordinator idle time awaiting stragglers *)
-}
-
 type 'w batch = {
   run : 'w -> int -> unit;  (* execute one task slot with a lane's state *)
   next : int Atomic.t array;  (* per-lane segment cursors *)
@@ -246,12 +239,16 @@ let map t ~f tasks =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let stats t =
+(* The scheduler's share of the run counters: lanes (the coordinator's
+   lane 0 included), tasks completed per lane, tasks claimed from another
+   lane's segment, and the coordinator's idle time awaiting stragglers. *)
+let harvest t =
   {
-    domains = t.jobs;
-    lane_tasks = Array.copy t.lane_tasks;
+    Counters.zero with
+    Counters.domains = t.jobs;
+    lane_solves = Array.to_list t.lane_tasks;
     steals = Atomic.get t.steals;
-    wait_seconds = t.wait_seconds;
+    sched_wait_seconds = t.wait_seconds;
   }
 
 let shutdown t =

@@ -1,5 +1,6 @@
 (* Public API of the signal-correspondence library; see scorr.mli. *)
 
+module Counters = Counters
 module Product = Product
 module Partition = Partition
 module Clock = Clock

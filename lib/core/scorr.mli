@@ -16,6 +16,116 @@
       | Scorr.Unknown _ -> ...      (* sound incompleteness *)
     ]} *)
 
+(** The run counters of one verification, declared once: the record every
+    source returns when harvested, the rule that combines two harvests,
+    and the table the CLI, bench rows and serve outcomes render from.  A
+    new counter is one record field, one row of {!fields}, and the code
+    that increments it. *)
+module Counters : sig
+  module Record : sig
+    type stats = {
+      iterations : int;  (** refinement iterations, all rounds *)
+      retime_rounds : int;  (** times the retiming extension was invoked *)
+      candidates : int;  (** |F| of the last round *)
+      classes : int;  (** classes of the final relation *)
+      peak_bdd_nodes : int;
+      sat_calls : int;
+      pool_lanes : int;  (** counterexample patterns accumulated in the pool *)
+      resim_splits : int;  (** classes created by bit-parallel pattern replay *)
+      batched_solves : int;  (** one-per-class disjunctive solves / key scans *)
+      cache_hits : int;  (** classes skipped by the stability (UNSAT) cache *)
+      static_splits : int;
+          (** classes split by the PI-support prefilter at zero solver cost *)
+      spec_rounds : int;
+          (** speculative reductions built; 0 when speculation was off or
+              never engaged (immediate convergence) *)
+      spec_merges : int;
+          (** candidate members merged onto representatives, summed over
+              the speculation rounds *)
+      refuted_assumptions : int;
+          (** speculation obligations refuted by a discharge engine — each
+              fed the pool and refined the partition *)
+      spec_by_sim : int;
+          (** obligations settled by the dispatcher's simulation screen *)
+      spec_by_bdd : int;  (** … by the BDD route *)
+      spec_by_sat : int;  (** … by the incremental-SAT route *)
+      domains : int;  (** worker lanes of the sweep scheduler *)
+      lane_solves : int list;  (** sweep tasks completed per lane *)
+      steals : int;  (** tasks claimed from another lane's segment *)
+      sched_wait_seconds : float;
+          (** coordinator idle time awaiting worker lanes *)
+      conflicts : int;  (** SAT conflicts, summed over every solver of the run *)
+      propagations : int;  (** SAT propagations, likewise *)
+      restarts : int;  (** SAT restarts, likewise *)
+      encoded_vars : int;  (** SAT variables created, across every solver *)
+      reused_clauses : int;
+          (** clauses already in place when a solve was issued — the work
+              incremental mode did not redo (0 with [use_incremental] off) *)
+      shared_clauses : int;  (** learned clauses imported across sweep lanes *)
+      core_prunes : int;
+          (** class re-solves skipped by failed-assumption-core transfer *)
+      eq_pct : float;
+      seconds : float;  (** wall-clock time of the whole run *)
+      phase_seconds : (string * float) list;
+          (** wall time per phase ([refute], [seed], [initial], [fixpoint],
+              [outputs]), accumulated across retiming rounds *)
+      exhausted : string option;
+          (** [Some reason] when an [Unknown] verdict came from a blown
+              budget (["deadline"], ["sat calls"], ["bdd nodes"],
+              ["iterations"]) rather than from the method's incompleteness *)
+    }
+  end
+
+  include module type of struct include Record end
+
+  type t = stats
+
+  val zero : t
+  (** Nothing counted ([domains] is 1: the coordinator's lane). *)
+
+  type value = Int of int | Float of float | Ints of int list
+
+  type rule = Sum | Max | Lanes | Result
+  (** How two harvests combine: [Sum] for work, [Max] for peaks, [Lanes]
+      adds per-lane lists element-wise; a [Result] is a property of the
+      final relation that Verify sets once. *)
+
+  type group = Fixpoint | Solver | Speculation | Scheduler
+
+  type field = {
+    key : string;  (** JSON key of bench rows and serve outcomes *)
+    label : string;  (** CLI label *)
+    unit : string;  (** ["s"] or ["%"] for float counters; [""] otherwise *)
+    group : group;  (** the CLI prints a group only when it has something to say *)
+    rule : rule;
+    get : t -> value;
+    set : t -> value -> t;
+  }
+
+  val fields : field list
+  (** One row per counter, in display order.  [seconds], [phase_seconds]
+      and [exhausted] describe the run rather than count its work and
+      have no row. *)
+
+  val combine : t -> t -> t
+  (** Fold a harvest into an accumulator, counter by counter by its rule;
+      fields without a row keep the accumulator's values. *)
+
+  val measured : field -> value -> bool
+  (** [false] for a peak still at 0 (the run built no BDD): JSON writes
+      it as null. *)
+
+  val to_list : t -> (string * value) list
+  (** Every counter keyed by its JSON key, in table order. *)
+
+  val of_list : (string * value) list -> t
+  (** Inverse of {!to_list}; missing keys stay at {!zero}. *)
+
+  val render : t -> string
+  (** The CLI block: a ["  label: value"] line per counter of every group
+      with something to say. *)
+end
+
 (** The product machine (shared inputs, union of latches) and per-signal
     provenance used for the equivalence-percentage statistic. *)
 module Product : sig
@@ -161,13 +271,6 @@ end
     {!map}.  At [jobs = 1] everything runs inline with no domains, locks
     or atomics — the degenerate pool is the sequential code path. *)
 module Parsweep : sig
-  type stats = {
-    domains : int;  (** lanes, including the coordinator's lane 0 *)
-    lane_tasks : int array;  (** tasks completed per lane, lifetime *)
-    steals : int;  (** tasks claimed from another lane's segment *)
-    wait_seconds : float;  (** coordinator idle time awaiting stragglers *)
-  }
-
   type 'w t
 
   val create : jobs:int -> init:(int -> 'w) -> 'w t
@@ -191,7 +294,13 @@ module Parsweep : sig
       at merge points to exchange learned clauses and harvest solver
       counters. *)
 
-  val stats : _ t -> stats
+  val harvest : _ t -> Counters.t
+  (** The scheduler's run counters: [domains] (lanes, the coordinator's
+      lane 0 included), [lane_solves] (tasks completed per lane,
+      lifetime), [steals] (tasks claimed from another lane's segment)
+      and [sched_wait_seconds] (coordinator idle time awaiting
+      stragglers). *)
+
   val shutdown : _ t -> unit
   (** Join the worker domains; idempotent.  Subsequent {!map} calls
       raise [Invalid_argument]. *)
@@ -343,21 +452,6 @@ module Dispatch : sig
 
   val default_config : prefer:engine -> config
 
-  type counters = {
-    c_rounds : int;
-    c_sat_solves : int;
-    c_conflicts : int;
-    c_propagations : int;
-    c_restarts : int;
-    c_vars : int;  (** SAT variables created, summed over the lane solvers *)
-    c_bdd_checks : int;
-    c_peak_nodes : int;
-    c_by_sim : int;  (** obligations settled by each engine *)
-    c_by_bdd : int;
-    c_by_sat : int;
-    c_refuted : int;
-  }
-
   type t
 
   val create :
@@ -395,7 +489,10 @@ module Dispatch : sig
       reduction while [refuted > 0]; [refuted > 0] with [splits = 0]
       signals a broken replay invariant and demands a fallback. *)
 
-  val counters : t -> counters
+  val harvest : t -> Counters.t
+  (** SAT solves and solver work, peak BDD nodes, and the obligations
+      settled by each engine. *)
+
   val shutdown : t -> unit
 end
 
@@ -446,7 +543,9 @@ module Engine_bdd : sig
     ctx
 
   val shutdown : ctx -> unit
-  val sched_stats : ctx -> Parsweep.stats
+
+  val harvest : ctx -> Counters.t
+  (** Peak nodes, pool and sweep counters, and the scheduler's. *)
 
   val refine_initial : ctx -> Partition.t -> unit
   (** Equation (2): exact initial-state partition. *)
@@ -481,21 +580,6 @@ module Engine_sat : sig
   (** Private per-lane solving state: a copy of the unrolled product CNF
       with its own selector tables and Q cache.  Lane 0 aliases the
       context's primary solver. *)
-
-  type profile = {
-    pr_conflicts : int;
-    pr_propagations : int;
-    pr_restarts : int;
-    pr_encoded_vars : int;  (** SAT variables created, across every solver *)
-    pr_reused_clauses : int;
-        (** clauses already in place when a solve was issued (0 in
-            non-incremental mode: throwaway solvers start empty) *)
-    pr_shared_clauses : int;  (** learned clauses imported across sweep lanes *)
-    pr_core_prunes : int;  (** class re-solves skipped by failed-core transfer *)
-  }
-  (** Aggregated solver-work profile of a context: persistent solvers are
-      read live, discarded throwaway solvers of the non-incremental mode
-      have been folded into accumulators as they were dropped. *)
 
   type ctx = {
     p : Product.t;
@@ -570,11 +654,11 @@ module Engine_sat : sig
   val shutdown : ctx -> unit
   (** Join the sweep pool's worker domains; idempotent. *)
 
-  val sched_stats : ctx -> Parsweep.stats
-
-  val profile : ctx -> profile
-  (** Solver-work counters accumulated so far.  Coordinator-only, between
-      rounds (reads the pool's lane states). *)
+  val harvest : ctx -> Counters.t
+  (** SAT calls, pool and sweep counters, solver work and the scheduler's
+      counters accumulated so far: persistent solvers are read live,
+      discarded throwaway solvers were folded in as they were dropped.
+      Coordinator-only, between rounds (reads the pool's lane states). *)
 
   val refine_initial : ctx -> Partition.t -> unit
   (** Equation (2) batched: one staged disjunctive solve per (class,
@@ -745,8 +829,9 @@ module Verify : sig
             ({!Dispatch}), and rebuild on refutation.  Exact
             counterexample replay makes the fixed point, verdict and
             final partition identical to the plain sweeps
-            (property-tested).  Drives depth-1 induction only;
-            [sat_unroll > 1] falls back to the plain loop. *)
+            (property-tested).  Drives every induction depth: the
+            dispatcher's SAT route unrolls [sat_unroll + 1] frames with
+            Q-hat assumed at frames 1..[sat_unroll]. *)
     use_analysis : bool;
         (** Static-analysis steering (default false): the engines run the
             zero-cost PI-support prefilter before every pass, the BDD
@@ -804,57 +889,8 @@ module Verify : sig
 
   val default_options : options
 
-  type stats = {
-    iterations : int;
-    retime_rounds : int;
-    candidates : int;
-    classes : int;
-    peak_bdd_nodes : int;
-    sat_calls : int;
-    pool_lanes : int;  (** counterexample patterns accumulated in the pool *)
-    resim_splits : int;  (** classes created by bit-parallel pattern replay *)
-    batched_solves : int;  (** one-per-class disjunctive solves / key scans *)
-    cache_hits : int;  (** classes skipped by the stability (UNSAT) cache *)
-    static_splits : int;
-        (** classes split by the PI-support prefilter at zero solver cost *)
-    spec_rounds : int;
-        (** speculative reductions built; 0 when speculation was off or
-            never engaged (deep induction, immediate convergence) *)
-    spec_merges : int;
-        (** candidate members merged onto representatives, summed over
-            the speculation rounds *)
-    refuted_assumptions : int;
-        (** speculation obligations refuted by a discharge engine — each
-            fed the pool and refined the partition *)
-    spec_by_sim : int;
-        (** obligations settled by the dispatcher's simulation screen *)
-    spec_by_bdd : int;  (** … by the BDD route *)
-    spec_by_sat : int;  (** … by the incremental-SAT route *)
-    domains : int;  (** worker lanes of the sweep scheduler *)
-    lane_solves : int list;  (** sweep tasks completed per lane *)
-    steals : int;  (** tasks claimed from another lane's segment *)
-    sched_wait_seconds : float;
-        (** coordinator idle time awaiting worker lanes *)
-    conflicts : int;  (** SAT conflicts, summed over every solver of the run *)
-    propagations : int;  (** SAT propagations, likewise *)
-    restarts : int;  (** SAT restarts, likewise *)
-    encoded_vars : int;  (** SAT variables created, across every solver *)
-    reused_clauses : int;
-        (** clauses already in place when a solve was issued — the work
-            incremental mode did not redo (0 with [use_incremental] off) *)
-    shared_clauses : int;  (** learned clauses imported across sweep lanes *)
-    core_prunes : int;
-        (** class re-solves skipped by failed-assumption-core transfer *)
-    eq_pct : float;
-    seconds : float;  (** wall-clock time of the whole run *)
-    phase_seconds : (string * float) list;
-        (** wall time per phase ([refute], [seed], [initial], [fixpoint],
-            [outputs]), accumulated across retiming rounds *)
-    exhausted : string option;
-        (** [Some reason] when an [Unknown] verdict came from a blown
-            budget (["deadline"], ["sat calls"], ["bdd nodes"],
-            ["iterations"]) rather than from the method's incompleteness *)
-  }
+  include module type of struct include Counters.Record end
+  (** [stats] is the counter record {!Counters.t}, labels included. *)
 
   type verdict =
     | Equivalent of stats

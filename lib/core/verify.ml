@@ -48,8 +48,9 @@ type options = {
          REDUCED product through the per-class hybrid dispatcher, and
          rebuild on refutation.  Reaches the same greatest fixed point as
          the plain sweeps (exact counterexample replay — see
-         specreduce.ml); only drives depth-1 induction, so [sat_unroll]
-         > 1 falls back to the plain loop. *)
+         specreduce.ml) at every induction depth: the dispatcher unrolls
+         [sat_unroll] + 1 frames with the partition assumed at frames
+         1..[sat_unroll]. *)
   use_analysis : bool;
       (* static-analysis steering: semantics-preserving pre-reduction (in
          {!portfolio}, when not resuming), the zero-cost PI-support
@@ -162,46 +163,9 @@ let rung_label options =
   | Bdd_engine -> "bdd"
   | Sat_engine -> Printf.sprintf "sat-k%d" (max 1 options.sat_unroll)
 
-type stats = {
-  iterations : int; (* refinement iterations, all rounds *)
-  retime_rounds : int; (* times the retiming extension was invoked *)
-  candidates : int; (* |F| of the last round *)
-  classes : int; (* classes of the final relation *)
-  peak_bdd_nodes : int;
-  sat_calls : int;
-  pool_lanes : int; (* counterexample patterns accumulated in the pool *)
-  resim_splits : int; (* classes created by bit-parallel pattern replay *)
-  batched_solves : int; (* one-per-class disjunctive solves / key scans *)
-  cache_hits : int; (* classes skipped by the stability (UNSAT) cache *)
-  static_splits : int; (* classes split by the PI-support prefilter, no solver *)
-  spec_rounds : int; (* speculative reductions built (0 = speculation off/unused) *)
-  spec_merges : int; (* candidate members merged onto representatives, all rounds *)
-  refuted_assumptions : int; (* speculation obligations a discharge refuted *)
-  spec_by_sim : int; (* obligations settled by each dispatcher engine *)
-  spec_by_bdd : int;
-  spec_by_sat : int;
-  domains : int; (* worker lanes of the sweep scheduler *)
-  lane_solves : int list; (* sweep tasks completed per lane *)
-  steals : int; (* tasks claimed from another lane's segment *)
-  sched_wait_seconds : float; (* coordinator idle time awaiting workers *)
-  conflicts : int; (* SAT conflicts, summed over every solver of the run *)
-  propagations : int; (* SAT propagations, likewise *)
-  restarts : int; (* SAT restarts, likewise *)
-  encoded_vars : int; (* SAT variables created, across every solver *)
-  reused_clauses : int;
-      (* clauses already in place when a solve was issued — the encoding
-         and learning work the incremental mode did NOT redo (0 when
-         [use_incremental] is off: throwaway solvers start empty) *)
-  shared_clauses : int; (* learned clauses imported across sweep lanes *)
-  core_prunes : int; (* class re-solves skipped by failed-core transfer *)
-  eq_pct : float; (* % of spec signals with an impl correspondence *)
-  seconds : float;
-  phase_seconds : (string * float) list; (* wall time per verification phase *)
-  exhausted : string option;
-      (* Some reason when an Unknown came from a blown budget ("deadline",
-         "sat calls", "bdd nodes", "iterations") rather than from the
-         method's incompleteness *)
-}
+(* The run statistics are the counter record, re-exported with its
+   labels (see {!Counters}). *)
+include Counters.Record
 
 type verdict =
   | Equivalent of stats
@@ -221,14 +185,7 @@ type engine_ops = {
   pool : Simpool.t;
       (* the engine's counterexample pool, shared with the speculation
          dispatcher so its replayed patterns flow through one buffer *)
-  peak_bdd : unit -> int;
-  n_sat_calls : unit -> int;
-  sweep_counters : unit -> int * int * int * int * int;
-      (* (pool lanes, resim splits, batched solves, cache hits,
-         static prefilter splits) *)
-  sched_stats : unit -> Parsweep.stats;
-  profile : unit -> Engine_sat.profile;
-      (* solver-work counters; the BDD engine reports zeros *)
+  harvest : unit -> Counters.t; (* the engine's run counters so far *)
   pool_patterns : unit -> (bool array * bool array) list;
       (* pending counterexample lanes, for checkpointing *)
   pool_add : (bool array * bool array) list -> unit;
@@ -390,27 +347,7 @@ let make_engine (options : options) deadline product pol =
       refine_initial = wrap (Engine_bdd.refine_initial ctx);
       refine_once = (fun p -> wrap refine_once p);
       pool = ctx.Engine_bdd.pool;
-      peak_bdd = (fun () -> ctx.Engine_bdd.peak_nodes);
-      n_sat_calls = (fun () -> 0);
-      sweep_counters =
-        (fun () ->
-          ( Simpool.total_lanes ctx.Engine_bdd.pool,
-            Simpool.resim_splits ctx.Engine_bdd.pool,
-            ctx.Engine_bdd.n_batched,
-            ctx.Engine_bdd.n_cache_hits,
-            ctx.Engine_bdd.n_static ));
-      sched_stats = (fun () -> Engine_bdd.sched_stats ctx);
-      profile =
-        (fun () ->
-          {
-            Engine_sat.pr_conflicts = 0;
-            pr_propagations = 0;
-            pr_restarts = 0;
-            pr_encoded_vars = 0;
-            pr_reused_clauses = 0;
-            pr_shared_clauses = 0;
-            pr_core_prunes = 0;
-          });
+      harvest = (fun () -> Engine_bdd.harvest ctx);
       pool_patterns = (fun () -> Simpool.snapshot ctx.Engine_bdd.pool);
       pool_add = (fun ps -> add_patterns ctx.Engine_bdd.pool ps);
       shutdown = (fun () -> Engine_bdd.shutdown ctx);
@@ -431,17 +368,7 @@ let make_engine (options : options) deadline product pol =
       refine_initial = wrap refine_initial;
       refine_once = (fun p -> wrap refine_once p);
       pool = ctx.Engine_sat.pool;
-      peak_bdd = (fun () -> 0);
-      n_sat_calls = (fun () -> Atomic.get ctx.Engine_sat.sat_calls);
-      sweep_counters =
-        (fun () ->
-          ( Simpool.total_lanes ctx.Engine_sat.pool,
-            Simpool.resim_splits ctx.Engine_sat.pool,
-            ctx.Engine_sat.n_batched,
-            ctx.Engine_sat.n_cache_hits,
-            ctx.Engine_sat.n_static ));
-      sched_stats = (fun () -> Engine_sat.sched_stats ctx);
-      profile = (fun () -> Engine_sat.profile ctx);
+      harvest = (fun () -> Engine_sat.harvest ctx);
       pool_patterns = (fun () -> Simpool.snapshot ctx.Engine_sat.pool);
       pool_add = (fun ps -> add_patterns ctx.Engine_sat.pool ps);
       shutdown = (fun () -> Engine_sat.shutdown ctx);
@@ -503,47 +430,26 @@ let simulate_difference ~seed ~n_frames spec impl =
           | _ -> None))
       None f1
   in
-  let rec scan i frames_seen = function
-    | [], [] -> None
-    | f1 :: r1, f2 :: r2 -> (
+  (* the trace of the first differing frame, read from the differing bit
+     lane of every frame up to it *)
+  let rec scan i seen frames o1 o2 =
+    match (frames, o1, o2) with
+    | words :: frames, f1 :: r1, f2 :: r2 -> (
+      let seen = words :: seen in
       match diff_bit f1 f2 with
       | Some bit ->
         let trace =
           Array.of_list
             (List.rev_map
-               (fun words ->
-                 Array.map
-                   (fun w -> Int64.logand (Int64.shift_right_logical w bit) 1L = 1L)
-                   words)
-               frames_seen)
+               (fun ws ->
+                 Array.map (fun w -> Int64.logand (Int64.shift_right_logical w bit) 1L = 1L) ws)
+               seen)
         in
         Some (i, trace)
-      | None -> scan (i + 1) frames_seen (r1, r2))
-    | _, _ -> None
-  and scan0 () =
-    let rec go i seen frames o1 o2 =
-      match (frames, o1, o2) with
-      | words :: frames, f1 :: r1, f2 :: r2 -> (
-        let seen = words :: seen in
-        match diff_bit f1 f2 with
-        | Some bit ->
-          let trace =
-            Array.of_list
-              (List.rev_map
-                 (fun ws ->
-                   Array.map
-                     (fun w -> Int64.logand (Int64.shift_right_logical w bit) 1L = 1L)
-                     ws)
-                 seen)
-          in
-          Some (i, trace)
-        | None -> go (i + 1) seen frames r1 r2)
-      | _ -> None
-    in
-    go 0 [] frames o1 o2
+      | None -> scan (i + 1) seen frames r1 r2)
+    | _ -> None
   in
-  ignore scan;
-  scan0 ()
+  scan 0 [] frames o1 o2
 
 (* --- initial-frame disproofs -------------------------------------------------------- *)
 
@@ -661,32 +567,10 @@ let run_with_relation ?(options = default_options) spec impl =
       ~candidates:(candidates_string options)
       ~induction:(effective_induction options) ~seed:options.seed cp);
   let product = Product.make spec impl in
-  let iterations = ref 0 in
-  let retime_rounds = ref 0 in
-  let peak_bdd = ref 0 in
-  let sat_calls = ref 0 in
-  let pool_lanes = ref 0 in
-  let resim_splits = ref 0 in
-  let batched_solves = ref 0 in
-  let cache_hits = ref 0 in
-  let static_splits = ref 0 in
-  let spec_rounds = ref 0 in
-  let spec_merges = ref 0 in
-  let refuted_assumptions = ref 0 in
-  let spec_by_sim = ref 0 in
-  let spec_by_bdd = ref 0 in
-  let spec_by_sat = ref 0 in
-  let domains = ref 1 in
-  let lane_solves = ref [||] in
-  let steals = ref 0 in
-  let sched_wait = ref 0.0 in
-  let conflicts = ref 0 in
-  let propagations = ref 0 in
-  let restarts = ref 0 in
-  let encoded_vars = ref 0 in
-  let reused_clauses = ref 0 in
-  let shared_clauses = ref 0 in
-  let core_prunes = ref 0 in
+  (* every source's harvest, and this loop's own counts, fold into one
+     accumulator *)
+  let acc = ref Counters.zero in
+  let count c = acc := Counters.combine !acc c in
   (* per-phase wall clock, accumulated across retiming rounds; the
      exception-safe [Clock.measure] keeps the elapsed time of phases that
      abort on a blown budget *)
@@ -710,8 +594,8 @@ let run_with_relation ?(options = default_options) spec impl =
     | Some f ->
       f
         {
-          p_round = !retime_rounds;
-          p_iteration = !iterations;
+          p_round = !acc.retime_rounds;
+          p_iteration = !acc.iterations;
           p_classes = Partition.n_classes partition;
           p_engine = rung_label options;
         }
@@ -720,8 +604,7 @@ let run_with_relation ?(options = default_options) spec impl =
   let impl_digest = lazy (Checkpoint.fingerprint impl) in
   let mk_stats partition =
     {
-      iterations = !iterations;
-      retime_rounds = !retime_rounds;
+      !acc with
       candidates =
         (match partition with
         | Some p ->
@@ -731,30 +614,6 @@ let run_with_relation ?(options = default_options) spec impl =
                (Product.candidate_nodes product))
         | None -> 0);
       classes = (match partition with Some p -> Partition.n_classes p | None -> 0);
-      peak_bdd_nodes = !peak_bdd;
-      sat_calls = !sat_calls;
-      pool_lanes = !pool_lanes;
-      resim_splits = !resim_splits;
-      batched_solves = !batched_solves;
-      cache_hits = !cache_hits;
-      static_splits = !static_splits;
-      spec_rounds = !spec_rounds;
-      spec_merges = !spec_merges;
-      refuted_assumptions = !refuted_assumptions;
-      spec_by_sim = !spec_by_sim;
-      spec_by_bdd = !spec_by_bdd;
-      spec_by_sat = !spec_by_sat;
-      domains = !domains;
-      lane_solves = Array.to_list !lane_solves;
-      steals = !steals;
-      sched_wait_seconds = !sched_wait;
-      conflicts = !conflicts;
-      propagations = !propagations;
-      restarts = !restarts;
-      encoded_vars = !encoded_vars;
-      reused_clauses = !reused_clauses;
-      shared_clauses = !shared_clauses;
-      core_prunes = !core_prunes;
       eq_pct = (match partition with Some p -> equivalence_percentage product p | None -> 0.0);
       seconds = Clock.since start;
       phase_seconds = !phases;
@@ -766,7 +625,7 @@ let run_with_relation ?(options = default_options) spec impl =
       ~impl_digest:(Lazy.force impl_digest) ~engine:(engine_string options)
       ~candidates:(candidates_string options)
       ~induction:(effective_induction options) ~seed:options.seed ~retime_rounds:round
-      ~iterations:!iterations ~patterns product.Product.aig partition
+      ~iterations:!acc.iterations ~patterns product.Product.aig partition
   in
   let write_checkpoint ~round ~patterns partition =
     match options.checkpoint_path with
@@ -823,8 +682,12 @@ let run_with_relation ?(options = default_options) spec impl =
               || Array.length latch <> Aig.num_latches product.Product.aig
             then raise (Checkpoint.Incompatible "pattern width mismatch"))
           cp.Checkpoint.patterns;
-        retime_rounds := cp.Checkpoint.retime_rounds;
-        iterations := cp.Checkpoint.iterations;
+        count
+          {
+            Counters.zero with
+            retime_rounds = cp.Checkpoint.retime_rounds;
+            iterations = cp.Checkpoint.iterations;
+          };
         cp.Checkpoint.retime_rounds
     in
     let rec round n =
@@ -857,33 +720,7 @@ let run_with_relation ?(options = default_options) spec impl =
           let record_stats () =
             if not !recorded then begin
               recorded := true;
-              peak_bdd := max !peak_bdd (engine.peak_bdd ());
-              sat_calls := !sat_calls + engine.n_sat_calls ();
-              let lanes, resim, batched, hits, statics = engine.sweep_counters () in
-              pool_lanes := !pool_lanes + lanes;
-              resim_splits := !resim_splits + resim;
-              batched_solves := !batched_solves + batched;
-              cache_hits := !cache_hits + hits;
-              static_splits := !static_splits + statics;
-              let st = engine.sched_stats () in
-              domains := max !domains st.Parsweep.domains;
-              steals := !steals + st.Parsweep.steals;
-              sched_wait := !sched_wait +. st.Parsweep.wait_seconds;
-              let tasks = st.Parsweep.lane_tasks in
-              if Array.length !lane_solves < Array.length tasks then begin
-                let grown = Array.make (Array.length tasks) 0 in
-                Array.blit !lane_solves 0 grown 0 (Array.length !lane_solves);
-                lane_solves := grown
-              end;
-              Array.iteri (fun i n -> !lane_solves.(i) <- !lane_solves.(i) + n) tasks;
-              let pr = engine.profile () in
-              conflicts := !conflicts + pr.Engine_sat.pr_conflicts;
-              propagations := !propagations + pr.Engine_sat.pr_propagations;
-              restarts := !restarts + pr.Engine_sat.pr_restarts;
-              encoded_vars := !encoded_vars + pr.Engine_sat.pr_encoded_vars;
-              reused_clauses := !reused_clauses + pr.Engine_sat.pr_reused_clauses;
-              shared_clauses := !shared_clauses + pr.Engine_sat.pr_shared_clauses;
-              core_prunes := !core_prunes + pr.Engine_sat.pr_core_prunes;
+              count (engine.harvest ());
               pool_pending := engine.pool_patterns ()
             end
           in
@@ -927,7 +764,7 @@ let run_with_relation ?(options = default_options) spec impl =
                 | Some _ | None -> ());
                 let poll () =
                   if Deadline.expired deadline then raise (Budget "deadline");
-                  if options.max_iterations > 0 && !iterations >= options.max_iterations
+                  if options.max_iterations > 0 && !acc.iterations >= options.max_iterations
                   then raise (Budget "iterations")
                 in
                 (* Speculative fixed point: merge all candidates, discharge
@@ -960,12 +797,13 @@ let run_with_relation ?(options = default_options) spec impl =
                       seed = options.seed;
                     }
                   in
+                  (* the sweep engine is idle while the dispatcher runs, so
+                     its call count is fixed *)
+                  let engine_calls = (engine.harvest ()).sat_calls in
                   let spec_calls = Atomic.make 0 in
                   let check_budget () =
                     let used = Atomic.fetch_and_add spec_calls 1 in
-                    if
-                      options.max_sat_calls > 0
-                      && engine.n_sat_calls () + used >= options.max_sat_calls
+                    if options.max_sat_calls > 0 && engine_calls + used >= options.max_sat_calls
                     then raise (Budget "sat calls")
                   in
                   let dispatch =
@@ -973,21 +811,9 @@ let run_with_relation ?(options = default_options) spec impl =
                       ~latch_order:(latch_order_from_outputs product)
                       ~check_budget ~product ~pool:engine.pool ~deadline ()
                   in
-                  let harvest () =
-                    let c = Dispatch.counters dispatch in
-                    sat_calls := !sat_calls + c.Dispatch.c_sat_solves;
-                    conflicts := !conflicts + c.Dispatch.c_conflicts;
-                    propagations := !propagations + c.Dispatch.c_propagations;
-                    restarts := !restarts + c.Dispatch.c_restarts;
-                    encoded_vars := !encoded_vars + c.Dispatch.c_vars;
-                    peak_bdd := max !peak_bdd c.Dispatch.c_peak_nodes;
-                    spec_by_sim := !spec_by_sim + c.Dispatch.c_by_sim;
-                    spec_by_bdd := !spec_by_bdd + c.Dispatch.c_by_bdd;
-                    spec_by_sat := !spec_by_sat + c.Dispatch.c_by_sat
-                  in
                   Fun.protect
                     ~finally:(fun () ->
-                      harvest ();
+                      count (Dispatch.harvest dispatch);
                       Dispatch.shutdown dispatch)
                     (fun () ->
                       (* every productive round splits >= 1 class, and
@@ -998,20 +824,24 @@ let run_with_relation ?(options = default_options) spec impl =
                       let rec go () =
                         poll ();
                         let sr = Specreduce.build product partition in
-                        incr spec_rounds;
-                        spec_merges := !spec_merges + sr.Specreduce.n_merges;
+                        count
+                          {
+                            Counters.zero with
+                            spec_rounds = 1;
+                            spec_merges = sr.Specreduce.n_merges;
+                          };
                         if Array.length sr.Specreduce.obligations = 0 then true
                         else begin
                           let refuted, splits =
                             try Dispatch.discharge dispatch partition sr
                             with Dispatch.Budget_exceeded why -> raise (Budget why)
                           in
-                          refuted_assumptions := !refuted_assumptions + refuted;
-                          incr iterations;
+                          count
+                            { Counters.zero with refuted_assumptions = refuted; iterations = 1 };
                           notify partition;
                           if
                             options.checkpoint_every > 0
-                            && !iterations mod options.checkpoint_every = 0
+                            && !acc.iterations mod options.checkpoint_every = 0
                           then
                             write_checkpoint ~round:n
                               ~patterns:(engine.pool_patterns ())
@@ -1029,23 +859,23 @@ let run_with_relation ?(options = default_options) spec impl =
                     let converged = use_spec && speculative_fixpoint partition in
                     if not converged then
                       while engine.refine_once partition do
-                        incr iterations;
+                        count { Counters.zero with iterations = 1 };
                         notify partition;
                         poll ();
                         if
                           options.checkpoint_every > 0
-                          && !iterations mod options.checkpoint_every = 0
+                          && !acc.iterations mod options.checkpoint_every = 0
                         then
                           write_checkpoint ~round:n
                             ~patterns:(engine.pool_patterns ())
                             partition
                       done);
-                incr iterations;
+                count { Counters.zero with iterations = 1 };
                 record_stats ();
                 if phase "outputs" (fun () -> outputs_proved options product partition) then
                   `Done (Equivalent (mk_stats (Some partition)))
                 else if options.use_retime && n < options.max_retime_rounds then begin
-                  incr retime_rounds;
+                  count { Counters.zero with retime_rounds = 1 };
                   let added = Retime_aug.augment product in
                   if added > 0 then `Retime
                   else `Done (Unknown (mk_stats (Some partition)))

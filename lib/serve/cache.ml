@@ -41,6 +41,15 @@ type verdict_entry = {
   v_cert : string option;  (* path of the persisted certificate *)
 }
 
+(* A verdict record keeps four of the run counters. *)
+let entry_of_stats ~verdict ~frame ~trace (s : Scorr.Verify.stats) =
+  { v_verdict = verdict; v_frame = frame; v_trace = trace; v_iterations = s.Scorr.Verify.iterations;
+    v_classes = s.classes; v_sat_calls = s.sat_calls; v_eq_pct = s.eq_pct; v_cert = None }
+
+let counters_of_entry e =
+  { Scorr.Counters.zero with Scorr.Counters.iterations = e.v_iterations; classes = e.v_classes;
+    sat_calls = e.v_sat_calls; eq_pct = e.v_eq_pct }
+
 type stats = {
   entries : int;  (* in-memory LRU occupancy *)
   hits : int;

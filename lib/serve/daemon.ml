@@ -194,44 +194,12 @@ let base_outcome job =
     runtime = 0.0;
     queue_wait = job.sched_wait;
     resumed_iterations = 0;
-    iterations = 0;
-    classes = 0;
-    sat_calls = 0;
-    conflicts = 0;
-    propagations = 0;
-    restarts = 0;
-    reused_clauses = 0;
-    shared_clauses = 0;
-    spec_rounds = 0;
-    spec_merges = 0;
-    refuted_assumptions = 0;
-    spec_by_sim = 0;
-    spec_by_bdd = 0;
-    spec_by_sat = 0;
-    eq_pct = 0.0;
+    counters = Scorr.Counters.(to_list zero);
     cert = None;
     reason = None;
   }
 
-let outcome_of_stats o (s : Scorr.Verify.stats) =
-  {
-    o with
-    Protocol.iterations = s.Scorr.Verify.iterations;
-    classes = s.classes;
-    sat_calls = s.sat_calls;
-    conflicts = s.conflicts;
-    propagations = s.propagations;
-    restarts = s.restarts;
-    reused_clauses = s.reused_clauses;
-    shared_clauses = s.shared_clauses;
-    spec_rounds = s.spec_rounds;
-    spec_merges = s.spec_merges;
-    refuted_assumptions = s.refuted_assumptions;
-    spec_by_sim = s.spec_by_sim;
-    spec_by_bdd = s.spec_by_bdd;
-    spec_by_sat = s.spec_by_sat;
-    eq_pct = s.eq_pct;
-  }
+let outcome_of_stats o s = { o with Protocol.counters = Scorr.Counters.to_list s }
 
 let run_job d job =
   let proceed =
@@ -304,16 +272,7 @@ let run_job d job =
           let entry =
             Cache.store d.cache ~spec_digest:job.spec_digest ~impl_digest:job.impl_digest
               ~opts_key:job.opts_key ?cert
-              {
-                Cache.v_verdict = "equivalent";
-                v_frame = -1;
-                v_trace = [];
-                v_iterations = o.iterations;
-                v_classes = o.classes;
-                v_sat_calls = o.sat_calls;
-                v_eq_pct = o.eq_pct;
-                v_cert = None;
-              }
+              (Cache.entry_of_stats ~verdict:"equivalent" ~frame:(-1) ~trace:[] stats)
           in
           { o with cert = entry.Cache.v_cert }
         | Scorr.Not_equivalent { frame; trace; stats } ->
@@ -322,16 +281,7 @@ let run_job d job =
           ignore
             (Cache.store d.cache ~spec_digest:job.spec_digest ~impl_digest:job.impl_digest
                ~opts_key:job.opts_key
-               {
-                 Cache.v_verdict = "not_equivalent";
-                 v_frame = frame;
-                 v_trace = trace;
-                 v_iterations = o.iterations;
-                 v_classes = o.classes;
-                 v_sat_calls = o.sat_calls;
-                 v_eq_pct = o.eq_pct;
-                 v_cert = None;
-               });
+               (Cache.entry_of_stats ~verdict:"not_equivalent" ~frame ~trace stats));
           o
         | Scorr.Unknown stats ->
           let o = outcome_of_stats o stats in
@@ -472,10 +422,7 @@ let handle_submit d conn ~spec ~impl ~opts ~watch =
             frame = entry.v_frame;
             trace = entry.v_trace;
             cached = true;
-            iterations = entry.v_iterations;
-            classes = entry.v_classes;
-            sat_calls = entry.v_sat_calls;
-            eq_pct = entry.v_eq_pct;
+            counters = Scorr.Counters.to_list (Cache.counters_of_entry entry);
             cert = entry.v_cert;
           }
         in

@@ -53,21 +53,9 @@ type outcome = {
   runtime : float;  (** verification seconds (0 for cache hits) *)
   queue_wait : float;  (** seconds from submission to a worker picking it up *)
   resumed_iterations : int;  (** iterations inherited from a warm-start checkpoint *)
-  iterations : int;
-  classes : int;
-  sat_calls : int;
-  conflicts : int;  (** SAT conflicts, summed over every solver of the run *)
-  propagations : int;
-  restarts : int;
-  reused_clauses : int;  (** clauses live across incremental re-solves *)
-  shared_clauses : int;  (** learned clauses imported across sweep lanes *)
-  spec_rounds : int;  (** speculative reduce/discharge rounds (0 = plain sweep) *)
-  spec_merges : int;  (** candidate merges across speculative rounds *)
-  refuted_assumptions : int;  (** speculation assumptions refuted by a solver *)
-  spec_by_sim : int;  (** obligations settled by the simulation screen *)
-  spec_by_bdd : int;  (** obligations settled by the BDD route *)
-  spec_by_sat : int;  (** obligations settled by the SAT route *)
-  eq_pct : float;
+  counters : (string * Scorr.Counters.value) list;
+      (** the run counters ({!Scorr.Counters.to_list}), written flat into
+          the outcome object *)
   cert : string option;  (** on-disk certificate path, when one exists *)
   reason : string option;  (** unknown/cancel reason *)
 }
@@ -140,9 +128,23 @@ let encode_request = function
 
 let opt_string = function None -> Json.Null | Some s -> Json.String s
 
+(* Counters as JSON members, in table order: also the counter columns of
+   a bench row. *)
+let counters_to_json counters =
+  let json (f : Scorr.Counters.field) = function
+    | v when not (Scorr.Counters.measured f v) -> Json.Null
+    | Scorr.Counters.Int n -> Json.Int n
+    | Float x -> Json.Float x
+    | Ints ns -> Json.List (List.map (fun n -> Json.Int n) ns)
+  in
+  List.filter_map
+    (fun (f : Scorr.Counters.field) ->
+      Option.map (fun v -> (f.key, json f v)) (List.assoc_opt f.key counters))
+    Scorr.Counters.fields
+
 let outcome_to_json o =
   Json.Obj
-    [
+    ([
       ("verdict", Json.String o.verdict);
       ("frame", Json.Int o.frame);
       ("trace", Json.List (List.map (fun f -> Json.String f) o.trace));
@@ -150,24 +152,9 @@ let outcome_to_json o =
       ("runtime", Json.Float o.runtime);
       ("queue_wait", Json.Float o.queue_wait);
       ("resumed_iterations", Json.Int o.resumed_iterations);
-      ("iterations", Json.Int o.iterations);
-      ("classes", Json.Int o.classes);
-      ("sat_calls", Json.Int o.sat_calls);
-      ("conflicts", Json.Int o.conflicts);
-      ("propagations", Json.Int o.propagations);
-      ("restarts", Json.Int o.restarts);
-      ("reused_clauses", Json.Int o.reused_clauses);
-      ("shared_clauses", Json.Int o.shared_clauses);
-      ("spec_rounds", Json.Int o.spec_rounds);
-      ("spec_merges", Json.Int o.spec_merges);
-      ("refuted_assumptions", Json.Int o.refuted_assumptions);
-      ("spec_by_sim", Json.Int o.spec_by_sim);
-      ("spec_by_bdd", Json.Int o.spec_by_bdd);
-      ("spec_by_sat", Json.Int o.spec_by_sat);
-      ("eq_pct", Json.Float o.eq_pct);
-      ("cert", opt_string o.cert);
-      ("reason", opt_string o.reason);
     ]
+    @ counters_to_json o.counters
+    @ [ ("cert", opt_string o.cert); ("reason", opt_string o.reason) ])
 
 let encode_response = function
   | Submitted { job; cached } ->
@@ -298,6 +285,20 @@ let string_opt_of_json = function
   | Json.String s -> Some s
   | v -> bad "expected a string or null, found %s" (Json.to_string v)
 
+(* Every counter of the table, at its [zero] value when the key is
+   missing or null. *)
+let counters_of_json v =
+  List.map
+    (fun (f : Scorr.Counters.field) ->
+      let default = f.get Scorr.Counters.zero in
+      ( f.key,
+        match (Json.member f.key v, default) with
+        | Json.Null, _ -> default
+        | j, Scorr.Counters.Int _ -> Scorr.Counters.Int (Json.to_int j)
+        | j, Float _ -> Float (Json.to_float j)
+        | j, Ints _ -> Ints (List.map (fun n -> Json.to_int n) (Json.to_list j)) ))
+    Scorr.Counters.fields
+
 let outcome_of_json v =
   {
     verdict = Json.to_str (Json.member "verdict" v);
@@ -307,21 +308,7 @@ let outcome_of_json v =
     runtime = Json.to_float ~default:0.0 (Json.member "runtime" v);
     queue_wait = Json.to_float ~default:0.0 (Json.member "queue_wait" v);
     resumed_iterations = Json.to_int ~default:0 (Json.member "resumed_iterations" v);
-    iterations = Json.to_int ~default:0 (Json.member "iterations" v);
-    classes = Json.to_int ~default:0 (Json.member "classes" v);
-    sat_calls = Json.to_int ~default:0 (Json.member "sat_calls" v);
-    conflicts = Json.to_int ~default:0 (Json.member "conflicts" v);
-    propagations = Json.to_int ~default:0 (Json.member "propagations" v);
-    restarts = Json.to_int ~default:0 (Json.member "restarts" v);
-    reused_clauses = Json.to_int ~default:0 (Json.member "reused_clauses" v);
-    shared_clauses = Json.to_int ~default:0 (Json.member "shared_clauses" v);
-    spec_rounds = Json.to_int ~default:0 (Json.member "spec_rounds" v);
-    spec_merges = Json.to_int ~default:0 (Json.member "spec_merges" v);
-    refuted_assumptions = Json.to_int ~default:0 (Json.member "refuted_assumptions" v);
-    spec_by_sim = Json.to_int ~default:0 (Json.member "spec_by_sim" v);
-    spec_by_bdd = Json.to_int ~default:0 (Json.member "spec_by_bdd" v);
-    spec_by_sat = Json.to_int ~default:0 (Json.member "spec_by_sat" v);
-    eq_pct = Json.to_float ~default:0.0 (Json.member "eq_pct" v);
+    counters = counters_of_json v;
     cert = string_opt_of_json (Json.member "cert" v);
     reason = string_opt_of_json (Json.member "reason" v);
   }

@@ -143,6 +143,27 @@ let prop_mutant_witness_replays =
            | Scorr.Equivalent _ -> false
            | Scorr.Unknown _ -> true)))
 
+(* Shrinking works on copies: the caller's witness keeps its frames,
+   failing frame and output.  spec: o = x, impl: o = 0, both over (x, y);
+   the difference shows at frame 1, and the y bits are free to drop. *)
+let test_shrink_leaves_argument () =
+  let circuit out =
+    let a = Aig.create () in
+    let x = Aig.add_pi a in
+    ignore (Aig.add_pi a);
+    Aig.add_po a "o" (out x);
+    a
+  in
+  let spec = circuit Fun.id and impl = circuit (fun _ -> Aig.lit_false) in
+  let w = Cert.Witness.make [| [| false; true |]; [| true; true |] |] in
+  let before = Array.map Array.copy w.Cert.Witness.inputs in
+  let s = Cert.Witness.shrink ~spec ~impl w in
+  Alcotest.(check bool) "shrink dropped the free bits" true
+    (s.Cert.Witness.inputs = [| [| false; false |]; [| true; false |] |]);
+  Alcotest.(check bool) "argument inputs unchanged" true (w.Cert.Witness.inputs = before);
+  Alcotest.(check int) "argument frame unchanged" 1 w.Cert.Witness.frame;
+  Alcotest.(check (option string)) "argument output unchanged" None w.Cert.Witness.output
+
 let test_bmc_witness_refutes () =
   let spec, _ = Aig.of_netlist (Circuits.Counter.modulo 5) in
   let mutant = Transform.Mutate.apply spec (Transform.Mutate.Flip_latch_init 1) in
@@ -364,6 +385,8 @@ let suite =
     Alcotest.test_case "clean replay reports No_failure" `Quick
       test_clean_replay_is_no_failure;
     Alcotest.test_case "bmc witness refutes the product" `Quick test_bmc_witness_refutes;
+    Alcotest.test_case "shrink leaves its argument unchanged" `Quick
+      test_shrink_leaves_argument;
     Alcotest.test_case "fig2 certificate emits and checks" `Quick
       test_fig2_certificate_checks;
     Alcotest.test_case "certificate rejects a mutated implementation" `Quick

@@ -52,14 +52,14 @@ let test_stats_accounting () =
   let n = 200 in
   let pool = Scorr.Parsweep.create ~jobs:4 ~init:(fun _ -> ()) in
   ignore (Scorr.Parsweep.map pool ~f:(fun () i -> Sys.opaque_identity (i * i)) (Array.init n Fun.id));
-  let s = Scorr.Parsweep.stats pool in
+  let s = Scorr.Parsweep.harvest pool in
   Scorr.Parsweep.shutdown pool;
-  Alcotest.(check int) "domains" 4 s.Scorr.Parsweep.domains;
-  Alcotest.(check int) "lane count" 4 (Array.length s.lane_tasks);
+  Alcotest.(check int) "domains" 4 s.Scorr.Counters.domains;
+  Alcotest.(check int) "lane count" 4 (List.length s.lane_solves);
   Alcotest.(check int) "every task counted exactly once" n
-    (Array.fold_left ( + ) 0 s.lane_tasks);
+    (List.fold_left ( + ) 0 s.lane_solves);
   Alcotest.(check bool) "steal count non-negative" true (s.steals >= 0);
-  Alcotest.(check bool) "wait time non-negative" true (s.wait_seconds >= 0.0)
+  Alcotest.(check bool) "wait time non-negative" true (s.sched_wait_seconds >= 0.0)
 
 let test_jobs_clamped () =
   let pool = Scorr.Parsweep.create ~jobs:(-3) ~init:(fun _ -> ()) in
