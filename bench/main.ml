@@ -729,7 +729,11 @@ let micro () =
       (Staged.stage (fun () ->
            let a, _ = Aig.of_netlist (Circuits.Pipeline.alu 4) in
            let m = Bdd.create () in
-           let bdd_of = Engines.Aig_bdd.build_default m a in
+           let n_pis = Aig.num_pis a in
+           let bdd_of =
+             Engines.Aig_bdd.build m a ~pi_var:(Bdd.var m)
+               ~latch_var:(fun i -> Bdd.var m (n_pis + i))
+           in
            List.iter (fun (_, l) -> ignore (bdd_of l)) (Aig.pos a)))
   in
   let sat_php =

@@ -114,6 +114,27 @@ module Cnf : sig
 
   val encode_fresh : Sat.t -> t -> int array * int array * (int -> Sat.Lit.t)
   (** Fresh variables for PIs and latches: [(pi_vars, latch_vars, lit_of)]. *)
+
+  val tie_next : ?act:int -> Sat.t -> t -> (int -> Sat.Lit.t) -> int array
+  (** [tie_next solver t lit_of] makes one fresh variable per latch, tied
+      to that latch's next-state function in the frame encoded by
+      [lit_of]: the next frame's latch variables. *)
+
+  val unroll :
+    ?act:int ->
+    ?on_frame:(int -> (int -> Sat.Lit.t) -> unit) ->
+    Sat.t ->
+    t ->
+    n:int ->
+    first_latch_var:(int -> int) ->
+    (int -> Sat.Lit.t) array * int array array
+  (** Chain [n] frames: frame [i] gets fresh input variables and its own
+      {!encode}; frame 0 reads [first_latch_var], every later frame the
+      {!tie_next} variables of its predecessor (the last frame is not
+      tied).  [on_frame i lit_of] runs right after frame [i] is encoded,
+      before its tie, for per-frame constraints.  Returns each frame's
+      literal map and input variables.  Variables are allocated frame by
+      frame: inputs, encoding, tie. *)
 end
 
 (** {1 AIGER I/O (ASCII aag)} *)

@@ -46,3 +46,36 @@ let encode_fresh solver t =
     encode solver t ~pi_var:(fun i -> pi_vars.(i)) ~latch_var:(fun i -> latch_vars.(i))
   in
   (pi_vars, latch_vars, lit_of)
+
+(* One frame step: fresh variables tied to the next-state functions of the
+   frame whose literal map is [lit_of] — the next frame's latch
+   variables. *)
+let tie_next ?act solver t lit_of =
+  Array.init (Graph.num_latches t) (fun j ->
+      let v = Sat.new_var solver in
+      let next = lit_of (Graph.latch_next t j) in
+      Sat.add_clause ?act solver [ Sat.Lit.neg v; next ];
+      Sat.add_clause ?act solver [ Sat.Lit.pos v; Sat.Lit.negate next ];
+      v)
+
+(* Chain [n] frames of [t] inside [solver]: each frame gets fresh input
+   variables and its own encoding; [first_latch_var] supplies frame 0's
+   latch variables and every later frame reads its predecessor's
+   [tie_next] variables.  [on_frame i lit_of] runs right after frame [i]
+   is encoded, before it is tied, so per-frame constraints keep their
+   place in the clause order.  Returns each frame's literal map and input
+   variables. *)
+let unroll ?act ?(on_frame = fun _ _ -> ()) solver t ~n ~first_latch_var =
+  let latch_var = ref first_latch_var in
+  let frames =
+    Array.init n (fun i ->
+        let x = Array.init (Graph.num_pis t) (fun _ -> Sat.new_var solver) in
+        let lit_of = encode ?act solver t ~pi_var:(fun j -> x.(j)) ~latch_var:!latch_var in
+        on_frame i lit_of;
+        if i < n - 1 then begin
+          let next = tie_next ?act solver t lit_of in
+          latch_var := fun j -> next.(j)
+        end;
+        (lit_of, x))
+  in
+  (Array.map fst frames, Array.map snd frames)

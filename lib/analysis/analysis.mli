@@ -80,8 +80,9 @@ module Reduce : sig
             merge *)
   }
 
-  val run : ?seed:int -> ?max_rounds:int -> ?n_words:int -> ?fraig:bool -> Aig.t -> Aig.t * stats
-  (** Semantics-preserving: PIs and POs (names, order) are preserved
+  val run : ?seed:int -> Aig.t -> Aig.t * stats
+  (** Sixteen rounds of the {!Transform.Fraig} kernel, rebuilt through
+      {!smart_and}.  Semantics-preserving: PIs and POs (names, order) are preserved
       exactly, and every merge is valid in every state, so all input
       traces produce identical output traces.  Latches keep their
       relative order and initialization, but an unobservable latch may be

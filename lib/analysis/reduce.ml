@@ -1,20 +1,21 @@
 (* Structural reduction: one-level rewriting + constant propagation +
    FRAIG-lite merging of equivalent cones.
 
-   The pass has two stages.  First, random simulation partitions the AND
-   nodes into candidate classes by (polarity-normalized) signature and a
-   SAT solver discharges one proof obligation per candidate merge: the
-   merge is applied only on an UNSAT answer, i.e. only when the two cones
-   are combinationally equivalent for every input AND every state (latches
-   are free variables), so every merge is valid in any reachable or
-   unreachable state — the semantics-preservation argument is per-merge
-   and machine-checked, and the discharged obligations are returned so a
-   caller (or test) can replay them independently with
-   [check_obligations].  Second, the graph is rebuilt bottom-up through a
-   rewriting constructor that applies the two-level AND identities —
-   absorption, substitution, subsumption, contradiction — on top of the
-   base strashing/constant folding of [Aig.mk_and]; each rewrite is
-   justified by a named Boolean identity, not by a solver.
+   The pass has two stages.  First, the FRAIG kernel of [Transform.Fraig]:
+   random simulation partitions the AND nodes into candidate classes by
+   (polarity-normalized) signature and a SAT solver discharges one proof
+   obligation per candidate merge: the merge is applied only on an UNSAT
+   answer, i.e. only when the two cones are combinationally equivalent for
+   every input AND every state (latches are free variables), so every merge
+   is valid in any reachable or unreachable state — the
+   semantics-preservation argument is per-merge and machine-checked, and
+   the discharged obligations are returned so a caller (or test) can replay
+   them independently with [check_obligations].  Second, the graph is
+   rebuilt bottom-up through a rewriting constructor that applies the
+   two-level AND identities — absorption, substitution, subsumption,
+   contradiction — on top of the base strashing/constant folding of
+   [Aig.mk_and]; each rewrite is justified by a named Boolean identity, not
+   by a solver.
 
    Primary inputs and primary outputs (names, order) are preserved
    exactly, so any input trace drives the reduced circuit to the same
@@ -89,133 +90,28 @@ let rec smart_and count dst a b =
       l
     | None -> Aig.mk_and dst a b)
 
-(* --- FRAIG-lite candidate discovery ------------------------------------------ *)
+(* --- the pass ------------------------------------------------------------------ *)
 
-(* Random simulation signatures over [width] 64-bit words; latches get
-   random words too (free variables), matching the SAT obligation. *)
-let signatures aig patterns =
-  let n = Aig.num_nodes aig in
-  let width = List.length patterns in
-  let sigs = Array.make n [||] in
-  List.iteri
-    (fun w (pi_words, latch_words) ->
-      let values = Aig.Sim.eval_comb aig ~pi_words ~latch_words in
-      for id = 0 to n - 1 do
-        if w = 0 then sigs.(id) <- Array.make width 0L;
-        sigs.(id).(w) <- values.(id)
-      done)
-    patterns;
-  sigs
-
-let run ?(seed = 7) ?(max_rounds = 16) ?(n_words = 4) ?(fraig = true) aig =
-  let n = Aig.num_nodes aig in
-  let n_pis = Aig.num_pis aig and n_latches = Aig.num_latches aig in
-  let ands_before = Aig.num_ands aig in
-  let sat_calls = ref 0 and merged = ref 0 and refuted = ref 0 and rounds = ref 0 in
-  let obligations = ref [] in
-  (* merge_to.(id) = original literal the node merges into, or -1 *)
-  let merge_to = Array.make n (-1) in
-  if fraig && ands_before > 0 then begin
-    let rng = Random.State.make [| seed; 0xa9a1; n |] in
-    let fresh_pattern () =
-      ( Array.init n_pis (fun _ -> Random.State.int64 rng Int64.max_int),
-        Array.init n_latches (fun _ -> Random.State.int64 rng Int64.max_int) )
-    in
-    let patterns = ref (List.init n_words (fun _ -> fresh_pattern ())) in
-    let solver = Sat.create () in
-    let pi_vars, latch_vars, sat_lit = Aig.Cnf.encode_fresh solver aig in
-    let distinct : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-    let round () =
-      incr rounds;
-      let sigs = signatures aig !patterns in
-      let normalize s =
-        if Int64.logand s.(0) 1L = 1L then (true, Array.map Int64.lognot s)
-        else (false, Array.copy s)
-      in
-      let classes : (int64 array, (int * bool) list) Hashtbl.t = Hashtbl.create 256 in
-      for id = n - 1 downto 1 do
-        match Aig.node aig id with
-        | Aig.And _ when merge_to.(id) < 0 ->
-          let compl, key = normalize sigs.(id) in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt classes key) in
-          Hashtbl.replace classes key ((id, compl) :: prev)
-        | Aig.And _ | Aig.Const | Aig.Pi _ | Aig.Latch _ -> ()
-      done;
-      let n_cex = ref 0 in
-      let prove rep rep_compl (id, compl) =
-        if id <> rep && merge_to.(id) < 0 && not (Hashtbl.mem distinct (rep, id)) then begin
-          let pol = compl <> rep_compl in
-          let l_rep = Aig.lit_of_node rep in
-          let l_id =
-            if pol then Aig.lit_not (Aig.lit_of_node id) else Aig.lit_of_node id
-          in
-          (* obligation: l_rep XOR l_id is unsatisfiable (latches free) *)
-          let sel = Sat.Lit.pos (Sat.new_var solver) in
-          let nsel = Sat.Lit.negate sel in
-          let va = sat_lit l_rep and vb = sat_lit l_id in
-          Sat.add_clause solver [ nsel; va; vb ];
-          Sat.add_clause solver [ nsel; Sat.Lit.negate va; Sat.Lit.negate vb ];
-          incr sat_calls;
-          (match Sat.solve ~assumptions:[ sel ] solver with
-          | Sat.Unsat ->
-            incr merged;
-            merge_to.(id) <- (if pol then Aig.lit_not l_rep else l_rep);
-            obligations := (l_rep, l_id) :: !obligations
-          | Sat.Sat ->
-            incr refuted;
-            Hashtbl.replace distinct (rep, id) ();
-            incr n_cex;
-            let word_of v = if Sat.value solver v then -1L else 0L in
-            patterns := (Array.map word_of pi_vars, Array.map word_of latch_vars) :: !patterns);
-          Sat.add_clause solver [ nsel ]
-        end
-      in
-      Hashtbl.iter
-        (fun _ members ->
-          match List.sort compare members with
-          | [] | [ _ ] -> ()
-          | (rep, rep_compl) :: rest -> List.iter (prove rep rep_compl) rest)
-        classes;
-      !n_cex
-    in
-    let rec iterate k = if k > 0 && round () > 0 then iterate (k - 1) in
-    iterate max_rounds
-  end;
-  (* rebuild: apply the proven merges, then the rewriting constructor *)
-  let rewrites = ref 0 in
-  let dst = Aig.create () in
-  let map = Array.make n (-1) in
-  map.(0) <- 0;
-  let pi_lits = Array.of_list (List.map (fun _ -> Aig.add_pi dst) (Aig.pis aig)) in
-  let latch_lits =
-    Array.init n_latches (fun i -> Aig.add_latch dst ~init:(Aig.latch_init aig i))
+(* Stage one is the shared FRAIG kernel ([Transform.Fraig]) with sixteen
+   rounds; stage two is its merge-applying rebuild through [smart_and]. *)
+let run ?(seed = 7) aig =
+  let merge_to, fs =
+    Transform.Fraig.find_merges
+      ~rng:(Random.State.make [| seed; 0xa9a1; Aig.num_nodes aig |])
+      ~rounds:16 aig
   in
-  let tr_lit l = map.(Aig.node_of_lit l) lxor (l land 1) in
-  for id = 0 to n - 1 do
-    map.(id) <-
-      (match Aig.node aig id with
-      | Aig.Const -> 0
-      | Aig.Pi i -> pi_lits.(i)
-      | Aig.Latch i -> latch_lits.(i)
-      | Aig.And (a, b) ->
-        if merge_to.(id) >= 0 then tr_lit merge_to.(id)
-        else smart_and rewrites dst (tr_lit a) (tr_lit b))
-  done;
-  for i = 0 to n_latches - 1 do
-    Aig.set_latch_next dst latch_lits.(i) ~next:(tr_lit (Aig.latch_next aig i))
-  done;
-  List.iter (fun (name, l) -> Aig.add_po dst name (tr_lit l)) (Aig.pos aig);
-  let reduced, _ = Aig.cleanup dst in
+  let rewrites = ref 0 in
+  let reduced = Transform.Fraig.rebuild ~and_:(smart_and rewrites) aig merge_to in
   ( reduced,
     {
-      ands_before;
+      ands_before = Aig.num_ands aig;
       ands_after = Aig.num_ands reduced;
       rewrites = !rewrites;
-      fraig_merges = !merged;
-      sat_calls = !sat_calls;
-      refuted = !refuted;
-      rounds = !rounds;
-      obligations = List.rev !obligations;
+      fraig_merges = fs.Transform.Fraig.merged;
+      sat_calls = fs.sat_calls;
+      refuted = fs.refuted;
+      rounds = fs.rounds;
+      obligations = fs.obligations;
     } )
 
 (* --- independent replay of the proof obligations ------------------------------ *)

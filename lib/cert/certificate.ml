@@ -152,8 +152,10 @@ exception Check_failed of check_error
 
 (* Chain [n] time frames of [aig] in [solver]; [first_latch_var] supplies
    the frame-0 state variables, later frames capture the previous frame's
-   next-state values.  Deliberately re-implemented here (mirroring
-   [Engine_sat]) so the checker shares no state with any engine. *)
+   next-state values.  Deliberately re-implemented here rather than
+   calling [Aig.Cnf.unroll], the unroller every engine shares, so the
+   checker shares no state with any engine and an encoding bug there
+   cannot also hide in the check. *)
 let unroll solver aig ~n ~first_latch_var =
   let n_latches = Aig.num_latches aig in
   let frames = Array.make n (fun _ -> 0) in

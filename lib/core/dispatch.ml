@@ -93,6 +93,7 @@ type t = {
   support : Support.t;  (* cones of the ORIGINAL product *)
   levels : int array;  (* levels of the ORIGINAL product *)
   latch_pos : int array;  (* latch index -> BDD variable position *)
+  latch_of_pos : int array;  (* its inverse *)
   sched : lane Parsweep.t;
   rng : Random.State.t;
   survivors : (int, unit) Hashtbl.t;  (* classes the sim screen failed on *)
@@ -131,6 +132,10 @@ let create ?(config = default_config ~prefer:Bdd) ?latch_order
     support = Support.make aig;
     levels = (Analysis.Metrics.make aig).Analysis.Metrics.level;
     latch_pos;
+    latch_of_pos =
+      (let inv = Array.make n_latches 0 in
+       Array.iteri (fun i p -> inv.(p) <- i) latch_pos;
+       inv);
     sched = Parsweep.create ~jobs:config.jobs ~init:(fun _ ->
         {
           l_solver = Sat.create ();
@@ -334,86 +339,41 @@ let sim_screen t partition obligations ~splits =
 
 exception Bdd_blowup
 
-(* Per-round BDD state: frame-1 node functions over (state, input)
-   variables, next-state functions, and frame-2 node functions over the
-   fresh-input variables composed with the next-state functions — the
-   same lazy construction as the BDD sweep engine, on the reduced
-   circuit. *)
-type bdd_round = {
-  br_man : Bdd.manager;
-  br_cur : Bdd.t option array;
-  br_nxt : Bdd.t option array;
-  br_delta : Bdd.t option array;
-  mutable br_dead : bool;
-}
-
-let bdd_state t raig =
-  let n_latches = Aig.num_latches raig in
-  let man = Bdd.create () in
-  Bdd.set_node_limit man (2 * t.cfg.bdd_node_limit);
-  {
-    br_man = man;
-    br_cur = Array.make (Aig.num_nodes raig) None;
-    br_nxt = Array.make (Aig.num_nodes raig) None;
-    br_delta = Array.make n_latches None;
-    br_dead = false;
-  }
-
 let bdd_check_limit t man =
   let live = Bdd.live_nodes man in
   if live > t.peak_nodes then t.peak_nodes <- live;
   if live > t.cfg.bdd_node_limit then raise Bdd_blowup
 
-let bdd_build t br raig =
+(* Per-round BDD state: the frame-2 node functions of the reduced circuit
+   over the fresh-input variables composed with the next-state functions,
+   which in turn are frame-1 functions over (state, input) variables —
+   the same lazy construction as the BDD sweep engine.  Every AND polls
+   the node budget. *)
+type bdd_round = {
+  br_man : Bdd.manager;
+  br_nxt : int -> Bdd.t;  (* frame-2 function of a reduced literal *)
+  mutable br_dead : bool;
+}
+
+let bdd_state t raig =
   let n_latches = Aig.num_latches raig and n_pis = Aig.num_pis raig in
-  let man = br.br_man in
-  let rec cur id =
-    match br.br_cur.(id) with
-    | Some b -> b
-    | None ->
-      let b =
-        match Aig.node raig id with
-        | Aig.Const -> Bdd.zero
-        | Aig.Pi i -> Bdd.var man (n_latches + i)
-        | Aig.Latch i -> Bdd.var man t.latch_pos.(i)
-        | Aig.And (a, b) ->
-          bdd_check_limit t man;
-          Bdd.mk_and man (cur_lit a) (cur_lit b)
-      in
-      br.br_cur.(id) <- Some b;
-      b
-  and cur_lit l =
-    let b = cur (Aig.node_of_lit l) in
-    if l land 1 = 1 then Bdd.mk_not man b else b
+  let man = Bdd.create () in
+  Bdd.set_node_limit man (2 * t.cfg.bdd_node_limit);
+  let and_ a b =
+    bdd_check_limit t man;
+    Bdd.mk_and man a b
   in
-  let delta i =
-    match br.br_delta.(i) with
-    | Some b -> b
-    | None ->
-      let b = cur_lit (Aig.latch_next raig i) in
-      br.br_delta.(i) <- Some b;
-      b
+  let cur =
+    Engines.Aig_bdd.build ~and_ man raig
+      ~pi_var:(fun i -> Bdd.var man (n_latches + i))
+      ~latch_var:(fun i -> Bdd.var man t.latch_pos.(i))
   in
-  let rec nxt id =
-    match br.br_nxt.(id) with
-    | Some b -> b
-    | None ->
-      let b =
-        match Aig.node raig id with
-        | Aig.Const -> Bdd.zero
-        | Aig.Pi i -> Bdd.var man (n_latches + n_pis + i)
-        | Aig.Latch i -> delta i
-        | Aig.And (a, b) ->
-          bdd_check_limit t man;
-          Bdd.mk_and man (nxt_lit a) (nxt_lit b)
-      in
-      br.br_nxt.(id) <- Some b;
-      b
-  and nxt_lit l =
-    let b = nxt (Aig.node_of_lit l) in
-    if l land 1 = 1 then Bdd.mk_not man b else b
+  let nxt =
+    Engines.Aig_bdd.build ~and_ man raig
+      ~pi_var:(fun i -> Bdd.var man (n_latches + n_pis + i))
+      ~latch_var:(fun i -> cur (Aig.latch_next raig i))
   in
-  nxt_lit
+  { br_man = man; br_nxt = nxt; br_dead = false }
 
 type bdd_result =
   | Bdd_discharged
@@ -424,11 +384,10 @@ let bdd_solve t br raig ob =
   poll t;
   let n_latches = Aig.num_latches raig and n_pis = Aig.num_pis raig in
   try
-    let nxt_lit = bdd_build t br raig in
     let diff =
       Bdd.mk_xor br.br_man
-        (nxt_lit ob.Specreduce.ob_mem_lit)
-        (nxt_lit ob.Specreduce.ob_rep_lit)
+        (br.br_nxt ob.Specreduce.ob_mem_lit)
+        (br.br_nxt ob.Specreduce.ob_rep_lit)
     in
     bdd_check_limit t br.br_man;
     if Bdd.is_false diff then Bdd_discharged
@@ -438,11 +397,9 @@ let bdd_solve t br raig ob =
       | Some assignment ->
         let s = Array.make n_latches false in
         let x1 = Array.make n_pis false and x2 = Array.make n_pis false in
-        let pos_to_latch = Array.make n_latches 0 in
-        Array.iteri (fun i p -> pos_to_latch.(p) <- i) t.latch_pos;
         List.iter
           (fun (v, b) ->
-            if v < n_latches then s.(pos_to_latch.(v)) <- b
+            if v < n_latches then s.(t.latch_of_pos.(v)) <- b
             else if v < n_latches + n_pis then x1.(v - n_latches) <- b
             else x2.(v - n_latches - n_pis) <- b)
           assignment;
@@ -462,55 +419,27 @@ let ensure_round t lane =
       let solver = lane.l_solver in
       if lane.l_act >= 0 then Sat.release solver lane.l_act;
       let raig = rd.rd_sr.Specreduce.raig in
-      let n_pis = Aig.num_pis raig and n_latches = Aig.num_latches raig in
       let act = Sat.new_var solver in
       let k = max 1 t.cfg.unroll in
-      let s = Array.init n_latches (fun _ -> Sat.new_var solver) in
-      let x1 = Array.init n_pis (fun _ -> Sat.new_var solver) in
-      let enc1 =
-        Aig.Cnf.encode ~act solver raig
-          ~pi_var:(fun i -> x1.(i))
-          ~latch_var:(fun i -> s.(i))
+      let s = Array.init (Aig.num_latches raig) (fun _ -> Sat.new_var solver) in
+      (* the Q-hat assumptions hold at frames 1..k, guarded by the round
+         literal *)
+      let assume frame enc =
+        if frame < k then
+          Array.iter
+            (fun ob ->
+              let a = enc ob.Specreduce.ob_mem_lit and b = enc ob.Specreduce.ob_rep_lit in
+              Sat.add_clause ~act solver [ Sat.Lit.negate a; b ];
+              Sat.add_clause ~act solver [ a; Sat.Lit.negate b ])
+            rd.rd_sr.Specreduce.obligations
       in
-      (* frames 2..k+1: each frame's state variables are tied to the
-         next-state functions of the previous frame; the Q-hat
-         assumptions hold at frames 1..k, guarded by the round literal *)
-      let assume enc =
-        Array.iter
-          (fun ob ->
-            let a = enc ob.Specreduce.ob_mem_lit
-            and b = enc ob.Specreduce.ob_rep_lit in
-            Sat.add_clause ~act solver [ Sat.Lit.negate a; b ];
-            Sat.add_clause ~act solver [ a; Sat.Lit.negate b ])
-          rd.rd_sr.Specreduce.obligations
+      let frames, xs =
+        Aig.Cnf.unroll ~act ~on_frame:assume solver raig ~n:(k + 1)
+          ~first_latch_var:(Array.get s)
       in
-      assume enc1;
-      let xs = Array.make (k + 1) x1 in
-      let rec unroll frame enc =
-        if frame > k + 1 then enc
-        else begin
-          let sf = Array.init n_latches (fun _ -> Sat.new_var solver) in
-          let xf = Array.init n_pis (fun _ -> Sat.new_var solver) in
-          xs.(frame - 1) <- xf;
-          for i = 0 to n_latches - 1 do
-            let nl = enc (Aig.latch_next raig i) in
-            let v = Sat.Lit.pos sf.(i) in
-            Sat.add_clause ~act solver [ Sat.Lit.negate v; nl ];
-            Sat.add_clause ~act solver [ v; Sat.Lit.negate nl ]
-          done;
-          let encf =
-            Aig.Cnf.encode ~act solver raig
-              ~pi_var:(fun i -> xf.(i))
-              ~latch_var:(fun i -> sf.(i))
-          in
-          if frame <= k then assume encf;
-          unroll (frame + 1) encf
-        end
-      in
-      let enck = unroll 2 enc1 in
       lane.l_round <- rd.rd_id;
       lane.l_act <- act;
-      lane.l_enck <- enck;
+      lane.l_enck <- frames.(k);
       lane.l_s <- s;
       lane.l_xs <- xs
     end

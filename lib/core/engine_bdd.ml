@@ -71,39 +71,21 @@ let make ?(use_fundep = true) ?latch_order ?care_of ?(node_limit = max_int)
     Array.init n_latches (fun i -> n_pis + positions.(i))
   in
   let x2 = Array.init n_pis (fun i -> n_pis + n_latches + i) in
-  let cur =
-    Engines.Aig_bdd.build m aig
-      ~pi_var:(fun i -> Bdd.var m x1.(i))
-      ~latch_var:(fun i -> Bdd.var m s.(i))
-  in
+  (* the variable nodes exist up front, so [Bdd.nvars] covers every
+     state variable before any substitution array is sized *)
+  let x1_vars = Array.map (Bdd.var m) x1 and s_vars = Array.map (Bdd.var m) s in
+  let pi_var i = x1_vars.(i) in
+  let cur = Engines.Aig_bdd.build m aig ~pi_var ~latch_var:(fun i -> s_vars.(i)) in
   let delta = Array.init n_latches (fun i -> cur (Aig.latch_next aig i)) in
-  (* nu functions are built lazily: only signals that share a class ever
-     need their next-state function, and after simulation seeding most
-     classes are small *)
+  (* nu and initial-state functions are only requested for signals that
+     share a class, and after simulation seeding most classes are small *)
   let nxt =
-    let memo : (int, Bdd.t) Hashtbl.t = Hashtbl.create 1024 in
-    let rec node_fn id =
-      match Hashtbl.find_opt memo id with
-      | Some f -> f
-      | None ->
-        let f =
-          match Aig.node aig id with
-          | Aig.Const -> Bdd.zero
-          | Aig.Pi i -> Bdd.var m x2.(i)
-          | Aig.Latch i -> delta.(i)
-          | Aig.And (a, b) -> Bdd.mk_and m (lit_fn a) (lit_fn b)
-        in
-        Hashtbl.add memo id f;
-        f
-    and lit_fn l =
-      let f = node_fn (Aig.node_of_lit l) in
-      if Aig.lit_is_compl l then Bdd.mk_not m f else f
-    in
-    lit_fn
+    Engines.Aig_bdd.build m aig
+      ~pi_var:(fun i -> Bdd.var m x2.(i))
+      ~latch_var:(fun i -> delta.(i))
   in
   let ini =
-    Engines.Aig_bdd.build m aig
-      ~pi_var:(fun i -> Bdd.var m x1.(i))
+    Engines.Aig_bdd.build m aig ~pi_var
       ~latch_var:(fun i -> if Aig.latch_init aig i then Bdd.one else Bdd.zero)
   in
   let care = match care_of with Some f -> f m s | None -> Bdd.one in
@@ -269,29 +251,13 @@ let nu_builder ~clamp_size ctx partition q subst =
       note ctx;
       Bdd.restrict m f ~care:q
   in
-  let aig = ctx.p.Product.aig in
-  let memo = Hashtbl.create 256 in
-  let rec nu_node id =
-    match Hashtbl.find_opt memo id with
-    | Some f -> f
-    | None ->
-      let f =
-        match Aig.node aig id with
-        | Aig.Const -> Bdd.zero
-        | Aig.Pi i -> Bdd.var m ctx.x2.(i)
-        | Aig.Latch i ->
-          clamp (apply ctx.delta.(i))
-        | Aig.And (a, b) -> clamp (Bdd.mk_and m (nu_lit a) (nu_lit b))
-      in
-      Hashtbl.add memo id f;
-      f
-  and nu_lit l =
-    let f = nu_node (Aig.node_of_lit l) in
-    if Aig.lit_is_compl l then Bdd.mk_not m f else f
+  let nu =
+    Engines.Aig_bdd.build m ctx.p.Product.aig
+      ~and_:(fun a b -> clamp (Bdd.mk_and m a b))
+      ~pi_var:(fun i -> Bdd.var m ctx.x2.(i))
+      ~latch_var:(fun i -> clamp (apply ctx.delta.(i)))
   in
-  fun id ->
-    let f = nu_node id in
-    if Partition.polarity partition id then Bdd.mk_not m f else f
+  fun id -> norm ctx (nu (Aig.lit_of_node id)) (Partition.polarity partition id)
 
 (* One application of Equation (3): split classes whose members' next-state
    functions differ on some state satisfying Q.  Returns true when any

@@ -121,40 +121,15 @@ type ctx = {
          list is unchanged and every core equality still holds *)
 }
 
-(* Chain [n] frames of [aig] inside [solver].  [first_latch_var] supplies
-   the frame-0 latch variables; later frames capture the previous frame's
-   next-state values through fresh tied variables. *)
-let unroll solver aig ~n ~first_latch_var =
-  let n_latches = Aig.num_latches aig in
-  let frames = Array.make n (fun _ -> 0) in
-  let latch_vars = ref first_latch_var in
-  for i = 0 to n - 1 do
-    let this_latch = !latch_vars in
-    let x_vars = Array.init (Aig.num_pis aig) (fun _ -> Sat.new_var solver) in
-    let lit_of =
-      Aig.Cnf.encode solver aig ~pi_var:(fun j -> x_vars.(j)) ~latch_var:this_latch
-    in
-    frames.(i) <- lit_of;
-    (* tie the next frame's state to this frame's next-state functions *)
-    let next_latch =
-      Array.init n_latches (fun j ->
-          let v = Sat.new_var solver in
-          let next = lit_of (Aig.latch_next aig j) in
-          Sat.add_clause solver [ Sat.Lit.neg v; next ];
-          Sat.add_clause solver [ Sat.Lit.pos v; Sat.Lit.negate next ];
-          v)
-    in
-    latch_vars := fun j -> next_latch.(j)
-  done;
-  frames
-
 let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.none)
     ?(static_filter = false) ?(incremental = true) p =
   if k < 1 then invalid_arg "Engine_sat.make: k must be >= 1";
   let aig = p.Product.aig in
   let solver = Sat.create () in
   let s_vars = Array.init (Aig.num_latches aig) (fun _ -> Sat.new_var solver) in
-  let frames = unroll solver aig ~n:(k + 1) ~first_latch_var:(fun i -> s_vars.(i)) in
+  let frames =
+    fst (Aig.Cnf.unroll solver aig ~n:(k + 1) ~first_latch_var:(Array.get s_vars))
+  in
   let base_vars = Sat.num_vars solver in
   let solver0 = Sat.create () in
   let s0_vars =
@@ -163,12 +138,14 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
         Sat.add_clause solver0 [ Sat.Lit.make v (Aig.latch_init aig i) ];
         v)
   in
-  let init_frames = unroll solver0 aig ~n:k ~first_latch_var:(fun i -> s0_vars.(i)) in
+  let init_frames =
+    fst (Aig.Cnf.unroll solver0 aig ~n:k ~first_latch_var:(Array.get s0_vars))
+  in
   let eq_sel = Hashtbl.create 256 in
   let diff_sel = Hashtbl.create 256 in
   (* Lane 0 reuses the primary solver (the coordinator works inside its
      own pool); other lanes build a private copy of the unrolling inside
-     their own domain.  [unroll] is deterministic, so every lane's frame
+     their own domain.  [Aig.Cnf.unroll] is deterministic, so every lane's frame
      maps use identical variable numbering.  The non-incremental baseline
      never touches lane state — its lanes get an empty placeholder rather
      than an unrolling nothing would reuse. *)
@@ -185,7 +162,7 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
     else begin
       let s = Sat.create () in
       let vars = Array.init (Aig.num_latches aig) (fun _ -> Sat.new_var s) in
-      let fr = unroll s aig ~n:(k + 1) ~first_latch_var:(fun i -> vars.(i)) in
+      let fr = fst (Aig.Cnf.unroll s aig ~n:(k + 1) ~first_latch_var:(Array.get vars)) in
       {
         w_solver = s;
         w_frames = fr;
@@ -556,7 +533,9 @@ let refine_initial ctx partition =
                             v)
                       in
                       let fr =
-                        unroll s aig ~n:(frame + 1) ~first_latch_var:(fun i -> svars.(i))
+                        fst
+                          (Aig.Cnf.unroll s aig ~n:(frame + 1)
+                             ~first_latch_var:(Array.get svars))
                       in
                       let lof = fr.(frame) in
                       let fa = lof la in
@@ -719,7 +698,9 @@ let solve_class_fresh ctx ~pairs task =
     check_budget ctx;
     let s = Sat.create () in
     let vars = Array.init (Aig.num_latches aig) (fun _ -> Sat.new_var s) in
-    let fr = unroll s aig ~n:(ctx.k + 1) ~first_latch_var:(fun i -> vars.(i)) in
+    let fr =
+      fst (Aig.Cnf.unroll s aig ~n:(ctx.k + 1) ~first_latch_var:(Array.get vars))
+    in
     List.iter
       (fun (pa, pb) ->
         for frame = 0 to ctx.k - 1 do

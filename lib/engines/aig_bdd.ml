@@ -1,32 +1,34 @@
-(* Building BDDs for every node of an AIG.  The variable mapping for PIs
-   and latch outputs is supplied by the caller, so the same code serves
-   combinational equivalence (latches as free inputs), symbolic traversal
-   (latches as current-state variables) and the two-time-frame checks of
-   signal correspondence. *)
+(* Building BDDs for the nodes of an AIG: the one AIG-to-BDD builder of the
+   code base.  The variable mapping for PIs and latch outputs is supplied
+   by the caller, so the same code serves combinational equivalence
+   (latches as free inputs), symbolic traversal (latches as current-state
+   variables), and the current-, initial- and next-frame functions of
+   signal correspondence (latches as state variables, initial constants or
+   next-state functions).  [and_] lets a caller poll a node budget or
+   simplify intermediate results before they are memoized.
 
-(* Returns a function from AIG literal to BDD.  All node functions are
-   built eagerly in topological (id) order. *)
-let build m aig ~pi_var ~latch_var =
-  let n = Aig.num_nodes aig in
-  let funcs = Array.make n Bdd.zero in
-  let bdd_of_lit l =
-    let f = funcs.(Aig.node_of_lit l) in
+   Functions are built lazily, on the first request of a node, and
+   memoized by node id: only the cones a caller asks about are ever
+   built. *)
+
+let build ?and_ m aig ~pi_var ~latch_var =
+  let and_ = match and_ with Some f -> f | None -> Bdd.mk_and m in
+  let memo = Array.make (Aig.num_nodes aig) None in
+  let rec node id =
+    match memo.(id) with
+    | Some f -> f
+    | None ->
+      let f =
+        match Aig.node aig id with
+        | Aig.Const -> Bdd.zero
+        | Aig.Pi i -> pi_var i
+        | Aig.Latch i -> latch_var i
+        | Aig.And (a, b) -> and_ (lit a) (lit b)
+      in
+      memo.(id) <- Some f;
+      f
+  and lit l =
+    let f = node (Aig.node_of_lit l) in
     if Aig.lit_is_compl l then Bdd.mk_not m f else f
   in
-  for id = 0 to n - 1 do
-    funcs.(id) <-
-      (match Aig.node aig id with
-      | Aig.Const -> Bdd.zero
-      | Aig.Pi i -> pi_var i
-      | Aig.Latch i -> latch_var i
-      | Aig.And (a, b) -> Bdd.mk_and m (bdd_of_lit a) (bdd_of_lit b))
-  done;
-  bdd_of_lit
-
-(* Standard variable layout used by several clients: PIs first, then latch
-   outputs (optionally interleaved later by reordering). *)
-let build_default m aig =
-  let n_pis = Aig.num_pis aig in
-  build m aig
-    ~pi_var:(fun i -> Bdd.var m i)
-    ~latch_var:(fun i -> Bdd.var m (n_pis + i))
+  lit

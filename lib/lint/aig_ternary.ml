@@ -9,7 +9,7 @@
    ternary state, which refines the initial partition without any SAT
    calls (the spirit of ABC's `scorr` ternary initialization). *)
 
-type v = F | T | X
+type v = Netlist.Ternary.v = F | T | X
 
 let v_not = function F -> T | T -> F | X -> X
 let v_and a b = match (a, b) with F, _ | _, F -> F | T, T -> T | _ -> X
@@ -47,52 +47,11 @@ let initial_state aig =
 let state_key state =
   String.concat "" (Array.to_list (Array.map to_string state))
 
-(* Latches provably stuck at a constant.  Two phases:
-   1. walk the ternary state sequence from the initial state for at most
-      [max_steps] steps (stopping early when a state repeats), taking the
-      meet over every visited state;
-   2. prune the candidates to an inductively closed subset: from the state
-      "facts at their constants, everything else X", one ternary step must
-      reproduce every fact.  Pruning repeats until stable.
-   Phase 2 makes the result sound even when the walk is cut off before the
-   state sequence revisits a state: the surviving facts hold initially
-   (phase 1) and are preserved by every transition (phase 2). *)
-let stuck_latches ?(max_steps = 64) aig =
-  let n_l = Aig.num_latches aig in
-  if n_l = 0 then []
-  else begin
-    let step lookup = next_state aig (eval aig ~latch:lookup) in
-    let init = initial_state aig in
-    let seen = Hashtbl.create 64 in
-    let meet = Array.copy init in
-    let state = ref init in
-    (try
-       for _ = 1 to max_steps do
-         let k = state_key !state in
-         if Hashtbl.mem seen k then raise Exit;
-         Hashtbl.add seen k ();
-         state := step (fun i -> !state.(i));
-         for i = 0 to n_l - 1 do
-           if meet.(i) <> !state.(i) then meet.(i) <- X
-         done
-       done
-     with Exit -> ());
-    let rec prune facts =
-      let latch_val = Array.make n_l X in
-      List.iter (fun (i, b) -> latch_val.(i) <- of_bool b) facts;
-      let next = step (fun i -> latch_val.(i)) in
-      let kept = List.filter (fun (i, b) -> next.(i) = of_bool b) facts in
-      if List.length kept = List.length facts then facts else prune kept
-    in
-    prune
-      (List.filter_map
-         (fun i ->
-           match meet.(i) with
-           | F -> Some (i, false)
-           | T -> Some (i, true)
-           | X -> None)
-         (List.init n_l (fun i -> i)))
-  end
+(* Latches provably stuck at a constant: the shared walk and inductive
+   prune of [Netlist.Ternary.stuck], stepped by AIG frames. *)
+let stuck_latches ?max_steps aig =
+  Netlist.Ternary.stuck ?max_steps ~init:(initial_state aig) (fun state ->
+      next_state aig (eval aig ~latch:(Array.get state)))
 
 (* Per-node ternary signatures over the first frames of the walk, packed
    as (mask, value) int pairs: bit k of [mask] is set when the node had a

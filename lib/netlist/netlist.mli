@@ -142,6 +142,15 @@ end
 module Ternary : sig
   type v = F | T | X
 
+  val stuck : ?max_steps:int -> init:v array -> (v array -> v array) -> (int * bool) list
+  (** [stuck ~init step]: the latch-stuck analysis over latch-indexed
+      states, shared by every circuit representation.  [init] is the
+      initial state and [step] one ternary frame (all inputs X).  Walks
+      at most [max_steps] (default 64) frames from [init] taking the meet
+      of the visited states, then prunes the candidates to an inductively
+      closed set.  Returns [(latch index, constant)] in ascending index
+      order. *)
+
   val stuck_latches : ?max_steps:int -> t -> (int * bool) list
   (** Latches provably stuck at a constant on every reachable state: the
       facts hold initially and are closed under one ternary step (sound

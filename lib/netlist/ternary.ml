@@ -43,58 +43,59 @@ let eval_comb c ~latch =
     (Circuit.topo_order c);
   values
 
-(* Latches provably stuck at a constant.  Two phases:
-   1. walk the ternary state sequence from the initial state (all inputs
-      X) for at most [max_steps] steps, taking the meet over every visited
-      state: a latch definite and unchanging across the walk is a
-      candidate fact;
+(* Latches provably stuck at a constant, over latch-indexed states: [init]
+   is the initial state and [step] one ternary frame (all inputs X) from a
+   state to its successor.  Two phases:
+   1. walk the ternary state sequence from [init] for at most [max_steps]
+      steps (stopping early when a state repeats), taking the meet over
+      every visited state: a latch definite and unchanging across the walk
+      is a candidate fact;
    2. prune the candidates to an inductively closed subset: from the state
       "facts at their constants, everything else X", one ternary step must
       reproduce every fact.  Pruning repeats until stable.
    Phase 2 makes the result sound even when the walk is cut off before the
    state sequence revisits a state: the surviving facts hold initially
-   (phase 1) and are preserved by every transition (phase 2). *)
-let stuck_latches ?(max_steps = 64) c =
-  let latches = Circuit.latches c in
-  if latches = [] then []
+   (phase 1) and are preserved by every transition (phase 2).  Returns
+   (latch index, constant) in ascending index order. *)
+let stuck ?(max_steps = 64) ~init step =
+  let n = Array.length init in
+  if n = 0 then []
   else begin
-    let step lookup =
-      let values = eval_comb c ~latch:lookup in
-      List.map (fun l -> (l, values.(Circuit.latch_data c l))) latches
-    in
-    let step_assoc state = step (fun l -> List.assoc l state) in
-    let init = List.map (fun l -> (l, of_bool (Circuit.latch_init c l))) latches in
-    let key state = String.concat "" (List.map (fun (_, v) -> to_string v) state) in
+    let key state = String.concat "" (Array.to_list (Array.map to_string state)) in
     let seen = Hashtbl.create 64 in
-    let meet = ref init in
+    let meet = Array.copy init in
     let state = ref init in
     (try
        for _ = 1 to max_steps do
          let k = key !state in
          if Hashtbl.mem seen k then raise Exit;
          Hashtbl.add seen k ();
-         state := step_assoc !state;
-         meet :=
-           List.map2
-             (fun (l, m) (_, v) -> (l, if m = v then m else X))
-             !meet !state
+         state := step !state;
+         Array.iteri (fun i v -> if meet.(i) <> v then meet.(i) <- X) !state
        done
      with Exit -> ());
     let rec prune facts =
-      let next =
-        step (fun l ->
-            match List.assoc_opt l facts with Some b -> of_bool b | None -> X)
-      in
-      (* a latch's fact survives only if one step from the facts alone
-         reproduces it; non-fact latches were already X in the source
-         state, so [next] is exactly the inductive-step valuation *)
-      let kept =
-        List.filter (fun (l, b) -> List.assoc l next = of_bool b) facts
-      in
+      let source = Array.make n X in
+      List.iter (fun (i, b) -> source.(i) <- of_bool b) facts;
+      (* non-fact latches are X in the source state, so [next] is exactly
+         the inductive-step valuation *)
+      let next = step source in
+      let kept = List.filter (fun (i, b) -> next.(i) = of_bool b) facts in
       if List.length kept = List.length facts then facts else prune kept
     in
     prune
       (List.filter_map
-         (fun (l, v) -> match v with F -> Some (l, false) | T -> Some (l, true) | X -> None)
-         !meet)
+         (fun i -> match meet.(i) with F -> Some (i, false) | T -> Some (i, true) | X -> None)
+         (List.init n Fun.id))
   end
+
+let stuck_latches ?max_steps c =
+  let latches = Array.of_list (Circuit.latches c) in
+  let index = Array.make (Circuit.num_nets c) (-1) in
+  Array.iteri (fun i l -> index.(l) <- i) latches;
+  let step state =
+    let values = eval_comb c ~latch:(fun l -> state.(index.(l))) in
+    Array.map (fun l -> values.(Circuit.latch_data c l)) latches
+  in
+  let init = Array.map (fun l -> of_bool (Circuit.latch_init c l)) latches in
+  List.map (fun (i, b) -> (latches.(i), b)) (stuck ?max_steps ~init step)

@@ -21,7 +21,6 @@ type result =
 let check ?(max_depth = 20) ?(max_sat_calls = max_int) ?(ignore_outputs = []) aig =
   let solver = Sat.create () in
   let n_pis = Aig.num_pis aig in
-  let n_latches = Aig.num_latches aig in
   let pos =
     List.filter (fun (name, _) -> not (List.mem name ignore_outputs)) (Aig.pos aig)
   in
@@ -29,7 +28,7 @@ let check ?(max_depth = 20) ?(max_sat_calls = max_int) ?(ignore_outputs = []) ai
   (* latch variables of the current frame; frame 0 is the initial state *)
   let latch_vars =
     ref
-      (Array.init n_latches (fun i ->
+      (Array.init (Aig.num_latches aig) (fun i ->
            let v = Sat.new_var solver in
            Sat.add_clause solver [ Sat.Lit.make v (Aig.latch_init aig i) ];
            v))
@@ -63,13 +62,7 @@ let check ?(max_depth = 20) ?(max_sat_calls = max_int) ?(ignore_outputs = []) ai
             raise (Found { depth; inputs; output = name }))
         pos;
       (* advance the state *)
-      latch_vars :=
-        Array.init n_latches (fun i ->
-            let v = Sat.new_var solver in
-            let next = lit_of (Aig.latch_next aig i) in
-            Sat.add_clause solver [ Sat.Lit.neg v; next ];
-            Sat.add_clause solver [ Sat.Lit.pos v; Sat.Lit.negate next ];
-            v)
+      if depth < max_depth then latch_vars := Aig.Cnf.tie_next solver aig lit_of
     done;
     No_counterexample max_depth
   with

@@ -20,34 +20,20 @@ let check ?(max_k = 8) ?(max_sat_calls = max_int) aig =
   (* step case at a given k: frames 0..k from a free initial state *)
   let step_holds k calls =
     let solver = Sat.create () in
-    let latch_vars = ref (Array.init n_latches (fun _ -> Sat.new_var solver)) in
-    let last_frame = ref (fun _ -> 0) in
-    for frame = 0 to k do
-      let x_vars = Array.init (Aig.num_pis aig) (fun _ -> Sat.new_var solver) in
-      let lit_of =
-        Aig.Cnf.encode solver aig
-          ~pi_var:(fun i -> x_vars.(i))
-          ~latch_var:(fun i -> !latch_vars.(i))
-      in
-      if frame < k then
-        (* assume the property in this frame *)
-        List.iter (fun (_, l) -> Sat.add_clause solver [ lit_of l ]) pos
-      else last_frame := lit_of;
-      if frame < k then
-        latch_vars :=
-          Array.init n_latches (fun i ->
-              let v = Sat.new_var solver in
-              let next = lit_of (Aig.latch_next aig i) in
-              Sat.add_clause solver [ Sat.Lit.neg v; next ];
-              Sat.add_clause solver [ Sat.Lit.pos v; Sat.Lit.negate next ];
-              v)
-    done;
+    let s0 = Array.init n_latches (fun _ -> Sat.new_var solver) in
+    (* assume the property in frames 0..k-1 *)
+    let assume frame lit_of =
+      if frame < k then List.iter (fun (_, l) -> Sat.add_clause solver [ lit_of l ]) pos
+    in
+    let frames, _ =
+      Aig.Cnf.unroll ~on_frame:assume solver aig ~n:(k + 1) ~first_latch_var:(Array.get s0)
+    in
     (* can any PO be 0 at frame k? *)
     List.for_all
       (fun (_, l) ->
         incr calls;
         !calls <= max_sat_calls
-        && Sat.solve ~assumptions:[ Sat.Lit.negate (!last_frame l) ] solver = Sat.Unsat)
+        && Sat.solve ~assumptions:[ Sat.Lit.negate (frames.(k) l) ] solver = Sat.Unsat)
       pos
   in
   let calls = ref 0 in

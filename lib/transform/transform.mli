@@ -41,20 +41,34 @@ module Opt : sig
   (** Merge latches with identical next-state literal and initial value. *)
 end
 
-(** Fraiging: SAT sweeping of combinationally equivalent nodes. *)
+(** Fraiging: SAT sweeping of combinationally equivalent nodes.  The one
+    FRAIG kernel: {!Analysis.Reduce} runs the same merge finder and
+    rebuild. *)
 module Fraig : sig
   type stats = {
-    mutable sat_calls : int;
-    mutable merged : int;
-    mutable refuted : int;
-    mutable rounds : int;
+    sat_calls : int;
+    merged : int;
+    refuted : int;
+    rounds : int;
+    obligations : (int * int) list;
+        (** one per merge: literal pairs of the ORIGINAL circuit proven
+            combinationally equivalent (latches free) *)
   }
 
-  val sweep : ?seed:int -> ?max_rounds:int -> ?n_words:int -> Aig.t -> Aig.t * stats
-  (** Partition nodes by random-simulation signature (normalized for
+  val find_merges : rng:Random.State.t -> rounds:int -> Aig.t -> int array * stats
+  (** Partition AND nodes by random-simulation signature (normalized for
       polarity), prove or refute candidates against class representatives
-      with SAT, feed counterexamples back as patterns, and rebuild with
-      the proven merges applied. *)
+      with one SAT call each, and feed counterexamples back as patterns,
+      for at most [rounds] rounds.  Returns, per node, the original
+      literal it merges into (or -1). *)
+
+  val rebuild : and_:(Aig.t -> int -> int -> int) -> Aig.t -> int array -> Aig.t
+  (** Apply the merges of {!find_merges}, building every other AND with
+      [and_ dst], and collect dead cones.  PIs and POs are preserved. *)
+
+  val sweep : ?seed:int -> Aig.t -> Aig.t * stats
+  (** Four rounds of {!find_merges}, then {!rebuild} with plain
+      structural hashing. *)
 end
 
 (** Fault injection for negative tests. *)

@@ -232,6 +232,75 @@ let test_fig2_equivalent_by_simulation () =
   Alcotest.(check (option int)) "fig2 behaviour" None (Test_util.aig_seq_differ spec impl);
   Alcotest.(check bool) "fig2 exact" true (Test_util.bounded_seq_equiv spec impl)
 
+(* The benchmark's implementations: MD5 of the AIGER text of every suite
+   entry's retime+opt implementation at seeds 1 and 2.  A transform
+   change that alters any of them silently changes the workloads every
+   performance comparison runs on; such a change must update these
+   digests on purpose. *)
+let retime_opt_digests =
+  [
+    ("ctr8", 1, "dde90cdb47d1e327bb7312bae5278ba9");
+    ("ctr8", 2, "54353eefc523a348294a9df07a68dfb8");
+    ("ctr16", 1, "23919f585b14a9f0933d252eb5af63d3");
+    ("ctr16", 2, "56c91c75ccc3a5df2ec7047668951f6d");
+    ("ctr32", 1, "58e5f29bb1ca163591116bb10eb98148");
+    ("ctr32", 2, "a37f80763d30d8dc62997d5c54d12da1");
+    ("gray12", 1, "db06f615cf8990f6f11cc7a31ff990cb");
+    ("gray12", 2, "e84464bcc624021caea1e702d24fdaff");
+    ("mod10", 1, "552d57fe5068b2bda65d324c1b8f8fae");
+    ("mod10", 2, "332c13e84e269ee72025fa0e8f3ca6c1");
+    ("lfsr16", 1, "6974c7a3eb181265bcfea8c366e3d204");
+    ("lfsr16", 2, "abc40b281b6685ba06734ad1385446bd");
+    ("crc16", 1, "a92019b5fba9f703243bfd6e8289a271");
+    ("crc16", 2, "18bbea13d43cad765b336963e3022483");
+    ("crc32", 1, "b39d0b0968cdbe2e203825483f9e73b6");
+    ("crc32", 2, "26e9f7fc0b0f58ce5ee6b535e0ffcec9");
+    ("shift24", 1, "3cd93b0a1efc10a16fb7e0fbdcd80206");
+    ("shift24", 2, "fd061f2d3bcede45ec5b9f55ee26fab1");
+    ("traffic", 1, "885fafc5e1613e6e3276c3a36d6563a8");
+    ("traffic", 2, "6e022021d78d79734dc17c4f2b78a0a5");
+    ("det-bin", 1, "6cfcb21d9096d697f812b55a1656e8a8");
+    ("det-bin", 2, "141d3b4fd3608d040e0cad670a995ff5");
+    ("alu4", 1, "2b74c9c967b109dd22f26fed0ade86e3");
+    ("alu4", 2, "288767d8fa36da5744d0b17a51e1d5c8");
+    ("alu8", 1, "a2e568750db019a2dca37d6a67734cb8");
+    ("alu8", 2, "8443fcc51559ac6b29e4952493a1d8eb");
+    ("arb4", 1, "b31453393798846fe3e9caf7835bd1fb");
+    ("arb4", 2, "ffb4493e49e8d0680e3b4c244be68e94");
+    ("arb6", 1, "ef6735888cf44918c5a5f119ff5a3409");
+    ("arb6", 2, "1736148af67be56b9971032eb23a7e08");
+    ("bus", 1, "09d17d920d574fff43a7375ba540578a");
+    ("bus", 2, "4292aee01dcf8cd09ff65bc37a6ca64e");
+    ("tx", 1, "0aed741a400a57ad2ee9f8187d764927");
+    ("tx", 2, "779bb4a65a3f71c7c0716d9eeda12e3e");
+    ("ffde", 1, "ac5c0b39ed7fe8b89e589060f18e3f5e");
+    ("ffde", 2, "7fd43e8648b6336c0fc2f14c3f8ff08a");
+    ("gclk-div", 1, "e3fad86494f6e1b121bdf79d09126265");
+    ("gclk-div", 2, "6d754d0ccede695f89d61e33d77ea8b0");
+    ("rst-sync", 1, "cf11ba7e9905f7bc4a6bf980bf1450f5");
+    ("rst-sync", 2, "aa448119e42679096b5e025033b157b0");
+    ("rst-async", 1, "56c200cfd13e3142785f9bfc6a358a51");
+    ("rst-async", 2, "d645b764fe5dab7424961f963814e22a");
+  ]
+
+let test_retime_opt_pinned () =
+  List.iter
+    (fun (name, seed, expected) ->
+      match Circuits.Suite.find name with
+      | None -> Alcotest.failf "suite entry %s is gone" name
+      | Some entry ->
+        let impl =
+          Circuits.Suite.(implementation ~recipe:Retime_opt ~seed (aig_of entry))
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "%s seed %d" name seed)
+          expected
+          (Digest.to_hex (Digest.string (Aig.Aiger.to_string impl))))
+    retime_opt_digests;
+  Alcotest.(check int) "every entry pinned"
+    (2 * List.length Circuits.Suite.suite)
+    (List.length retime_opt_digests)
+
 let suite =
   [ Alcotest.test_case "all suite entries valid" `Quick test_all_valid;
     Alcotest.test_case "counter counts" `Quick test_counter_counts;
@@ -248,6 +317,7 @@ let suite =
     Alcotest.test_case "bus controller" `Quick test_bus_controller_behaviour;
     Alcotest.test_case "transmitter" `Quick test_transmitter_behaviour;
     Alcotest.test_case "fig2 behaviour" `Quick test_fig2_equivalent_by_simulation;
+    Alcotest.test_case "retime+opt implementations pinned" `Quick test_retime_opt_pinned;
   ]
 
 let () = Alcotest.run "circuits" [ ("circuits", suite) ]

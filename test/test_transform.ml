@@ -38,6 +38,19 @@ let prop_dedup = check_preserved "latch dedup preserves behaviour"
 let prop_fraig = check_preserved "fraig sweeping preserves behaviour"
     (fun seed a -> fst (Transform.Fraig.sweep ~seed a))
 
+(* every merge the sweep applies is recorded as an obligation, and the
+   independent checker of the analysis library re-proves each one on the
+   original circuit with a fresh solver *)
+let prop_fraig_obligations =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"fraig obligations replay independently" ~count:60
+       QCheck.(int_range 0 100_000)
+       (fun seed ->
+         let a = aig_of_seed seed in
+         let _, stats = Transform.Fraig.sweep ~seed a in
+         List.length stats.Transform.Fraig.obligations = stats.Transform.Fraig.merged
+         && Analysis.Reduce.check_obligations a stats.Transform.Fraig.obligations = []))
+
 let prop_pipeline = check_preserved "full synthesis pipeline preserves behaviour"
     (fun seed a ->
       let a = Transform.Retime.forward ~max_steps:2 a in
@@ -107,6 +120,8 @@ let test_fraig_reduces_redundancy () =
   (* o is constant false but the structure does not show it *)
   let a', stats = Transform.Fraig.sweep a in
   Alcotest.(check bool) "something merged" true (stats.Transform.Fraig.merged > 0);
+  Alcotest.(check (list (pair int int))) "obligations replay" []
+    (Analysis.Reduce.check_obligations a stats.Transform.Fraig.obligations);
   Alcotest.(check bool) "output folded to constant" true
     (List.for_all (fun (_, l) -> l = Aig.lit_false) (Aig.pos a'));
   Alcotest.(check (option int)) "behaviour" None (Test_util.aig_seq_differ a a')
@@ -176,6 +191,7 @@ let suite =
     prop_latch_sweep;
     prop_dedup;
     prop_fraig;
+    prop_fraig_obligations;
     prop_pipeline;
     prop_retime_exact;
     prop_mutants_differ;
