@@ -8,54 +8,43 @@
    diagnostics), gen (emit suite circuits), opt (apply the synthesis
    pipeline), sim (random simulation), stats. *)
 
-(* Every input path is preflight-linted — including .aag files, which used
-   to bypass validation entirely; a rejection prints the full
-   multi-diagnostic report and exits 2.  Netlists are parsed leniently so
-   that the lint pass sees every defect at once instead of the parser
-   bailing on the first one; the preflight's error-level rules cover all
-   lenient recoveries, so nothing defective reaches the prover. *)
+(* Every input goes through the one front door, [Lint.Intake]: parsed
+   leniently so the lint preflight sees every defect at once, preflighted
+   (including .aag/.aig files), lowered when it is clocked Verilog.  A
+   rejection prints the full multi-diagnostic report, a parse or I/O
+   failure its message; both exit 2. *)
 let read_circuit path =
-  try
-    if Filename.check_suffix path ".aag" then begin
-      let aig = Aig.Aiger.parse_file path in
-      Lint.preflight_aig ~subject:path aig;
-      aig
-    end
-    else if Filename.check_suffix path ".v" then begin
-      (* structural Verilog carries register specs (enables, derived
-         clocks, resets): preflight the raw circuit so lenient-parse
-         defects are reported, then lower to plain latches for the
-         prover and preflight the result. *)
-      let design = Netlist.Verilog.parse_file ~lenient:true path in
-      Lint.preflight_netlist ~subject:path (Netlist.Clocking.circuit design);
-      let lowered = Netlist.Clocking.lower design in
-      Lint.preflight_netlist ~subject:path lowered;
-      fst (Aig.of_netlist lowered)
-    end
-    else begin
-      let netlist =
-        if Filename.check_suffix path ".bench" then
-          Netlist.Bench.parse_file ~lenient:true path
-        else Netlist.Blif.parse_file ~lenient:true path
-      in
-      Lint.preflight_netlist ~subject:path netlist;
-      fst (Aig.of_netlist netlist)
-    end
-  with
-  | Lint.Rejected report ->
-      prerr_string report;
-      exit 2
-  | Netlist.Blif.Parse_error msg | Netlist.Bench.Parse_error msg
-  | Netlist.Verilog.Parse_error msg | Aig.Aiger.Parse_error msg ->
-      Printf.eprintf "%s: parse error: %s\n" path msg;
-      exit 2
-  | Netlist.Clocking.Lower_error msg ->
-      Printf.eprintf "%s: clocking error: %s\n" path msg;
-      exit 2
+  match Lint.Intake.load (Lint.Intake.Path path) with
+  | Ok aig -> aig
+  | Error e ->
+    prerr_endline (Lint.Intake.explain e);
+    exit 2
+
+(* Checkpoints, certificates and witnesses: a malformed file is named
+   with its parse error, an unreadable one with the command; both exit 2. *)
+let read_or_exit cmd parse_file path =
+  match parse_file path with
+  | v -> v
+  | exception
+      ( Scorr.Checkpoint.Parse_error msg
+      | Cert.Certificate.Parse_error msg
+      | Cert.Witness.Parse_error msg ) ->
+    Printf.eprintf "%s: %s\n" path msg;
+    exit 2
+  | exception Sys_error msg ->
+    Printf.eprintf "seqver %s: %s\n" cmd msg;
+    exit 2
 
 let write_circuit path aig =
-  if Filename.check_suffix path ".aag" then Aig.Aiger.to_file path aig
-  else failwith "seqver: can only write .aag files from AIGs"
+  let text =
+    match Filename.extension path with
+    | ".aag" -> Aig.Aiger.to_string aig
+    | ".aig" -> Aig.Aiger.to_binary_string aig
+    | _ ->
+      prerr_endline "seqver: can only write .aag or .aig files from AIGs";
+      exit 2
+  in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
 (* --- verify ----------------------------------------------------------------- *)
 
@@ -93,7 +82,7 @@ let run_verify_suite engine jobs deadline quiet =
   let results =
     Scorr.Parsweep.map pool
       ~f:(fun () e ->
-        let spec = fst (Aig.of_netlist (e.Circuits.Suite.build ())) in
+        let spec = Circuits.Suite.aig_of e in
         let impl =
           Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_only ~seed:7 spec
         in
@@ -148,18 +137,7 @@ let run_verify spec_path impl_path meth engine no_sim_seed no_fundep no_retime
     exit 2
   end;
   let spec = read_circuit spec_path and impl = read_circuit impl_path in
-  let resume =
-    match resume with
-    | None -> None
-    | Some path -> (
-      try Some (Scorr.Checkpoint.parse_file path) with
-      | Scorr.Checkpoint.Parse_error msg ->
-        Printf.eprintf "%s: %s\n" path msg;
-        exit 2
-      | Sys_error msg ->
-        Printf.eprintf "seqver verify: %s\n" msg;
-        exit 2)
-  in
+  let resume = Option.map (read_or_exit "verify" Scorr.Checkpoint.parse_file) resume in
   let options =
     {
       Scorr.default_options with
@@ -183,6 +161,7 @@ let run_verify spec_path impl_path meth engine no_sim_seed no_fundep no_retime
       checkpoint_path = checkpoint;
       checkpoint_every;
       resume;
+      preflight = false;  (* read_circuit has preflighted both inputs *)
     }
   in
   let exit_of = function
@@ -323,58 +302,51 @@ let run_verify spec_path impl_path meth engine no_sim_seed no_fundep no_retime
    confusing resume-time rejection; here it is a first-class diagnostic
    naming both MD5s. *)
 let run_checkpoint path spec_path impl_path =
-  match Scorr.Checkpoint.parse_file path with
-  | exception Scorr.Checkpoint.Parse_error msg ->
-    Printf.eprintf "%s: %s\n" path msg;
-    2
-  | exception Sys_error msg ->
-    Printf.eprintf "seqver checkpoint: %s\n" msg;
-    2
-  | cp ->
-    Printf.printf
-      "checkpoint: %s\n\
-      \  spec md5:        %s\n\
-      \  impl md5:        %s\n\
-      \  engine:          %s\n\
-      \  candidates:      %s\n\
-      \  induction:       %d\n\
-      \  seed:            %d\n\
-      \  retime rounds:   %d\n\
-      \  product nodes:   %d\n\
-      \  iterations:      %d\n\
-      \  classes:         %d (%d constraints)\n\
-      \  pool patterns:   %d\n"
-      path cp.Scorr.Checkpoint.spec_digest cp.Scorr.Checkpoint.impl_digest
-      cp.Scorr.Checkpoint.engine cp.Scorr.Checkpoint.candidates
-      cp.Scorr.Checkpoint.induction cp.Scorr.Checkpoint.seed
-      cp.Scorr.Checkpoint.retime_rounds cp.Scorr.Checkpoint.product_nodes
-      cp.Scorr.Checkpoint.iterations
-      (Scorr.Checkpoint.n_classes cp)
-      (Scorr.Checkpoint.n_constraints cp)
-      (Scorr.Checkpoint.n_patterns cp);
-    (match (spec_path, impl_path) with
-    | None, None -> 0
-    | Some spec_path, Some impl_path -> (
-      let spec = read_circuit spec_path and impl = read_circuit impl_path in
-      (* probe against the checkpoint's own option pins, so the only
-         thing that can mismatch here is the circuits themselves *)
-      match
-        Scorr.Checkpoint.compatible
-          ~spec_digest:(Scorr.Checkpoint.fingerprint spec)
-          ~impl_digest:(Scorr.Checkpoint.fingerprint impl)
-          ~candidates:cp.Scorr.Checkpoint.candidates ~induction:cp.Scorr.Checkpoint.induction
-          ~seed:cp.Scorr.Checkpoint.seed cp
-      with
-      | Ok () ->
-        Printf.printf "  compatible:      yes (fingerprints match %s %s)\n" spec_path impl_path;
-        0
-      | Error msg ->
-        Printf.printf "  compatible:      no\n";
-        Printf.eprintf "seqver checkpoint: %s\n" msg;
-        2)
-    | _ ->
-      prerr_endline "seqver checkpoint: expected CHECKPOINT, or CHECKPOINT SPEC IMPL";
+  let cp = read_or_exit "checkpoint" Scorr.Checkpoint.parse_file path in
+  Printf.printf
+    "checkpoint: %s\n\
+    \  spec md5:        %s\n\
+    \  impl md5:        %s\n\
+    \  engine:          %s\n\
+    \  candidates:      %s\n\
+    \  induction:       %d\n\
+    \  seed:            %d\n\
+    \  retime rounds:   %d\n\
+    \  product nodes:   %d\n\
+    \  iterations:      %d\n\
+    \  classes:         %d (%d constraints)\n\
+    \  pool patterns:   %d\n"
+    path cp.Scorr.Checkpoint.spec_digest cp.Scorr.Checkpoint.impl_digest
+    cp.Scorr.Checkpoint.engine cp.Scorr.Checkpoint.candidates
+    cp.Scorr.Checkpoint.induction cp.Scorr.Checkpoint.seed
+    cp.Scorr.Checkpoint.retime_rounds cp.Scorr.Checkpoint.product_nodes
+    cp.Scorr.Checkpoint.iterations
+    (Scorr.Checkpoint.n_classes cp)
+    (Scorr.Checkpoint.n_constraints cp)
+    (Scorr.Checkpoint.n_patterns cp);
+  match (spec_path, impl_path) with
+  | None, None -> 0
+  | Some spec_path, Some impl_path -> (
+    let spec = read_circuit spec_path and impl = read_circuit impl_path in
+    (* probe against the checkpoint's own option pins, so the only
+       thing that can mismatch here is the circuits themselves *)
+    match
+      Scorr.Checkpoint.compatible
+        ~spec_digest:(Scorr.Checkpoint.fingerprint spec)
+        ~impl_digest:(Scorr.Checkpoint.fingerprint impl)
+        ~candidates:cp.Scorr.Checkpoint.candidates ~induction:cp.Scorr.Checkpoint.induction
+        ~seed:cp.Scorr.Checkpoint.seed cp
+    with
+    | Ok () ->
+      Printf.printf "  compatible:      yes (fingerprints match %s %s)\n" spec_path impl_path;
+      0
+    | Error msg ->
+      Printf.printf "  compatible:      no\n";
+      Printf.eprintf "seqver checkpoint: %s\n" msg;
       2)
+  | _ ->
+    prerr_endline "seqver checkpoint: expected CHECKPOINT, or CHECKPOINT SPEC IMPL";
+    2
 
 (* --- gen ---------------------------------------------------------------------- *)
 
@@ -477,7 +449,7 @@ let run_check_cert cert_path spec_path impl_path suite proof quiet =
     let failures = ref 0 in
     List.iter
       (fun e ->
-        let spec = fst (Aig.of_netlist (e.Circuits.Suite.build ())) in
+        let spec = Circuits.Suite.aig_of e in
         let impl =
           Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_only ~seed:7 spec
         in
@@ -513,15 +485,7 @@ let run_check_cert cert_path spec_path impl_path suite proof quiet =
   else
     match (cert_path, spec_path, impl_path) with
     | Some cert_path, Some spec_path, Some impl_path -> (
-      let cert =
-        try Cert.Certificate.parse_file cert_path with
-        | Cert.Certificate.Parse_error msg ->
-          Printf.eprintf "%s: %s\n" cert_path msg;
-          exit 2
-        | Sys_error msg ->
-          Printf.eprintf "seqver check-cert: %s\n" msg;
-          exit 2
-      in
+      let cert = read_or_exit "check-cert" Cert.Certificate.parse_file cert_path in
       let spec = read_circuit spec_path and impl = read_circuit impl_path in
       match Cert.Certificate.check ~use_proof:proof ~spec ~impl cert with
       | Ok () ->
@@ -545,15 +509,7 @@ let run_check_cert cert_path spec_path impl_path suite proof quiet =
    replays cleanly (disproves nothing), 2 malformed witness or a
    shape/width mismatch against the circuits. *)
 let run_replay witness_path spec_path impl_path do_shrink vcd quiet =
-  let w =
-    try Cert.Witness.parse_file witness_path with
-    | Cert.Witness.Parse_error msg ->
-      Printf.eprintf "%s: %s\n" witness_path msg;
-      exit 2
-    | Sys_error msg ->
-      Printf.eprintf "seqver replay: %s\n" msg;
-      exit 2
-  in
+  let w = read_or_exit "replay" Cert.Witness.parse_file witness_path in
   let spec = read_circuit spec_path and impl = read_circuit impl_path in
   match Cert.Witness.replay ~spec ~impl w with
   | Ok _ ->
@@ -590,61 +546,42 @@ let run_replay witness_path spec_path impl_path do_shrink vcd quiet =
 (* Files are parsed leniently so that every structural defect is
    materialized and reported in one run instead of aborting at the first
    parse error; only files too malformed to tokenize are rejected
-   outright (exit 2). *)
-let lint_subjects files suite =
+   outright (exit 2).  A Verilog design is linted in its lowered form so
+   the ternary/X rules see the real next-state functions, or as the raw
+   circuit when it is too defective to lower. *)
+let run_lint files suite json strict analysis =
   let of_file path =
-    if Filename.check_suffix path ".aag" then (path, `Aig (Aig.Aiger.parse_file path))
-    else if Filename.check_suffix path ".bench" then
-      (path, `Netlist (Netlist.Bench.parse_file ~lenient:true path))
-    else if Filename.check_suffix path ".v" then begin
-      (* lint the lowered form so the ternary/X rules see the real
-         next-state functions; fall back to the raw circuit when the
-         design is too defective to lower. *)
-      let design = Netlist.Verilog.parse_file ~lenient:true path in
-      let netlist =
-        match Netlist.Clocking.validate design with
-        | Ok () -> (
-          try Netlist.Clocking.lower design
-          with Netlist.Clocking.Lower_error _ -> Netlist.Clocking.circuit design)
-        | Error _ -> Netlist.Clocking.circuit design
-      in
-      (path, `Netlist netlist)
-    end
-    else (path, `Netlist (Netlist.Blif.parse_file ~lenient:true path))
+    match Lint.Intake.parse (Lint.Intake.Path path) with
+    | Ok c -> (path, c)
+    | Error e ->
+      prerr_endline (Lint.Intake.explain e);
+      exit 2
   in
   let from_suite =
     if not suite then []
     else
       List.map
-        (fun e -> ("suite:" ^ e.Circuits.Suite.name, `Netlist (e.Circuits.Suite.build ())))
+        (fun e -> ("suite:" ^ e.Circuits.Suite.name, Lint.Intake.Netlist (e.Circuits.Suite.build ())))
         Circuits.Suite.suite
   in
-  List.map of_file files @ from_suite
-
-let run_lint files suite json strict analysis =
-  let subjects =
-    try lint_subjects files suite with
-    | Netlist.Blif.Parse_error msg | Netlist.Bench.Parse_error msg
-    | Netlist.Verilog.Parse_error msg ->
-      Printf.eprintf "seqver lint: parse error: %s\n" msg;
-      exit 2
-    | Aig.Aiger.Parse_error msg ->
-      Printf.eprintf "seqver lint: aiger parse error: %s\n" msg;
-      exit 2
-    | Sys_error msg ->
-      Printf.eprintf "seqver lint: %s\n" msg;
-      exit 2
+  let lowered_or_raw design =
+    let raw = Netlist.Clocking.circuit design in
+    match Netlist.Clocking.validate design with
+    | Ok () -> (
+      try Netlist.Clocking.lower design with Netlist.Clocking.Lower_error _ -> raw)
+    | Error _ -> raw
   in
   let results =
     List.map
       (fun (subject, c) ->
         let diags =
           match c with
-          | `Netlist n -> Lint.check_netlist n
-          | `Aig a -> Lint.check_aig ~analysis a
+          | Lint.Intake.Netlist n -> Lint.check_netlist n
+          | Lint.Intake.Design d -> Lint.check_netlist (lowered_or_raw d)
+          | Lint.Intake.Aig a -> Lint.check_aig ~analysis a
         in
         (subject, diags))
-      subjects
+      (List.map of_file files @ from_suite)
   in
   if json then
     Printf.printf "[%s]\n"
@@ -670,7 +607,7 @@ let run_analyze files suite json strict no_reduce =
       List.map
         (fun e ->
           ( "suite:" ^ e.Circuits.Suite.name,
-            fst (Aig.of_netlist (e.Circuits.Suite.build ())) ))
+            Circuits.Suite.aig_of e ))
         Circuits.Suite.suite
   in
   if subjects = [] then begin

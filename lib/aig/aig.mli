@@ -137,7 +137,7 @@ module Cnf : sig
       frame: inputs, encoding, tie. *)
 end
 
-(** {1 AIGER I/O (ASCII aag)} *)
+(** {1 AIGER I/O (ASCII aag, binary aig)} *)
 
 module Aiger : sig
   exception Parse_error of string
@@ -146,13 +146,15 @@ module Aiger : sig
   (** ASCII (aag). *)
 
   val parse_string : string -> t
-  val to_file : string -> t -> unit
-  val parse_file : string -> t
+  (** Total: malformed text raises [Parse_error], and no header count
+      allocates more than the text can hold. *)
 
   val to_binary_string : t -> string
   (** Binary (aig): varint-delta-encoded ANDs, topologically renumbered. *)
 
   val parse_binary_string : string -> t
+  (** Total like {!parse_string}; the input count, which takes no bytes
+      in this format, is capped at 2^20. *)
 end
 
 (** {1 Netlist conversion} *)

@@ -20,6 +20,7 @@ type t = {
   mutable nodes : node array;
   mutable n : int;
   mutable rev_pis : int list; (* node ids *)
+  mutable n_pis : int;
   mutable lat : latch_info array;
   mutable n_latches : int;
   mutable rev_pos : (string * int) list; (* name, literal *)
@@ -43,6 +44,7 @@ let create () =
     n = 1;
     (* node 0 is the constant *)
     rev_pis = [];
+    n_pis = 0;
     lat = Array.make 8 { node_id = -1; next = 0; init = false };
     n_latches = 0;
     rev_pos = [];
@@ -60,9 +62,9 @@ let fresh t node =
   t.n - 1
 
 let add_pi t =
-  let idx = List.length t.rev_pis in
-  let id = fresh t (Pi idx) in
+  let id = fresh t (Pi t.n_pis) in
   t.rev_pis <- id :: t.rev_pis;
+  t.n_pis <- t.n_pis + 1;
   lit_of_node id
 
 let add_latch t ~init =
@@ -111,7 +113,7 @@ let add_po t name lit = t.rev_pos <- (name, lit) :: t.rev_pos
 (* --- accessors ------------------------------------------------------------ *)
 
 let num_nodes t = t.n
-let num_pis t = List.length t.rev_pis
+let num_pis t = t.n_pis
 let num_latches t = t.n_latches
 let node t id = t.nodes.(id)
 let pis t = List.rev t.rev_pis

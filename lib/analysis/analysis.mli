@@ -138,9 +138,10 @@ module Steer : sig
   (** Drop later BDD rungs once one aborted on the node budget. *)
 
   (** Online per-class solve-cost model for the speculation dispatcher: an
-      exponential moving average of past solve seconds keyed on (class id,
-      engine), plus sticky exhaustion bans.  Consulted before the static
-      cone/level thresholds. *)
+      exponential moving average of past solve work (the dispatcher's
+      deterministic units, not seconds) keyed on (class id, engine), plus
+      sticky exhaustion bans.  Consulted before the static cone/level
+      thresholds. *)
   module Cost : sig
     type t
 

@@ -70,11 +70,11 @@ let drop_on_exhaustion ~reason rung =
   match reason with Some "bdd nodes" -> rung.engine = Bdd | _ -> false
 
 (* Online per-class solve-cost model for the speculation dispatcher: an
-   exponential moving average of past solve times, keyed on (class id,
+   exponential moving average of past solve work, keyed on (class id,
    engine).  The dispatcher consults it before the static thresholds, so a
-   class whose cones look BDD-friendly but whose obligations keep timing
-   the BDD manager out migrates to SAT after a few rounds — and vice
-   versa.  Exhaustion (node-limit blowup, budget refusal) is sticky: a
+   class whose cones look BDD-friendly but whose obligations keep costing
+   the BDD manager more than SAT migrates to SAT after a few rounds — and
+   vice versa.  Exhaustion (node-limit blowup, budget refusal) is sticky: a
    banned (class, engine) pair is never routed to that engine again, which
    is the fallback path's contract. *)
 module Cost = struct
@@ -88,12 +88,12 @@ module Cost = struct
 
   let create () = { ema = Hashtbl.create 64; banned = Hashtbl.create 16 }
 
-  let observe t ~cls ~engine seconds =
+  let observe t ~cls ~engine work =
     let key = (cls, engine) in
     let v =
       match Hashtbl.find_opt t.ema key with
-      | None -> seconds
-      | Some old -> (alpha *. seconds) +. ((1. -. alpha) *. old)
+      | None -> work
+      | Some old -> (alpha *. work) +. ((1. -. alpha) *. old)
     in
     Hashtbl.replace t.ema key v
 

@@ -311,6 +311,10 @@ let parse_string text =
   if frames <= 0 then fail "witness must contain at least one frame (got %d)" frames;
   if failing < 0 || failing >= frames then
     fail "failing-frame %d outside the declared %d frame(s)" failing frames;
+  (* one line per frame: refuse a count the text cannot hold before
+     allocating for it *)
+  if frames > List.length lines then
+    fail "%d frame(s) declared, only %d line(s) follow" frames (List.length lines);
   let inputs = Array.make frames [||] in
   let rec read_frames t lines =
     if t = frames then lines
@@ -352,8 +356,4 @@ let to_file path w =
     (fun () -> output_string oc (to_string w))
 
 let parse_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse_string text
+  parse_string (In_channel.with_open_bin path In_channel.input_all)

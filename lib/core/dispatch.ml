@@ -167,10 +167,19 @@ let poll t =
 let mark_sim_survivor t ~cls = Hashtbl.replace t.survivors cls ()
 let sim_survivor t ~cls = Hashtbl.mem t.survivors cls
 
-let observe t ~cls ~engine seconds =
+(* The cost model is charged in work, not seconds, so routing, and with
+   it a speculative run's counters, does not depend on the host's speed
+   or memory layout: a SAT solve costs its propagations plus
+   [conflict_work] per conflict, a BDD check [node_work] per node made.
+   The weights are time ratios measured over the suite's speculative
+   runs (about 0.3 us a propagation, 90 us a conflict, 1-3 us a node). *)
+let conflict_work = 300
+let node_work = 5
+
+let observe t ~cls ~engine work =
   match engine with
   | Sim -> ()
-  | e -> Analysis.Steer.Cost.observe t.cost ~cls ~engine:(steer_engine e) seconds
+  | e -> Analysis.Steer.Cost.observe t.cost ~cls ~engine:(steer_engine e) work
 
 let ban t ~cls ~engine =
   match engine with
@@ -445,15 +454,18 @@ let ensure_round t lane =
     end
 
 type sat_result =
-  | Sat_discharged of float
-  | Sat_refuted of bool array * bool array array * float  (* (s, per-frame inputs) *)
+  | Sat_discharged of float  (* work *)
+  | Sat_refuted of bool array * bool array array * float  (* (s, per-frame inputs, work) *)
 
 let sat_solve t lane ob =
   poll t;
   t.check_budget ();
   ensure_round t lane;
   let solver = lane.l_solver in
-  let start = Clock.now () in
+  let p0 = Sat.num_propagations solver and c0 = Sat.num_conflicts solver in
+  let work () =
+    float (Sat.num_propagations solver - p0 + (conflict_work * (Sat.num_conflicts solver - c0)))
+  in
   let d = Sat.new_var solver in
   let a2 = lane.l_enck ob.Specreduce.ob_mem_lit
   and b2 = lane.l_enck ob.Specreduce.ob_rep_lit in
@@ -462,10 +474,10 @@ let sat_solve t lane ob =
   Sat.add_clause ~act:d solver [ Sat.Lit.negate a2; Sat.Lit.negate b2 ];
   let result =
     match Sat.solve solver ~assumptions:[ Sat.Lit.pos lane.l_act; Sat.Lit.pos d ] with
-    | Sat.Unsat -> Sat_discharged (Clock.since start)
+    | Sat.Unsat -> Sat_discharged (work ())
     | Sat.Sat ->
       let read = Array.map (fun v -> Sat.value solver v) in
-      Sat_refuted (read lane.l_s, Array.map read lane.l_xs, Clock.since start)
+      Sat_refuted (read lane.l_s, Array.map read lane.l_xs, work ())
   in
   Sat.release solver d;
   result
@@ -502,13 +514,14 @@ let discharge t partition sr =
         let br = Lazy.force br in
         if br.br_dead then sat_obs := ob :: !sat_obs
         else begin
-          let start = Clock.now () in
+          let made = Bdd.made_nodes br.br_man in
+          let work () = float (node_work * (Bdd.made_nodes br.br_man - made)) in
           match bdd_solve t br sr.Specreduce.raig ob with
           | Bdd_discharged ->
             t.by_bdd <- t.by_bdd + 1;
-            observe t ~cls:ob.Specreduce.ob_class ~engine:Bdd (Clock.since start)
+            observe t ~cls:ob.Specreduce.ob_class ~engine:Bdd (work ())
           | Bdd_maybe (s, x1, x2) ->
-            observe t ~cls:ob.Specreduce.ob_class ~engine:Bdd (Clock.since start);
+            observe t ~cls:ob.Specreduce.ob_class ~engine:Bdd (work ());
             if Specreduce.q_holds t.product partition ~pi:x1 ~latch:s then begin
               t.by_bdd <- t.by_bdd + 1;
               incr refuted;

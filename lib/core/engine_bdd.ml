@@ -101,10 +101,13 @@ let make ?(use_fundep = true) ?latch_order ?care_of ?(node_limit = max_int)
 
 let shutdown ctx = Parsweep.shutdown ctx.sched
 
+(* [note] samples the peak between operations; a run cut short by
+   [Bdd.Limit_exceeded] inside one operation peaked at the live count it
+   left behind. *)
 let harvest ctx =
   {
     (Parsweep.harvest ctx.sched) with
-    Counters.peak_bdd_nodes = ctx.peak_nodes;
+    Counters.peak_bdd_nodes = max ctx.peak_nodes (Bdd.live_nodes ctx.m);
     pool_lanes = Simpool.total_lanes ctx.pool;
     resim_splits = Simpool.resim_splits ctx.pool;
     batched_solves = ctx.n_batched;

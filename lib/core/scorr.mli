@@ -474,7 +474,9 @@ module Dispatch : sig
       exhaustion bans (SAT is never banned — the fallback terminus). *)
 
   val observe : t -> cls:int -> engine:engine -> float -> unit
-  (** Feed one solve time into the cost model (ignored for [Sim]). *)
+  (** Feed one solve's work into the cost model (ignored for [Sim]):
+      SAT propagations plus a weight per conflict, or a weight per BDD
+      node made — deterministic, unlike seconds. *)
 
   val ban : t -> cls:int -> engine:engine -> unit
   (** Exhaustion: never route this class to this engine again ([Sim]

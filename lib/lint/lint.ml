@@ -4,14 +4,16 @@
    [Netlist.Check] for gate-level circuits, [Aig_check] here for AIGs —
    and share the [Netlist.Diag] data model.  This facade adds the
    user-facing surface: human and JSON reports, the exit-code policy of
-   `seqver lint`, and the preflight hook the verification pipeline uses to
+   `seqver lint`, the preflight hook the verification pipeline uses to
    reject structurally broken circuits before spending SAT effort on
-   them. *)
+   them, and [Intake], the one front door that turns a circuit file or
+   inline AIGER text into a preflighted [Aig.t]. *)
 
 module Diag = Netlist.Diag
 module Aig_check = Aig_check
 module Aig_ternary = Aig_ternary
 module Analysis_rules = Analysis_rules
+module Intake = Intake
 
 (* --- running the rules ----------------------------------------------------- *)
 
@@ -29,25 +31,7 @@ let check_aig ?ternary_steps ?(analysis = false) aig =
 
 (* --- human report ----------------------------------------------------------- *)
 
-let summary_line ~subject diags =
-  if diags = [] then Printf.sprintf "%s: clean" subject
-  else
-    Printf.sprintf "%s: %d error(s), %d warning(s), %d info" subject
-      (Diag.count Diag.Error diags)
-      (Diag.count Diag.Warning diags)
-      (Diag.count Diag.Info diags)
-
-let render ~subject diags =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (summary_line ~subject diags);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun d ->
-      Buffer.add_string buf "  ";
-      Buffer.add_string buf (Diag.to_string d);
-      Buffer.add_char buf '\n')
-    diags;
-  Buffer.contents buf
+include Report
 
 (* --- JSON report ------------------------------------------------------------ *)
 
@@ -108,11 +92,6 @@ exception Rejected of string
 (** Raised by the preflight checks with a rendered multi-diagnostic
     report; the verification pipeline refuses to run on circuits with
     error-level defects. *)
-
-let preflight_netlist ~subject c =
-  match Netlist.Check.errors c with
-  | [] -> ()
-  | errs -> raise (Rejected (render ~subject errs))
 
 let preflight_aig ~subject aig =
   match Aig_check.errors aig with

@@ -196,10 +196,7 @@ let parse_string ?(model = "bench") ?(lenient = false) text =
   c
 
 let parse_file ?lenient path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
+  let text = In_channel.with_open_bin path In_channel.input_all in
   parse_string ~model:(Filename.remove_extension (Filename.basename path)) ?lenient text
 
 let net_label c net =

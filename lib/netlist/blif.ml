@@ -261,10 +261,7 @@ let elaborate ?(lenient = false) raw =
 let parse_string ?lenient text = elaborate ?lenient (parse_raw text)
 
 let parse_file ?lenient path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
+  let text = In_channel.with_open_bin path In_channel.input_all in
   parse_string ?lenient text
 
 (* --- printing ------------------------------------------------------------ *)

@@ -980,11 +980,6 @@ let parse_string ?(lenient = false) text =
   design
 
 let parse_file ?lenient path =
-  let ic = open_in path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
   try parse_string ?lenient text
   with Parse_error msg -> raise (Parse_error (Printf.sprintf "%s: %s" path msg))

@@ -119,42 +119,6 @@ let take_events d =
       d.events <- [];
       evs)
 
-(* --- circuit intake -------------------------------------------------------------- *)
-
-(* Same suffix dispatch and lint preflight as the CLI's [read_circuit],
-   but returning a result — a malformed submission is a protocol error
-   for one client, not a daemon exit. *)
-let load_circuit ~subject circuit =
-  try
-    let aig =
-      match circuit with
-      | Protocol.Aag text ->
-        let aig = Aig.Aiger.parse_string text in
-        Lint.preflight_aig ~subject aig;
-        aig
-      | Protocol.Path path ->
-        if Filename.check_suffix path ".aag" then begin
-          let aig = Aig.Aiger.parse_file path in
-          Lint.preflight_aig ~subject:path aig;
-          aig
-        end
-        else begin
-          let netlist =
-            if Filename.check_suffix path ".bench" then
-              Netlist.Bench.parse_file ~lenient:true path
-            else Netlist.Blif.parse_file ~lenient:true path
-          in
-          Lint.preflight_netlist ~subject:path netlist;
-          fst (Aig.of_netlist netlist)
-        end
-    in
-    Ok aig
-  with
-  | Lint.Rejected report -> Error (Printf.sprintf "%s rejected by lint preflight:\n%s" subject report)
-  | Netlist.Blif.Parse_error msg | Netlist.Bench.Parse_error msg | Aig.Aiger.Parse_error msg ->
-    Error (Printf.sprintf "%s: parse error: %s" subject msg)
-  | Sys_error msg -> Error msg
-
 (* --- verification worker --------------------------------------------------------- *)
 
 let engine_of = function
@@ -385,8 +349,15 @@ let handle_submit d conn ~spec ~impl ~opts ~watch =
   match valid_opts with
   | Error msg -> ignore (send (Protocol.Error_resp msg) conn.fd)
   | Ok () -> (
-    match (load_circuit ~subject:"spec" spec, load_circuit ~subject:"impl" impl) with
-    | Error msg, _ | _, Error msg -> ignore (send (Protocol.Error_resp msg) conn.fd)
+    (* the CLI's front door; a circuit it cannot load is an error
+       response to this client *)
+    let load subject = function
+      | Protocol.Path path -> Lint.Intake.load (Lint.Intake.Path path)
+      | Protocol.Aag text -> Lint.Intake.load ~subject (Lint.Intake.Text text)
+    in
+    match (load "spec" spec, load "impl" impl) with
+    | Error e, _ | _, Error e ->
+      ignore (send (Protocol.Error_resp (Lint.Intake.explain e)) conn.fd)
     | Ok spec, Ok impl -> (
       let spec_digest = Scorr.Checkpoint.fingerprint spec in
       let impl_digest = Scorr.Checkpoint.fingerprint impl in
@@ -576,10 +547,16 @@ let handle_request d conn = function
     logf d "shutdown requested";
     d.stop <- true
 
+(* Runs on the select loop, so nothing a request raises may escape: it
+   becomes an error response for that one client, as a job's exception
+   becomes an error outcome in the worker. *)
 let handle_line d conn line =
   if String.trim line <> "" then
     match Protocol.decode_request line with
-    | Ok req -> handle_request d conn req
+    | Ok req -> (
+      try handle_request d conn req
+      with exn ->
+        ignore (send (Protocol.Error_resp ("error: " ^ Printexc.to_string exn)) conn.fd))
     | Error msg -> ignore (send (Protocol.Error_resp msg) conn.fd)
 
 (* --- event delivery ---------------------------------------------------------------- *)

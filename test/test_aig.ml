@@ -95,6 +95,33 @@ let test_parse_errors () =
   expect_error "undefined literal" (fun () -> Aig.Aiger.parse_string "aag 1 0 0 1 0\n4\n");
   expect_error "binary bad header" (fun () -> Aig.Aiger.parse_binary_string "aig 3 1 0 1 1\n")
 
+(* Hostile headers and literals: a [Parse_error], found before anything
+   is allocated for the declared sizes. *)
+let test_parse_bounded () =
+  let bounded name parse text =
+    let before = Gc.allocated_bytes () in
+    (match parse text with
+    | exception Aig.Aiger.Parse_error _ -> ()
+    | _ -> Alcotest.fail (name ^ ": expected Parse_error"));
+    Alcotest.(check bool) (name ^ " allocates little") true (Gc.allocated_bytes () -. before < 1e6)
+  in
+  let ascii = Aig.Aiger.parse_string and binary = Aig.Aiger.parse_binary_string in
+  bounded "aag huge M" ascii "aag 400000000 1 0 0 0\n";
+  bounded "aag max_int M" ascii "aag 4611686018427387903 1 0 0 0\n";
+  bounded "aag huge I" ascii "aag 400000000 400000000 0 0 0\n2\n";
+  bounded "aag non-numeric field" ascii "aag 1 x 0 0 0\n2\n";
+  bounded "aag negative field" ascii "aag 1 -1 0 0 0\n2\n";
+  bounded "aag definition above 2M+1" ascii "aag 1 1 0 0 0\n4\n";
+  bounded "aag output above 2M+1" ascii "aag 1 1 0 1 0\n2\n6\n";
+  bounded "aag non-numeric literal" ascii "aag 1 1 0 1 0\n2\nx\n";
+  bounded "aag bad symbol index" ascii "aag 1 1 0 1 0\n2\n2\nox name\n";
+  bounded "aig huge M" binary "aig 400000000 400000000 0 0 0\n";
+  bounded "aig max_int M" binary "aig 4611686018427387903 4611686018427387903 0 0 0\n";
+  bounded "aig huge A" binary "aig 400000000 0 0 0 400000000\n";
+  bounded "aig non-numeric field" binary "aig 1 1 0 0 y\n";
+  bounded "aig output above 2M+1" binary "aig 1 1 0 1 0\n6\n";
+  bounded "aig non-numeric literal" binary "aig 1 1 0 1 0\nx\n"
+
 let prop_cleanup_preserves =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"cleanup preserves behaviour" ~count:60
@@ -203,6 +230,7 @@ let suite =
     Alcotest.test_case "copy_into" `Quick test_copy_into;
     Alcotest.test_case "aiger latch roundtrip" `Quick test_latch_roundtrip_aiger;
     Alcotest.test_case "aiger parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "aiger readers are bounded" `Quick test_parse_bounded;
     prop_netlist_conversion;
     prop_aiger_roundtrip;
     prop_binary_aiger_roundtrip;

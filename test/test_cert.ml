@@ -81,6 +81,24 @@ let test_witness_parse_rejects () =
   rejects "a bad bit" "seqver-witness 1\npis 1\nframes 1\nfailing-frame 0\nframe 0 x\nend\n";
   rejects "a missing end marker" "seqver-witness 1\npis 1\nframes 1\nfailing-frame 0\nframe 0 1\n"
 
+(* A declared frame count the text cannot hold is a parse error, found
+   before anything is allocated for it. *)
+let test_witness_parse_bounds_frames () =
+  let header frames =
+    Printf.sprintf "seqver-witness 1\npis 1\nframes %s\nfailing-frame 0\nframe 0 1\nend\n"
+      frames
+  in
+  List.iter
+    (fun frames ->
+      let before = Gc.allocated_bytes () in
+      (match Cert.Witness.parse_string (header frames) with
+      | exception Cert.Witness.Parse_error _ -> ()
+      | _ -> Alcotest.fail ("parser accepted frames " ^ frames));
+      Alcotest.(check bool)
+        ("frames " ^ frames ^ " allocates little") true
+        (Gc.allocated_bytes () -. before < 1e6))
+    [ "1000000"; "4611686018427387903" ]
+
 (* --- replay diagnostics --------------------------------------------------------- *)
 
 (* a 1-PI buffer: out = x *)
@@ -379,6 +397,8 @@ let suite =
   [
     Alcotest.test_case "witness parser rejects malformed input" `Quick
       test_witness_parse_rejects;
+    Alcotest.test_case "witness parser bounds the declared frames" `Quick
+      test_witness_parse_bounds_frames;
     Alcotest.test_case "width mismatch is diagnosed" `Quick test_width_mismatch_diagnosed;
     Alcotest.test_case "failing frame out of range is diagnosed" `Quick
       test_frame_out_of_range_diagnosed;

@@ -155,6 +155,22 @@ let test_exhausted_bdd_budget_preserves_fixpoint () =
     = (match vp with Scorr.Equivalent _ -> 0 | Scorr.Not_equivalent _ -> 1 | Scorr.Unknown _ -> 2));
   Alcotest.(check bool) "same partition" true (classes rs = classes rp)
 
+(* The cost model is charged in work units, so at one job a speculative
+   run's routing, and every work counter with it, repeats exactly. *)
+let test_speculative_counters_repeat () =
+  let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find "ctr8")) in
+  let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_only ~seed:7 spec in
+  let options = { Scorr.default_options with Scorr.Verify.use_speculation = true; jobs = 1 } in
+  let work () =
+    let s = Scorr.verdict_stats (Scorr.check ~options spec impl) in
+    Scorr.Verify.
+      [ s.iterations; s.spec_rounds; s.spec_merges; s.refuted_assumptions; s.spec_by_bdd;
+        s.spec_by_sat; s.sat_calls; s.conflicts; s.propagations ]
+  in
+  let first = work () in
+  Alcotest.(check bool) "speculation ran" true (List.nth first 1 > 0);
+  Alcotest.(check (list int)) "same work counters" first (work ())
+
 let suite =
   [
     Alcotest.test_case "sim screens first" `Quick test_sim_screens_first;
@@ -168,6 +184,8 @@ let suite =
     Alcotest.test_case "sim ban marks survivor" `Quick test_sim_ban_is_survivor_mark;
     Alcotest.test_case "exhausted bdd budget preserves fixpoint" `Quick
       test_exhausted_bdd_budget_preserves_fixpoint;
+    Alcotest.test_case "speculative counters repeat at one job" `Quick
+      test_speculative_counters_repeat;
   ]
 
 let () = Alcotest.run "dispatch" [ ("dispatch", suite) ]

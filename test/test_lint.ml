@@ -344,6 +344,142 @@ let test_bench_lenient () =
   Alcotest.(check bool) "undriven" true (has_rule "undriven-net" diags);
   Alcotest.(check bool) "unclosed" true (has_rule "unclosed-latch" diags)
 
+(* --- the front door ------------------------------------------------------------------ *)
+
+let with_file suffix text f =
+  let path = Filename.temp_file "intake" suffix in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* One suite circuit in every format [Intake] reads, plus a clocked design
+   for Verilog so the lowering runs too. *)
+let intake_formats =
+  lazy
+    (let c = Circuits.Suite.(match find "mod10" with Some e -> e.build () | None -> assert false) in
+     let aig = fst (Aig.of_netlist c) in
+     let design = Circuits.Clocked.reset_counter ~kind:Netlist.Clocking.Async ~bits:3 () in
+     [
+       (".blif", Netlist.Blif.to_string c);
+       (".bench", Netlist.Bench.to_string c);
+       (".v", Netlist.Verilog.design_to_string design);
+       (".aag", Aig.Aiger.to_string aig);
+       (".aig", Aig.Aiger.to_binary_string aig);
+     ])
+
+let test_intake_formats () =
+  List.iter
+    (fun (suffix, text) ->
+      with_file suffix text (fun path ->
+          match Lint.Intake.load (Lint.Intake.Path path) with
+          | Ok aig -> Alcotest.(check bool) (suffix ^ " has latches") true (Aig.num_latches aig > 0)
+          | Error e -> Alcotest.fail (suffix ^ ": " ^ Lint.Intake.explain e)))
+    (Lazy.force intake_formats);
+  (* inline AIGER, ASCII or binary by its magic *)
+  List.iter
+    (fun suffix ->
+      let text = List.assoc suffix (Lazy.force intake_formats) in
+      match Lint.Intake.load (Lint.Intake.Text text) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail ("inline " ^ suffix ^ ": " ^ Lint.Intake.explain e))
+    [ ".aag"; ".aig" ]
+
+let test_intake_errors () =
+  let expect name pred source =
+    match Lint.Intake.load source with
+    | Error e when pred e -> ()
+    | Error e -> Alcotest.fail (name ^ ": wrong error: " ^ Lint.Intake.explain e)
+    | Ok _ -> Alcotest.fail (name ^ ": accepted")
+  in
+  let io = function Lint.Intake.Io _ -> true | _ -> false in
+  let parse = function Lint.Intake.Parse _ -> true | _ -> false in
+  expect "missing file" io (Lint.Intake.Path "no-such-file.blif");
+  expect "directory" io (Lint.Intake.Path (Filename.get_temp_dir_name ()));
+  expect "inline junk" parse (Lint.Intake.Text "not aiger");
+  (* binary AIGER is read as binary, not as BLIF *)
+  with_file ".aig" "aig 1 1 0 1 0\n6\n" (fun path ->
+      expect ".aig literal" (function
+        | Lint.Intake.Parse (_, msg) -> contains msg "2M+1"
+        | _ -> false)
+        (Lint.Intake.Path path));
+  with_file ".blif" ".model m\n.inputs a\n.outputs q\n.latch nowhere q 0\n.end\n" (fun path ->
+      expect "defective blif"
+        (function
+          | Lint.Intake.Rejected (subject, diags) ->
+            subject = path && has_rule "unclosed-latch" diags
+          | _ -> false)
+        (Lint.Intake.Path path))
+
+(* Byte mutations (replace, delete, insert) of every format [Intake]
+   reads, and of a witness: each must load to [Ok] or a typed error, never
+   raise, and allocate less than a fixed bound whatever the header
+   claims. *)
+type mutation = Replace of int * char | Delete of int | Insert of int * char
+
+let mutate text ms =
+  List.fold_left
+    (fun s m ->
+      let n = String.length s in
+      match m with
+      | Replace (i, c) when n > 0 -> String.mapi (fun j x -> if j = i mod n then c else x) s
+      | Delete i when n > 0 ->
+        let i = i mod n in
+        String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+      | Insert (i, c) ->
+        let i = i mod (n + 1) in
+        String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      | Replace _ | Delete _ -> s)
+    text ms
+
+let intake_alloc_bound = 64e6
+
+let prop_intake_total =
+  let witness =
+    lazy
+      (Cert.Witness.to_string
+         (Cert.Witness.make (Array.init 4 (fun t -> Array.init 3 (fun i -> (t + i) mod 2 = 0)))))
+  in
+  let gen =
+    let open QCheck.Gen in
+    let byte = map Char.chr (int_bound 255) and pos = int_bound 100_000 in
+    let mutation =
+      oneof
+        [
+          map2 (fun i c -> Replace (i, c)) pos byte;
+          map (fun i -> Delete i) pos;
+          map2 (fun i c -> Insert (i, c)) pos byte;
+        ]
+    in
+    pair (int_bound 5) (list_size (int_range 1 3) mutation)
+  in
+  let suffix k = if k < 5 then fst (List.nth (Lazy.force intake_formats) k) else "witness" in
+  let print (k, ms) =
+    Printf.sprintf "%s: %s" (suffix k)
+      (String.concat "; "
+         (List.map
+            (function
+              | Replace (i, c) -> Printf.sprintf "replace %d %C" i c
+              | Delete i -> Printf.sprintf "delete %d" i
+              | Insert (i, c) -> Printf.sprintf "insert %d %C" i c)
+            ms))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"intake is total on mutated bytes" ~count:3000
+       (QCheck.make ~print gen)
+       (fun (k, ms) ->
+         let before = Gc.allocated_bytes () in
+         (if k < 5 then begin
+            let suffix, text = List.nth (Lazy.force intake_formats) k in
+            let text = mutate text ms in
+            with_file suffix text (fun path -> ignore (Lint.Intake.load (Lint.Intake.Path path)));
+            if suffix = ".aag" || suffix = ".aig" then
+              ignore (Lint.Intake.load (Lint.Intake.Text text))
+          end
+          else
+            match Cert.Witness.parse_string (mutate (Lazy.force witness) ms) with
+            | _ -> ()
+            | exception Cert.Witness.Parse_error _ -> ());
+         Gc.allocated_bytes () -. before < intake_alloc_bound))
+
 let () =
   Alcotest.run "lint"
     [
@@ -373,5 +509,11 @@ let () =
           Alcotest.test_case "preflight rejects" `Quick test_preflight_rejects;
           Alcotest.test_case "preflight off" `Quick test_preflight_can_be_disabled;
           Alcotest.test_case "lenient .bench" `Quick test_bench_lenient;
+        ] );
+      ( "intake",
+        [
+          Alcotest.test_case "every format loads" `Quick test_intake_formats;
+          Alcotest.test_case "typed errors" `Quick test_intake_errors;
+          prop_intake_total;
         ] );
     ]

@@ -485,9 +485,13 @@ let test_cache_best_checkpoint () =
 
 let aag aig = Serve.Protocol.Aag (Aig.Aiger.to_string aig)
 
+(* A daemon whose select loop died keeps its listener open but never
+   answers: the receive timeout turns that into a failure, not a hang. *)
 let rec connect_retry path tries =
   match Serve.Client.connect ~socket:path () with
-  | client -> client
+  | client ->
+    Unix.setsockopt_float client.Serve.Client.fd Unix.SO_RCVTIMEO 60.;
+    client
   | exception Serve.Client.Error _ when tries > 0 ->
     Unix.sleepf 0.05;
     connect_retry path (tries - 1)
@@ -589,6 +593,46 @@ let test_daemon_end_to_end () =
       | _ -> Alcotest.fail "unknown job accepted");
       Alcotest.(check bool) "socket live" true (Sys.file_exists socket));
   ()
+
+(* One daemon, a run of hostile submissions: each bad circuit is an
+   error response to its client, the front door's extra formats (.v and
+   binary .aig on [path]) get their verdict, and the daemon still proves
+   the next valid pair. *)
+let test_daemon_hostile_requests () =
+  with_daemon (fun ~socket ~client ->
+      let dir = Filename.dirname socket in
+      let write name text =
+        let path = Filename.concat dir name in
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        path
+      in
+      let spec, impl = suite_pair "ctr8" in
+      let opts = Serve.Protocol.default_opts in
+      let rejected what bad =
+        let req = Serve.Protocol.Submit { spec = bad; impl = aag impl; opts; watch = true } in
+        match Serve.Client.request client req with
+        | Serve.Protocol.Error_resp _ -> ()
+        | _ -> Alcotest.fail (what ^ ": expected an error response")
+      in
+      rejected "malformed inline aiger" (Serve.Protocol.Aag "aag 1 1 0 1 0\nx\n1\n");
+      rejected "huge aag header" (Serve.Protocol.Aag "aag 4611686018427387903 1 0 0 0\n");
+      rejected "directory path" (Serve.Protocol.Path dir);
+      let counter kind = Circuits.Clocked.reset_counter ~kind ~bits:3 () in
+      let binary kind =
+        Aig.Aiger.to_binary_string (fst (Aig.of_netlist (Netlist.Clocking.lower (counter kind))))
+      in
+      let v = write "sync.v" (Netlist.Verilog.design_to_string (counter Netlist.Clocking.Sync)) in
+      let verdict impl_name impl_text =
+        let impl = Serve.Protocol.Path (write impl_name impl_text) in
+        (snd (Serve.Client.submit_and_wait client ~spec:(Serve.Protocol.Path v) ~impl ~opts ()))
+          .Serve.Protocol.verdict
+      in
+      Alcotest.(check string) ".v against its lowering as .aig" "equivalent"
+        (verdict "sync.aig" (binary Netlist.Clocking.Sync));
+      Alcotest.(check string) "sync .v against async .aig" "not_equivalent"
+        (verdict "async.aig" (binary Netlist.Clocking.Async));
+      Alcotest.(check string) "valid pair after all that" "equivalent"
+        (submit client spec impl opts).Serve.Protocol.verdict)
 
 let test_daemon_cancel_queued () =
   (* one worker: the first (slow) job occupies it, the second sits in
@@ -702,6 +746,7 @@ let () =
         [
           Alcotest.test_case "end to end" `Slow test_daemon_end_to_end;
           Alcotest.test_case "cancel a queued job" `Slow test_daemon_cancel_queued;
+          Alcotest.test_case "survives hostile requests" `Slow test_daemon_hostile_requests;
           Alcotest.test_case "cached = fresh (qcheck)" `Slow test_cached_equals_fresh;
         ] );
     ]

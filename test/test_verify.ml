@@ -193,6 +193,27 @@ let test_budget_unknown_keeps_bdd_stats () =
     Alcotest.(check bool) "phase stats harvested" true (s.phase_seconds <> [])
   | _ -> Alcotest.fail "expected Unknown under a 2k-node BDD budget"
 
+(* arb4 against its retimed twin under a 700-node budget outgrows the
+   manager's hard limit inside one BDD operation, between two samples of
+   the peak: the reported peak must still exceed the budget. *)
+let test_node_limit_abort_reports_peak () =
+  let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find "arb4")) in
+  let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_only ~seed:7 spec in
+  let options =
+    { Scorr.default_options with
+      Scorr.Verify.engine = Scorr.Verify.Bdd_engine;
+      node_limit = 700;
+      use_speculation = false
+    }
+  in
+  match Scorr.check ~options spec impl with
+  | Scorr.Unknown s ->
+    Alcotest.(check (option string)) "exhausted" (Some "bdd nodes") s.Scorr.Verify.exhausted;
+    Alcotest.(check bool)
+      (Printf.sprintf "peak %d exceeds the budget" s.peak_bdd_nodes)
+      true (s.peak_bdd_nodes > 700)
+  | _ -> Alcotest.fail "expected Unknown under a 700-node BDD budget"
+
 let suite =
   [ Alcotest.test_case "order interleaves counter" `Quick test_order_interleaves_counter;
     Alcotest.test_case "bmc catches post-sim fault" `Quick test_bmc_catches_post_sim_difference;
@@ -203,6 +224,8 @@ let suite =
       test_budget_unknown_keeps_sat_stats;
     Alcotest.test_case "budget Unknown keeps BDD stats" `Quick
       test_budget_unknown_keeps_bdd_stats;
+    Alcotest.test_case "node-limit abort reports its peak" `Quick
+      test_node_limit_abort_reports_peak;
     prop_order_is_permutation;
     prop_traces_replay;
     prop_certificate_relation_is_inductive;
