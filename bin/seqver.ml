@@ -22,6 +22,15 @@ let read_circuit path =
 
 (* Checkpoints, certificates and witnesses: a malformed file is named
    with its parse error, an unreadable one with the command; both exit 2. *)
+(* -k past the induction bound is a usage error: every SAT lane would
+   encode k + 1 copies of the product before any budget is polled. *)
+let check_induction cmd k =
+  if k > Scorr.Verify.max_induction then begin
+    Printf.eprintf "seqver %s: induction depth %d exceeds the bound %d\n" cmd k
+      Scorr.Verify.max_induction;
+    exit 2
+  end
+
 let read_or_exit cmd parse_file path =
   match parse_file path with
   | v -> v
@@ -109,10 +118,10 @@ let run_verify_suite engine jobs deadline quiet =
     results;
   !code
 
-let run_verify spec_path impl_path meth engine no_sim_seed no_fundep no_retime
-    no_incremental speculate no_speculate dontcare analysis node_limit unroll seconds
-    deadline checkpoint checkpoint_every resume show_classes emit_cert proof emit_witness
-    jobs suite quiet =
+let run_verify spec_path impl_path meth engine no_sim_seed no_fundep no_retime speculate
+    no_speculate dontcare analysis node_limit unroll seconds deadline checkpoint
+    checkpoint_every resume show_classes emit_cert proof emit_witness jobs suite quiet =
+  check_induction "verify" unroll;
   if suite then run_verify_suite engine jobs deadline quiet
   else
   match (spec_path, impl_path) with
@@ -146,7 +155,6 @@ let run_verify spec_path impl_path meth engine no_sim_seed no_fundep no_retime
       use_sim_seed = not no_sim_seed;
       use_fundep = not no_fundep;
       use_retime = not no_retime;
-      use_incremental = not no_incremental;
       use_speculation =
         (speculate || Scorr.default_options.Scorr.Verify.use_speculation)
         && not no_speculate;
@@ -735,8 +743,9 @@ let print_server_stats ~json (s : Serve.Protocol.server_stats) =
    --cancel JOB, --stats, --shutdown.  Exit codes follow verify (0
    equivalent, 1 not equivalent, 3 unknown/cancelled, 2 protocol or
    usage trouble). *)
-let run_submit spec impl socket tcp meth engine induction seed analysis no_incremental
-    speculate deadline json quiet progress cancel status result wait stats shutdown =
+let run_submit spec impl socket tcp meth engine induction seed analysis speculate deadline
+    json quiet progress cancel status result wait stats shutdown =
+  check_induction "submit" induction;
   let tcp = Option.map parse_hostport tcp in
   let with_client k =
     match Serve.Client.connect ?tcp ~socket () with
@@ -764,7 +773,6 @@ let run_submit spec impl socket tcp meth engine induction seed analysis no_incre
             induction;
             seed;
             analysis;
-            incremental = not no_incremental;
             speculate;
             deadline;
           }
@@ -874,21 +882,14 @@ let verify_cmd =
   let no_sim_seed = Arg.(value & flag & info [ "no-sim-seed" ] ~doc:"Disable simulation seeding.") in
   let no_fundep = Arg.(value & flag & info [ "no-fundep" ] ~doc:"Disable functional dependencies.") in
   let no_retime = Arg.(value & flag & info [ "no-retime" ] ~doc:"Disable retiming extension.") in
-  let no_incremental =
-    Arg.(value & flag
-         & info [ "no-incremental" ]
-             ~doc:"Solve every class obligation on a throwaway SAT solver instead of the \
-                   persistent per-lane incremental solvers (baseline for A/B comparison; \
-                   verdicts are identical, only the work differs).")
-  in
   let speculate =
     Arg.(value & flag
          & info [ "speculate" ]
              ~doc:"Discharge the one-frame induction step on the speculatively reduced \
                    product: every candidate class is merged onto its representative, \
                    each merge yields one assumption obligation, and obligations are \
-                   routed per class to simulation, BDD or incremental SAT by an online \
-                   cost model.  Refuted assumptions refine the partition and rebuild \
+                   routed per class to BDD or incremental SAT by an online cost \
+                   model.  Refuted assumptions refine the partition and rebuild \
                    the reduction.  Verdicts and the final partition are identical to \
                    the plain sweep; only the work differs.  (Also \\$SEQVER_SPECULATE.)")
   in
@@ -913,7 +914,8 @@ let verify_cmd =
   in
   let unroll =
     Arg.(value & opt int 1
-         & info [ "k"; "unroll" ] ~doc:"SAT-engine induction depth (1 = the paper).")
+         & info [ "k"; "unroll" ]
+             ~doc:"SAT-engine induction depth (1 = the paper; at most 64).")
   in
   let seconds =
     Arg.(value & opt float 60.0 & info [ "time-limit" ] ~doc:"Traversal time budget (s).")
@@ -983,9 +985,9 @@ let verify_cmd =
              (exit 0 equivalent, 1 not equivalent, 3 unknown, 2 usage/parse error)")
     Term.(
       const run_verify $ spec $ impl $ meth $ engine $ no_sim_seed $ no_fundep $ no_retime
-      $ no_incremental $ speculate $ no_speculate $ dontcare $ analysis $ node_limit
-      $ unroll $ seconds $ deadline $ checkpoint $ checkpoint_every $ resume
-      $ show_classes $ emit_cert $ proof $ emit_witness $ jobs $ suite $ quiet)
+      $ speculate $ no_speculate $ dontcare $ analysis $ node_limit $ unroll $ seconds
+      $ deadline $ checkpoint $ checkpoint_every $ resume $ show_classes $ emit_cert $ proof
+      $ emit_witness $ jobs $ suite $ quiet)
 
 let gen_cmd =
   let circuit_name = Arg.(value & pos 0 string "" & info [] ~docv:"NAME") in
@@ -1183,17 +1185,12 @@ let submit_cmd =
   in
   let induction =
     Arg.(value & opt int 1
-         & info [ "k"; "unroll" ] ~doc:"SAT-engine induction depth (1 = the paper).")
+         & info [ "k"; "unroll" ]
+             ~doc:"SAT-engine induction depth (1 = the paper; at most 64).")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
   let analysis =
     Arg.(value & flag & info [ "analysis" ] ~doc:"Enable the static-analysis layer.")
-  in
-  let no_incremental =
-    Arg.(value & flag
-         & info [ "no-incremental" ]
-             ~doc:"Run the job with throwaway per-class SAT solvers instead of the \
-                   persistent incremental ones (cached separately).")
   in
   let speculate =
     Arg.(value & flag
@@ -1232,7 +1229,7 @@ let submit_cmd =
              (exit 0 equivalent, 1 not equivalent, 3 unknown/cancelled, 2 protocol error)")
     Term.(
       const run_submit $ spec $ impl $ socket $ tcp $ meth $ engine $ induction $ seed
-      $ analysis $ no_incremental $ speculate $ deadline $ json $ quiet $ progress
+      $ analysis $ speculate $ deadline $ json $ quiet $ progress
       $ cancel $ status $ result $ wait $ stats $ shutdown)
 
 let () =

@@ -202,7 +202,7 @@ let run_check ~spec ~impl ~on_solver ~discharge cert =
     in
     expect "specification" cert.spec_digest spec;
     expect "implementation" cert.impl_digest impl;
-    if cert.induction < 1 then
+    if cert.induction < 1 || cert.induction > Scorr.Verify.max_induction then
       raise (Check_failed (Bad_header (Printf.sprintf "induction depth %d" cert.induction)));
     if cert.retime_rounds < 0 || cert.retime_rounds > 64 then
       raise
@@ -567,9 +567,4 @@ let to_file path cert =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_string cert))
 
-let parse_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse_string text
+let parse_file path = parse_string (In_channel.with_open_bin path In_channel.input_all)

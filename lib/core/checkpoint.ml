@@ -322,9 +322,4 @@ let to_file path cp =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_string cp))
 
-let parse_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse_string text
+let parse_file path = parse_string (In_channel.with_open_bin path In_channel.input_all)

@@ -1,13 +1,8 @@
 (* Per-class hybrid engine dispatcher for speculative reduction.
 
    Each assumption obligation of a speculatively reduced product
-   ([Specreduce.t]) is routed to one of three discharge engines:
+   ([Specreduce.t]) is routed to one of two discharge engines:
 
-   - simulation-refutation: a bit-parallel forward walk of the ORIGINAL
-     product from the initial state, restricted to states certified to
-     satisfy the current candidate relation Q (the BMC-style disproof
-     pass — bounded, concrete, built for free on the strengthened
-     partition);
    - BDD: an unconstrained two-frame validity check of the obligation on
      the reduced circuit — valid without the Q-hat assumptions is valid
      with them a fortiori, and a counterexample is vetted against Q on
@@ -31,20 +26,17 @@
    a pattern enters the shared [Simpool] only as (delta_orig(s, x1), x2)
    where (s, x1) is known to satisfy Q on the ORIGINAL product — SAT
    models by the assumed Q-hat (exactness lemma in specreduce.ml), BDD
-   models by an explicit [Specreduce.q_holds] check, simulation states by
-   construction of the walk.  The successor state is always computed with
-   the original transition function, never the speculative one. *)
+   models by an explicit [Specreduce.q_holds] check.  The successor
+   state is always computed with the original transition function, never
+   the speculative one. *)
 
 exception Budget_exceeded of string
 
-type engine = Sim | Bdd | Sat
+type engine = Bdd | Sat
 
-let engine_name = function Sim -> "sim" | Bdd -> "bdd" | Sat -> "sat"
+let engine_name = function Bdd -> "bdd" | Sat -> "sat"
 
-let steer_engine = function
-  | Bdd -> Analysis.Steer.Bdd
-  | Sat -> Analysis.Steer.Sat
-  | Sim -> invalid_arg "Dispatch.steer_engine: sim has no cost-model key"
+let steer_engine = function Bdd -> Analysis.Steer.Bdd | Sat -> Analysis.Steer.Sat
 
 type config = {
   prefer : engine;  (* options.engine bias: the tie-break default *)
@@ -53,7 +45,6 @@ type config = {
   bdd_node_limit : int;  (* per-round BDD manager budget *)
   unroll : int;  (* induction depth k of the SAT route; >= 1 *)
   jobs : int;
-  seed : int;
 }
 
 let default_config ~prefer =
@@ -64,7 +55,6 @@ let default_config ~prefer =
     bdd_node_limit = 1_000_000;
     unroll = 1;
     jobs = 1;
-    seed = 0;
   }
 
 (* One persistent solver per Parsweep lane.  A round's (k+1)-frame
@@ -95,23 +85,13 @@ type t = {
   latch_pos : int array;  (* latch index -> BDD variable position *)
   latch_of_pos : int array;  (* its inverse *)
   sched : lane Parsweep.t;
-  rng : Random.State.t;
-  survivors : (int, unit) Hashtbl.t;  (* classes the sim screen failed on *)
   mutable round : round option;
   mutable round_ctr : int;
-  mutable hist : bool array list;  (* certified Q-states, newest first *)
-  mutable hist_len : int;
   mutable sat_solves : int;
   mutable peak_nodes : int;
-  mutable by_sim : int;  (* obligations settled by each engine *)
-  mutable by_bdd : int;
+  mutable by_bdd : int;  (* obligations settled by each engine *)
   mutable by_sat : int;
 }
-
-let hist_cap = 128
-
-let initial_state aig =
-  Array.init (Aig.num_latches aig) (fun i -> Aig.latch_init aig i)
 
 let create ?(config = default_config ~prefer:Bdd) ?latch_order
     ?(check_budget = fun () -> ()) ~product ~pool ~deadline () =
@@ -145,15 +125,10 @@ let create ?(config = default_config ~prefer:Bdd) ?latch_order
           l_s = [||];
           l_xs = [||];
         });
-    rng = Random.State.make [| config.seed; 0x5bec |];
-    survivors = Hashtbl.create 64;
     round = None;
     round_ctr = 0;
-    hist = [ initial_state aig ];
-    hist_len = 1;
     sat_solves = 0;
     peak_nodes = 0;
-    by_sim = 0;
     by_bdd = 0;
     by_sat = 0;
   }
@@ -163,9 +138,6 @@ let poll t =
 
 (* ------------------------------------------------------------------ *)
 (* Routing                                                            *)
-
-let mark_sim_survivor t ~cls = Hashtbl.replace t.survivors cls ()
-let sim_survivor t ~cls = Hashtbl.mem t.survivors cls
 
 (* The cost model is charged in work, not seconds, so routing, and with
    it a speculative run's counters, does not depend on the host's speed
@@ -177,22 +149,17 @@ let conflict_work = 300
 let node_work = 5
 
 let observe t ~cls ~engine work =
-  match engine with
-  | Sim -> ()
-  | e -> Analysis.Steer.Cost.observe t.cost ~cls ~engine:(steer_engine e) work
+  Analysis.Steer.Cost.observe t.cost ~cls ~engine:(steer_engine engine) work
 
 let ban t ~cls ~engine =
-  match engine with
-  | Sim -> mark_sim_survivor t ~cls
-  | e -> Analysis.Steer.Cost.note_exhausted t.cost ~cls ~engine:(steer_engine e)
+  Analysis.Steer.Cost.note_exhausted t.cost ~cls ~engine:(steer_engine engine)
 
-(* Proving-engine choice (sim aside): static cone/level thresholds give
-   the default — the caller's engine preference biases the thresholds
-   (a SAT-preferring run still sends small shallow cones to BDD, just
-   fewer of them) — then the cost model overrides once it has data, and
-   bans always win.  SAT is never banned, so the fallback path
-   terminates there. *)
-let route_prove t ~cls ~cone ~level =
+(* Engine choice: static cone/level thresholds give the default — the
+   caller's engine preference biases the thresholds (a SAT-preferring run
+   still sends small shallow cones to BDD, just fewer of them) — then the
+   cost model overrides once it has data, and bans always win.  SAT is
+   never banned, so the fallback path terminates there. *)
+let route t ~cls ~cone ~level =
   let cone_limit, level_limit =
     if t.cfg.prefer = Sat then
       (t.cfg.bdd_cone_limit / 4, t.cfg.bdd_level_limit / 2)
@@ -206,16 +173,9 @@ let route_prove t ~cls ~cone ~level =
   | Some Analysis.Steer.Bdd -> Bdd
   | Some Analysis.Steer.Sat | None -> Sat
 
-(* Full routing rule, exposed for tests: simulation first while the class
-   has never survived a screen and certified states exist; then the
-   proving engines. *)
-let route t ~cls ~cone ~level =
-  if t.hist_len > 0 && not (sim_survivor t ~cls) then Sim
-  else route_prove t ~cls ~cone ~level
-
 let route_obligation t ob =
   let cls = ob.Specreduce.ob_class in
-  route_prove t ~cls
+  route t ~cls
     ~cone:(Support.cone_size t.support ob.Specreduce.ob_rep)
     ~level:
       (max
@@ -224,10 +184,6 @@ let route_obligation t ob =
 
 (* ------------------------------------------------------------------ *)
 (* Pattern replay into the shared pool                                *)
-
-let add_pattern t partition ~splits ~latch ~pi =
-  if Simpool.is_full t.pool then splits := !splits + Simpool.flush t.pool partition;
-  Simpool.add t.pool ~pi:(fun i -> pi.(i)) ~latch:(fun i -> latch.(i))
 
 (* SAT/BDD counterexamples: [xs] holds one row of input values per
    encoded frame, and the valuation satisfies Q on the original product
@@ -243,105 +199,9 @@ let replay_cex t partition ~splits ~s ~xs =
   for i = 0 to frames - 2 do
     state := Specreduce.step_original t.product ~pi:xs.(i) ~latch:!state
   done;
-  add_pattern t partition ~splits ~latch:!state ~pi:xs.(frames - 1)
-
-(* ------------------------------------------------------------------ *)
-(* Simulation screen: the forward walk                                *)
-
-let bit w j = Int64.equal (Int64.logand (Int64.shift_right_logical w j) 1L) 1L
-
-(* One bit-parallel pass of the original product over up to 64 lanes of
-   (certified Q-state, random inputs).  Returns the node-word array, the
-   per-lane packed states/inputs, the number of lanes, and the next-state
-   words (for extending the walk). *)
-let sim_frame t =
-  let aig = t.product.Product.aig in
-  let n_pis = Aig.num_pis aig and n_latches = Aig.num_latches aig in
-  let states = Array.of_list t.hist in
-  let lanes = 64 in
-  let latch_words =
-    Array.init n_latches (fun i ->
-        let w = ref 0L in
-        for j = 0 to lanes - 1 do
-          if states.(j mod Array.length states).(i) then
-            w := Int64.logor !w (Int64.shift_left 1L j)
-        done;
-        !w)
-  in
-  let pi_words =
-    Array.init n_pis (fun _ ->
-        Int64.logor
-          (Random.State.int64 t.rng Int64.max_int)
-          (Int64.shift_left (Random.State.int64 t.rng 2L) 63))
-  in
-  let values, next = Aig.Sim.step aig ~pi_words ~latch_words in
-  (values, pi_words, latch_words, next)
-
-(* Lanes where every multi-member class agrees, i.e. the valuation
-   satisfies Q: their successor states are certified for future walks. *)
-let q_lanes_mask partition values =
-  let mask = ref (-1L) in
-  List.iter
-    (fun cls ->
-      match Partition.members partition cls with
-      | [] | [ _ ] -> ()
-      | rep :: rest ->
-        let w = Aig.Sim.lit_word values (Partition.norm_lit partition rep) in
-        List.iter
-          (fun m ->
-            let d =
-              Int64.logxor w (Aig.Sim.lit_word values (Partition.norm_lit partition m))
-            in
-            mask := Int64.logand !mask (Int64.lognot d))
-          rest)
-    (Partition.multi_member_classes partition);
-  !mask
-
-let lowest_bit w =
-  let rec go j = if j >= 64 then None else if bit w j then Some j else go (j + 1) in
-  go 0
-
-(* Screen every live obligation against one simulation frame.  Refuted
-   obligations are counted per class; each distinct witnessing lane is
-   replayed once.  Certified successor states extend the walk history. *)
-let sim_screen t partition obligations ~splits =
-  poll t;
-  let values, pi_words, latch_words, next = sim_frame t in
-  let refuted_lanes = Hashtbl.create 8 in
-  let surviving = ref [] in
-  let n_refuted = ref 0 in
-  Array.iter
-    (fun ob ->
-      let dm = Aig.Sim.lit_word values (Partition.norm_lit partition ob.Specreduce.ob_member)
-      and dr = Aig.Sim.lit_word values (Partition.norm_lit partition ob.Specreduce.ob_rep) in
-      match lowest_bit (Int64.logxor dm dr) with
-      | Some j ->
-        incr n_refuted;
-        t.by_sim <- t.by_sim + 1;
-        Hashtbl.replace refuted_lanes j ()
-      | None ->
-        mark_sim_survivor t ~cls:ob.Specreduce.ob_class;
-        surviving := ob :: !surviving)
-    obligations;
-  Hashtbl.iter
-    (fun j () ->
-      let latch = Array.map (fun w -> bit w j) latch_words in
-      let pi = Array.map (fun w -> bit w j) pi_words in
-      add_pattern t partition ~splits ~latch ~pi)
-    refuted_lanes;
-  (* extend the walk with certified successors *)
-  let qmask = q_lanes_mask partition values in
-  (match lowest_bit qmask with
-  | None -> ()
-  | Some j ->
-    let s2 = Array.map (fun w -> bit w j) next in
-    t.hist <- s2 :: t.hist;
-    t.hist_len <- t.hist_len + 1;
-    if t.hist_len > hist_cap then begin
-      t.hist <- List.filteri (fun i _ -> i < hist_cap) t.hist;
-      t.hist_len <- hist_cap
-    end);
-  (!n_refuted, List.rev !surviving)
+  let latch = !state and pi = xs.(frames - 1) in
+  if Simpool.is_full t.pool then splits := !splits + Simpool.flush t.pool partition;
+  Simpool.add t.pool ~pi:(fun i -> pi.(i)) ~latch:(fun i -> latch.(i))
 
 (* ------------------------------------------------------------------ *)
 (* BDD route                                                          *)
@@ -495,17 +355,18 @@ let discharge t partition sr =
   t.round <- Some { rd_id = t.round_ctr; rd_sr = sr };
   let splits = ref 0 in
   let refuted = ref 0 in
-  (* 1. simulation screen: refute what one frame of certified patterns
-     can, sort the survivors to the proving engines *)
-  let n_sim, surviving = sim_screen t partition sr.Specreduce.obligations ~splits in
-  refuted := !refuted + n_sim;
+  poll t;
   let bdd_obs, sat_obs =
-    List.partition (fun ob -> route_obligation t ob = Bdd) surviving
+    List.partition
+      (fun ob -> route_obligation t ob = Bdd)
+      (Array.to_list sr.Specreduce.obligations)
   in
-  (* 2. BDD screen (coordinator-serial): unconstrained validity on the
+  (* 1. BDD screen (coordinator-serial): unconstrained validity on the
      reduced circuit; counterexamples must pass the Q check on the
      original product before they refute, otherwise the obligation
-     escalates to SAT *)
+     escalates to SAT.  A two-frame counterexample refutes only at depth
+     1: at depth k > 1 the run must satisfy Q on k frames, which the
+     check does not see, so the obligation escalates to SAT as well. *)
   let sat_obs = ref sat_obs in
   let br = lazy (bdd_state t sr.Specreduce.raig) in
   List.iter
@@ -522,7 +383,8 @@ let discharge t partition sr =
             observe t ~cls:ob.Specreduce.ob_class ~engine:Bdd (work ())
           | Bdd_maybe (s, x1, x2) ->
             observe t ~cls:ob.Specreduce.ob_class ~engine:Bdd (work ());
-            if Specreduce.q_holds t.product partition ~pi:x1 ~latch:s then begin
+            if t.cfg.unroll = 1 && Specreduce.q_holds t.product partition ~pi:x1 ~latch:s
+            then begin
               t.by_bdd <- t.by_bdd + 1;
               incr refuted;
               replay_cex t partition ~splits ~s ~xs:[| x1; x2 |]
@@ -534,7 +396,7 @@ let discharge t partition sr =
         end
       end)
     bdd_obs;
-  (* 3. SAT (parallel over the persistent lanes): exact discharge under
+  (* 2. SAT (parallel over the persistent lanes): exact discharge under
      the Q-hat assumptions.  The partition is only read here on the
      coordinator — staleness is filtered before the batch, and no flush
      happens during it. *)
@@ -555,7 +417,7 @@ let discharge t partition sr =
         incr refuted;
         replay_cex t partition ~splits ~s ~xs)
     results;
-  (* 4. flush whatever the round buffered *)
+  (* 3. flush whatever the round buffered *)
   if Simpool.lanes t.pool > 0 then splits := !splits + Simpool.flush t.pool partition;
   (!refuted, !splits)
 
@@ -574,7 +436,6 @@ let harvest t =
     restarts = sum Sat.num_restarts;
     encoded_vars = sum Sat.num_vars;
     peak_bdd_nodes = t.peak_nodes;
-    spec_by_sim = t.by_sim;
     spec_by_bdd = t.by_bdd;
     spec_by_sat = t.by_sat;
   }

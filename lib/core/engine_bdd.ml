@@ -9,6 +9,10 @@
 
 exception Budget_exceeded of string
 
+(* A budget ran out while [make] built the engine: no context exists to
+   harvest, so the abort carries the manager's live node count. *)
+exception Build_exceeded of { reason : string; live_nodes : int }
+
 type ctx = {
   p : Product.t;
   m : Bdd.manager;
@@ -71,33 +75,39 @@ let make ?(use_fundep = true) ?latch_order ?care_of ?(node_limit = max_int)
     Array.init n_latches (fun i -> n_pis + positions.(i))
   in
   let x2 = Array.init n_pis (fun i -> n_pis + n_latches + i) in
-  (* the variable nodes exist up front, so [Bdd.nvars] covers every
-     state variable before any substitution array is sized *)
-  let x1_vars = Array.map (Bdd.var m) x1 and s_vars = Array.map (Bdd.var m) s in
-  let pi_var i = x1_vars.(i) in
-  let cur = Engines.Aig_bdd.build m aig ~pi_var ~latch_var:(fun i -> s_vars.(i)) in
-  let delta = Array.init n_latches (fun i -> cur (Aig.latch_next aig i)) in
-  (* nu and initial-state functions are only requested for signals that
-     share a class, and after simulation seeding most classes are small *)
-  let nxt =
-    Engines.Aig_bdd.build m aig
-      ~pi_var:(fun i -> Bdd.var m x2.(i))
-      ~latch_var:(fun i -> delta.(i))
+  let build () =
+    (* the variable nodes exist up front, so [Bdd.nvars] covers every
+       state variable before any substitution array is sized *)
+    let x1_vars = Array.map (Bdd.var m) x1 and s_vars = Array.map (Bdd.var m) s in
+    let pi_var i = x1_vars.(i) in
+    let cur = Engines.Aig_bdd.build m aig ~pi_var ~latch_var:(fun i -> s_vars.(i)) in
+    let delta = Array.init n_latches (fun i -> cur (Aig.latch_next aig i)) in
+    (* nu and initial-state functions are only requested for signals that
+       share a class, and after simulation seeding most classes are small *)
+    let nxt =
+      Engines.Aig_bdd.build m aig
+        ~pi_var:(fun i -> Bdd.var m x2.(i))
+        ~latch_var:(fun i -> delta.(i))
+    in
+    let ini =
+      Engines.Aig_bdd.build m aig ~pi_var
+        ~latch_var:(fun i -> if Aig.latch_init aig i then Bdd.one else Bdd.zero)
+    in
+    let care = match care_of with Some f -> f m s | None -> Bdd.one in
+    let ctx =
+      { p; m; n_pis; n_latches; x1; s; x2; cur; delta; nxt; ini; use_fundep; care;
+        node_limit; deadline; peak_nodes = 0; pool = Simpool.create aig;
+        support = lazy (Support.make aig); proved_at = Hashtbl.create 256;
+        n_batched = 0; n_cache_hits = 0; static_filter; n_static = 0;
+        sched = Parsweep.create ~jobs:1 ~init:(fun _ -> ()) }
+    in
+    note ctx;
+    ctx
   in
-  let ini =
-    Engines.Aig_bdd.build m aig ~pi_var
-      ~latch_var:(fun i -> if Aig.latch_init aig i then Bdd.one else Bdd.zero)
-  in
-  let care = match care_of with Some f -> f m s | None -> Bdd.one in
-  let ctx =
-    { p; m; n_pis; n_latches; x1; s; x2; cur; delta; nxt; ini; use_fundep; care;
-      node_limit; deadline; peak_nodes = 0; pool = Simpool.create aig;
-      support = lazy (Support.make aig); proved_at = Hashtbl.create 256;
-      n_batched = 0; n_cache_hits = 0; static_filter; n_static = 0;
-      sched = Parsweep.create ~jobs:1 ~init:(fun _ -> ()) }
-  in
-  note ctx;
-  ctx
+  let aborted reason = raise (Build_exceeded { reason; live_nodes = Bdd.live_nodes m }) in
+  try build () with
+  | Budget_exceeded reason -> aborted reason
+  | Bdd.Limit_exceeded -> aborted "bdd nodes"
 
 let shutdown ctx = Parsweep.shutdown ctx.sched
 
@@ -261,34 +271,6 @@ let nu_builder ~clamp_size ctx partition q subst =
       ~latch_var:(fun i -> clamp (apply ctx.delta.(i)))
   in
   fun id -> norm ctx (nu (Aig.lit_of_node id)) (Partition.polarity partition id)
-
-(* One application of Equation (3): split classes whose members' next-state
-   functions differ on some state satisfying Q.  Returns true when any
-   class split.  Legacy pairwise comparison within each class; kept for
-   benchmarking and the equal-fixed-point cross-check. *)
-let refine_once_pairwise ?(clamp_size = 2_000) ctx partition =
-  if static_prefilter ctx partition > 0 then true
-  else
-  let m = ctx.m in
-  let subst = if ctx.use_fundep then fundep_subst ctx partition else None in
-  let q = correspondence_condition ctx partition subst in
-  if Bdd.is_false q then false
-  else begin
-    let nu_of = nu_builder ~clamp_size ctx partition q subst in
-    let changed = ref false in
-    List.iter
-      (fun cls ->
-        note ctx;
-        let equal rep id =
-          let frep = nu_of rep and fid = nu_of id in
-          Bdd.equal frep fid
-          || Bdd.is_false (Bdd.mk_and m q (Bdd.mk_xor m frep fid))
-        in
-        if Partition.refine_class partition cls ~equal then changed := true)
-      (Partition.multi_member_classes partition);
-    note ctx;
-    !changed
-  end
 
 (* Extract one counterexample pattern from a pair of class members whose
    nu functions differ modulo Q: a satisfying assignment of

@@ -46,7 +46,8 @@ module Counters : sig
           (** speculation obligations refuted by a discharge engine — each
               fed the pool and refined the partition *)
       spec_by_sim : int;
-          (** obligations settled by the dispatcher's simulation screen *)
+          (** always 0: the dispatcher's simulation screen is gone, and
+              the field stays only because perfbench reads it *)
       spec_by_bdd : int;  (** … by the BDD route *)
       spec_by_sat : int;  (** … by the incremental-SAT route *)
       domains : int;  (** worker lanes of the sweep scheduler *)
@@ -60,7 +61,7 @@ module Counters : sig
       encoded_vars : int;  (** SAT variables created, across every solver *)
       reused_clauses : int;
           (** clauses already in place when a solve was issued — the work
-              incremental mode did not redo (0 with [use_incremental] off) *)
+              the persistent solvers did not redo *)
       shared_clauses : int;  (** learned clauses imported across sweep lanes *)
       core_prunes : int;
           (** class re-solves skipped by failed-assumption-core transfer *)
@@ -358,8 +359,8 @@ module Support : sig
       [false] exactly when both supports are non-empty and disjoint. *)
 
   val prefilter_class : t -> Partition.t -> int -> bool
-  (** Split one class by PI-support compatibility with each subgroup's
-      representative; [true] when the class split.  Costs no solver or
+  (** Split one class into the connected components of PI-support
+      compatibility; [true] when the class split.  Costs no solver or
       BDD work and never fabricates an equivalence. *)
 
   val suspect : t -> Partition.t -> int -> proved_at:int -> bool
@@ -428,13 +429,13 @@ module Specreduce : sig
 end
 
 (** Per-class hybrid engine dispatcher for discharging speculation
-    obligations: simulation screen, BDD validity route, and persistent
-    per-lane incremental SAT, steered by cone/level thresholds and the
-    online {!Analysis.Steer.Cost} model. *)
+    obligations: a BDD validity route and persistent per-lane
+    incremental SAT, steered by cone/level thresholds and the online
+    {!Analysis.Steer.Cost} model. *)
 module Dispatch : sig
   exception Budget_exceeded of string
 
-  type engine = Sim | Bdd | Sat
+  type engine = Bdd | Sat
 
   val engine_name : engine -> string
 
@@ -447,7 +448,6 @@ module Dispatch : sig
         (** induction depth k of the SAT route (>= 1): Q-hat is assumed
             at frames 1..k and obligations are checked at frame k+1 *)
     jobs : int;  (** Parsweep lanes carrying the persistent SAT solvers *)
-    seed : int;
   }
 
   val default_config : prefer:engine -> config
@@ -468,22 +468,17 @@ module Dispatch : sig
       [latch_order] seeds the BDD variable order (default: latch index). *)
 
   val route : t -> cls:int -> cone:int -> level:int -> engine
-  (** The routing rule: simulation first while certified walk states
-      exist and the class never survived a screen; then the proving
-      engines by cost-model preference, static cone/level thresholds and
-      exhaustion bans (SAT is never banned — the fallback terminus). *)
+  (** The routing rule: cost-model preference, static cone/level
+      thresholds and exhaustion bans (SAT is never banned — the fallback
+      terminus). *)
 
   val observe : t -> cls:int -> engine:engine -> float -> unit
-  (** Feed one solve's work into the cost model (ignored for [Sim]):
-      SAT propagations plus a weight per conflict, or a weight per BDD
-      node made — deterministic, unlike seconds. *)
+  (** Feed one solve's work into the cost model: SAT propagations plus a
+      weight per conflict, or a weight per BDD node made —
+      deterministic, unlike seconds. *)
 
   val ban : t -> cls:int -> engine:engine -> unit
-  (** Exhaustion: never route this class to this engine again ([Sim]
-      marks the class a sim-survivor instead). *)
-
-  val mark_sim_survivor : t -> cls:int -> unit
-  val sim_survivor : t -> cls:int -> bool
+  (** Exhaustion: never route this class to this engine again. *)
 
   val discharge : t -> Partition.t -> Specreduce.t -> int * int
   (** Discharge every obligation, replaying counterexamples through the
@@ -501,6 +496,10 @@ end
 (** BDD refinement engine (the paper's own implementation style). *)
 module Engine_bdd : sig
   exception Budget_exceeded of string
+
+  exception Build_exceeded of { reason : string; live_nodes : int }
+  (** A budget ran out inside {!make}; [live_nodes] is the manager's
+      live node count at the abort. *)
 
   type ctx = {
     p : Product.t;
@@ -543,6 +542,8 @@ module Engine_bdd : sig
     ?static_filter:bool ->
     Product.t ->
     ctx
+  (** @raise Build_exceeded when the node budget or the deadline runs
+      out while the engine is built. *)
 
   val shutdown : ctx -> unit
 
@@ -557,10 +558,6 @@ module Engine_bdd : sig
       pooled counterexamples and dirty-class scheduling; [true] when a
       class split.  [clamp_size] bounds intermediate nu sizes before the
       complement of Q is applied as a don't-care set (Section 4). *)
-
-  val refine_once_pairwise : ?clamp_size:int -> ctx -> Partition.t -> bool
-  (** The legacy one-comparison-per-pair pass; computes the same fixed
-      point (property-tested) and anchors the benchmark comparison. *)
 
   val correspondence_condition :
     ?memo:(int, Bdd.t) Hashtbl.t -> ctx -> Partition.t -> Bdd.t option array option -> Bdd.t
@@ -580,18 +577,15 @@ module Engine_sat : sig
 
   type wstate
   (** Private per-lane solving state: a copy of the unrolled product CNF
-      with its own selector tables and Q cache.  Lane 0 aliases the
+      with its own selector tables and Q cache.  Lane 0's solver is the
       context's primary solver. *)
 
   type ctx = {
     p : Product.t;
     k : int;  (** induction depth; 1 = the paper's Equation (3) *)
-    solver : Sat.t;  (** the k+1-frame unrolling *)
-    frames : (int -> Sat.Lit.t) array;
+    solver : Sat.t;  (** lane 0's k+1-frame unrolling *)
     solver0 : Sat.t;  (** frames 0..k-1 from the initial state *)
     init_frames : (int -> Sat.Lit.t) array;
-    eq_sel : (int * int * int, int) Hashtbl.t;
-    diff_sel : (int * int, int) Hashtbl.t;
     diff_sel0 : (int * int * int, int) Hashtbl.t;
     sat_calls : int Atomic.t;
         (** shared across worker lanes; every solve reserves a slot before
@@ -603,7 +597,6 @@ module Engine_sat : sig
     support : Support.t Lazy.t;
     proved_at : (int, int) Hashtbl.t;
     init_clean : (int, int) Hashtbl.t;
-    mutable q_cache : (int * Sat.Lit.t list) option;
     mutable n_batched : int;  (** batched class solves issued *)
     mutable n_cache_hits : int;  (** classes skipped by the UNSAT cache *)
     jobs : int;  (** worker lanes for Eq.(3) sweeps *)
@@ -612,20 +605,10 @@ module Engine_sat : sig
         (** split PI-support-incompatible candidates for free before every
             pass (see {!Support.prefilter_class}) *)
     mutable n_static : int;  (** classes split by the static prefilter *)
-    incremental : bool;
-        (** [true]: persistent solvers, activation-released staging,
-            failed-core pruning and cross-lane clause sharing; [false]:
-            every class solve re-encodes into a throwaway solver (the A/B
-            baseline) *)
     base_vars : int;
         (** variables of the shared k+1-frame unrolling — identical in
             every lane by determinism, and the horizon below which learned
             clauses are sound to exchange *)
-    acc_conflicts : int Atomic.t;
-        (** counters harvested from discarded throwaway solvers *)
-    acc_propagations : int Atomic.t;
-    acc_restarts : int Atomic.t;
-    acc_vars : int Atomic.t;
     reused_clauses : int Atomic.t;
     mutable shared_clauses : int;
     mutable core_prunes : int;
@@ -643,23 +626,19 @@ module Engine_sat : sig
     ?jobs:int ->
     ?deadline:Deadline.t ->
     ?static_filter:bool ->
-    ?incremental:bool ->
     Product.t ->
     ctx
   (** [jobs] worker lanes solve the Eq.(3) sweep rounds; each lane > 0
       owns a private copy of the unrolled product CNF built inside its
-      own domain.  Default 1 (sequential, no domains spawned).
-      [incremental] (default [true]) keeps every solver alive across all
-      rounds and iterations; [false] selects the re-encode-per-obligation
-      baseline used for A/B comparison. *)
+      own domain.  Default 1 (sequential, no domains spawned).  Every
+      solver lives across all rounds and iterations. *)
 
   val shutdown : ctx -> unit
   (** Join the sweep pool's worker domains; idempotent. *)
 
   val harvest : ctx -> Counters.t
-  (** SAT calls, pool and sweep counters, solver work and the scheduler's
-      counters accumulated so far: persistent solvers are read live,
-      discarded throwaway solvers were folded in as they were dropped.
+  (** SAT calls, pool and sweep counters, solver work (read live from
+      every solver) and the scheduler's counters accumulated so far.
       Coordinator-only, between rounds (reads the pool's lane states). *)
 
   val refine_initial : ctx -> Partition.t -> unit
@@ -672,18 +651,13 @@ module Engine_sat : sig
       disjunctive solve each, on the lane's private solver), and the
       outcomes merged serially in ascending class order — pooled
       counterexamples, dirty-class scheduling and the trust/strict
-      confirmation protocol as before.  The fixed point reached is
+      confirmation protocol.  The fixed point reached is
       schedule-independent: the same for every worker count as for the
       sequential sweep (property-tested).  Budgets are enforced {e per
       class solve}: every lane reserves a slot in the shared atomic call
       counter (and polls the shared deadline flag) before issuing a
       solve, so a parallel round overshoots [max_sat_calls] by at most
       the [jobs] solves already in flight. *)
-
-  val refine_initial_pairwise : ctx -> Partition.t -> unit
-  val refine_once_pairwise : ctx -> Partition.t -> bool
-  (** The legacy one-query-per-pair scans; same fixed point
-      (property-tested), kept for benchmarking. *)
 end
 
 (** Candidate-set extension by forward retiming with lag 1 (Fig. 3). *)
@@ -811,17 +785,12 @@ module Verify : sig
     use_ternary_seed : bool;
         (** Seed the partition with {!Ternseed.refine}.  Default true. *)
     use_batched_sweeps : bool;
-        (** Use the batched class solves, counterexample pattern pool and
-            dirty-class scheduling (default true); [false] selects the
-            legacy pairwise scans, which compute the same fixed point. *)
     use_incremental : bool;
-        (** Keep the SAT engine's solvers alive across the whole fixed
-            point — persistent clause databases, activation-released
-            staging, failed-core pruning and cross-lane learned-clause
-            sharing (default true); [false] re-encodes every class
-            obligation into a throwaway solver, the A/B baseline.  The
-            fixed point and verdict are identical either way
-            (property-tested).  The BDD engine ignores it. *)
+        (** Both must be [true] (the default): {!run_with_relation}
+            raises [Invalid_argument] naming the field otherwise.  They
+            once selected the pairwise scans and the throwaway-solver
+            baseline, which are gone; the fields remain only because
+            perfbench builds the whole record. *)
     use_speculation : bool;
         (** Speculative reduction (default false, overridable via the
             SEQVER_SPECULATE environment variable): merge every candidate
@@ -847,7 +816,10 @@ module Verify : sig
     reach_block_size : int;
     node_limit : int;
     max_sat_calls : int;
-    sat_unroll : int;  (** SAT-engine induction depth; 1 = the paper *)
+    sat_unroll : int;
+        (** SAT-engine induction depth; 1 = the paper.  At most
+            {!max_induction}: {!run_with_relation} raises
+            [Invalid_argument] beyond it. *)
     presim_frames : int;
     bmc_depth : int;  (** exhaustive refutation depth (0 disables) *)
     seed : int;
@@ -890,6 +862,10 @@ module Verify : sig
   }
 
   val default_options : options
+
+  val max_induction : int
+  (** 64: the deepest induction any entry point accepts (options, CLI
+      [-k], serve requests, certificates). *)
 
   include module type of struct include Counters.Record end
   (** [stats] is the counter record {!Counters.t}, labels included. *)

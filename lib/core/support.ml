@@ -112,10 +112,36 @@ let pi_compatible t a b =
   || (not (pi_nonempty t b))
   || Array.exists (fun pi -> test_bit t a pi && test_bit t b pi) t.pis
 
-(* Split one class by PI-support compatibility with each subgroup's
-   representative; [true] when the class split. *)
+(* Split one class into the connected components of PI-support
+   compatibility; [true] when the class split.  Compatibility is not
+   transitive, so comparing each member with one subgroup representative
+   would separate two members that share an input whenever the
+   representative shares none with one of them.  Any member with an
+   empty support is compatible with all, so such a class stays whole;
+   otherwise members sharing an input are joined, input by input. *)
 let prefilter_class t partition cls =
-  Partition.refine_class partition cls ~equal:(fun rep id -> pi_compatible t rep id)
+  let mems = Partition.members partition cls in
+  if List.exists (fun m -> m >= t.n || not (pi_nonempty t m)) mems then false
+  else begin
+    let root = Hashtbl.create 16 in
+    let rec find m =
+      match Hashtbl.find_opt root m with
+      | Some r when r <> m ->
+        let r' = find r in
+        Hashtbl.replace root m r';
+        r'
+      | Some _ | None -> m
+    in
+    Array.iter
+      (fun pi ->
+        match List.filter (fun m -> test_bit t m pi) mems with
+        | [] -> ()
+        | first :: rest ->
+          let r = find first in
+          List.iter (fun m -> if find m <> r then Hashtbl.replace root (find m) r) rest)
+      t.pis;
+    Partition.refine_class partition cls ~equal:(fun a b -> find a = find b)
+  end
 
 (* Must class [cls], proven stable at partition version [proved_at], be
    re-examined?  Yes when its own membership changed since, or when any

@@ -36,12 +36,11 @@ type options = {
   use_sim_seed : bool;
   sim_frames : int;
   use_ternary_seed : bool; (* split the partition by ternary signatures *)
-  use_batched_sweeps : bool; (* batched class solves + pool + dirty cache *)
+  use_batched_sweeps : bool;
   use_incremental : bool;
-      (* persistent SAT solvers across the whole fixed point, with
-         activation-released staging, failed-core pruning and cross-lane
-         clause sharing; [false] re-encodes every obligation into a
-         throwaway solver (the A/B baseline).  BDD engine: ignored. *)
+      (* both must be [true]: the fields outlive the pairwise and
+         throwaway-solver baselines they once selected only because
+         perfbench builds the whole record *)
   use_speculation : bool;
       (* speculative reduction: merge every candidate class onto its
          representative, discharge the assumption obligations on the
@@ -63,7 +62,9 @@ type options = {
   reach_block_size : int;
   node_limit : int;
   max_sat_calls : int;
-  sat_unroll : int; (* induction depth k of the SAT engine; 1 = the paper *)
+  sat_unroll : int;
+      (* induction depth k of the SAT engine; 1 = the paper, at most
+         [max_induction] *)
   presim_frames : int;
   bmc_depth : int; (* exhaustive refutation depth before the fixed point *)
   seed : int;
@@ -130,6 +131,11 @@ let default_options =
     progress = None;
     cancel = None;
   }
+
+(* The deepest induction a run may unroll: every SAT lane encodes k + 1
+   copies of the product, so an unchecked depth from a flag, a request or
+   a certificate would exhaust memory before any budget is polled. *)
+let max_induction = 64
 
 (* The option projections a checkpoint must reproduce on resume. *)
 let engine_string options =
@@ -339,13 +345,9 @@ let make_engine (options : options) deadline product pol =
       | Engine_bdd.Budget_exceeded msg -> raise (Budget msg)
       | Bdd.Limit_exceeded -> raise (Budget "bdd nodes")
     in
-    let refine_once =
-      if options.use_batched_sweeps then Engine_bdd.refine_once ctx
-      else Engine_bdd.refine_once_pairwise ctx
-    in
     {
       refine_initial = wrap (Engine_bdd.refine_initial ctx);
-      refine_once = (fun p -> wrap refine_once p);
+      refine_once = (fun p -> wrap (Engine_bdd.refine_once ctx) p);
       pool = ctx.Engine_bdd.pool;
       harvest = (fun () -> Engine_bdd.harvest ctx);
       pool_patterns = (fun () -> Simpool.snapshot ctx.Engine_bdd.pool);
@@ -355,18 +357,12 @@ let make_engine (options : options) deadline product pol =
   | Sat_engine ->
     let ctx =
       Engine_sat.make ~max_sat_calls:options.max_sat_calls ~k:options.sat_unroll
-        ~jobs:options.jobs ~deadline ~static_filter:options.use_analysis
-        ~incremental:options.use_incremental product
+        ~jobs:options.jobs ~deadline ~static_filter:options.use_analysis product
     in
     let wrap f x = try f x with Engine_sat.Budget_exceeded msg -> raise (Budget msg) in
-    let refine_initial, refine_once =
-      if options.use_batched_sweeps then
-        (Engine_sat.refine_initial ctx, Engine_sat.refine_once ctx)
-      else (Engine_sat.refine_initial_pairwise ctx, Engine_sat.refine_once_pairwise ctx)
-    in
     {
-      refine_initial = wrap refine_initial;
-      refine_once = (fun p -> wrap refine_once p);
+      refine_initial = wrap (Engine_sat.refine_initial ctx);
+      refine_once = (fun p -> wrap (Engine_sat.refine_once ctx) p);
       pool = ctx.Engine_sat.pool;
       harvest = (fun () -> Engine_sat.harvest ctx);
       pool_patterns = (fun () -> Simpool.snapshot ctx.Engine_sat.pool);
@@ -539,6 +535,14 @@ let outputs_proved (options : options) product partition =
    the product machine and the final correspondence relation — the
    checker's certificate ("show your work"). *)
 let run_with_relation ?(options = default_options) spec impl =
+  if not options.use_batched_sweeps then
+    invalid_arg "Verify: use_batched_sweeps = false (the pairwise scans are gone)";
+  if not options.use_incremental then
+    invalid_arg "Verify: use_incremental = false (the throwaway-solver baseline is gone)";
+  if options.sat_unroll > max_induction then
+    invalid_arg
+      (Printf.sprintf "Verify: sat_unroll %d exceeds the induction bound %d" options.sat_unroll
+         max_induction);
   (* preflight: refuse to spend BDD/SAT effort on structurally broken
      circuits — every error-level lint finding is reported at once
      (raises [Lint.Rejected] with the rendered report) *)
@@ -707,9 +711,9 @@ let run_with_relation ?(options = default_options) spec impl =
         try
           let engine =
             try make_engine options deadline product pol with
-            | Engine_bdd.Budget_exceeded msg | Engine_sat.Budget_exceeded msg ->
-              raise (Budget msg)
-            | Bdd.Limit_exceeded -> raise (Budget "bdd nodes")
+            | Engine_bdd.Build_exceeded { reason; live_nodes } ->
+              count { Counters.zero with peak_bdd_nodes = live_nodes };
+              raise (Budget reason)
           in
           (* idempotent so the finalizer below can back-fill the counters
              on exceptional exits (budget aborts, node-limit overruns)
@@ -794,7 +798,6 @@ let run_with_relation ?(options = default_options) spec impl =
                       Dispatch.bdd_node_limit = options.node_limit;
                       unroll = effective_induction options;
                       jobs = options.jobs;
-                      seed = options.seed;
                     }
                   in
                   (* the sweep engine is idle while the dispatcher runs, so

@@ -95,11 +95,10 @@ let create ?(capacity = 128) ~dir () =
 
 (* Canonical option string: order-fixed, deadline-free (see above). *)
 let options_key (o : Protocol.verify_opts) =
-  (* incremental/speculate on/off prove the same verdict but report
-     different solver-work counters, so the runs must not share a cache
-     entry *)
-  Printf.sprintf "m=%s e=%s k=%d seed=%d analysis=%b incr=%b spec=%b" o.meth o.engine
-    (max 1 o.induction) o.seed o.analysis o.incremental o.speculate
+  (* speculate on/off prove the same verdict but report different
+     solver-work counters, so the runs must not share a cache entry *)
+  Printf.sprintf "m=%s e=%s k=%d seed=%d analysis=%b spec=%b" o.meth o.engine
+    (max 1 o.induction) o.seed o.analysis o.speculate
 
 let key ~spec_digest ~impl_digest ~opts_key =
   spec_digest ^ ":" ^ impl_digest ^ ":" ^ opts_key
@@ -127,13 +126,6 @@ let write_file path text =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc text);
   Sys.rename tmp path
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
 
 let entry_to_string ~spec_digest ~impl_digest ~opts_key e =
   let buf = Buffer.create 256 in
@@ -243,7 +235,8 @@ let find t ~spec_digest ~impl_digest ~opts_key =
         let dir = entry_dir t ~spec_digest ~impl_digest ~opts_key in
         let vp = verdict_path dir in
         if Sys.file_exists vp then begin
-          match entry_of_string ~spec_digest ~impl_digest ~opts_key dir (read_file vp) with
+          let text () = In_channel.with_open_bin vp In_channel.input_all in
+          match entry_of_string ~spec_digest ~impl_digest ~opts_key dir (text ()) with
           | entry ->
             insert t k entry;
             t.hits <- t.hits + 1;

@@ -139,7 +139,6 @@ let scorr_options d job ~resume =
     sat_unroll = max 1 job.opts.induction;
     seed = job.opts.seed;
     use_analysis = job.opts.analysis || job.opts.meth = "auto";
-    use_incremental = job.opts.incremental;
     use_speculation = job.opts.speculate;
     deadline_seconds = job.opts.deadline;
     preflight = false;  (* done at submission time *)

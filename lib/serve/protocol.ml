@@ -17,10 +17,9 @@ type circuit =
 type verify_opts = {
   meth : string;  (** ["scorr"] | ["auto"] *)
   engine : string;  (** ["bdd"] | ["sat"] *)
-  induction : int;  (** SAT-engine unrolling depth *)
+  induction : int;  (** SAT-engine unrolling depth, at most {!Scorr.Verify.max_induction} *)
   seed : int;
   analysis : bool;
-  incremental : bool;  (** persistent per-lane SAT solvers (default) *)
   speculate : bool;  (** speculative reduction with the per-class dispatcher *)
   deadline : float;  (** per-job wall budget, seconds; 0 = none *)
 }
@@ -32,7 +31,6 @@ let default_opts =
     induction = 1;
     seed = 1;
     analysis = false;
-    incremental = true;
     speculate = false;
     deadline = 0.0;
   }
@@ -104,7 +102,6 @@ let opts_to_json o =
       ("induction", Json.Int o.induction);
       ("seed", Json.Int o.seed);
       ("analysis", Json.Bool o.analysis);
-      ("incremental", Json.Bool o.incremental);
       ("speculate", Json.Bool o.speculate);
       ("deadline", Json.Float o.deadline);
     ]
@@ -237,10 +234,13 @@ let opts_of_json v =
     {
       meth = Json.to_str ~default:d.meth (Json.member "method" v);
       engine = Json.to_str ~default:d.engine (Json.member "engine" v);
-      induction = Json.to_int ~default:d.induction (Json.member "induction" v);
+      induction =
+        (match Json.to_int ~default:d.induction (Json.member "induction" v) with
+        | k when k > Scorr.Verify.max_induction ->
+          bad "induction %d exceeds the bound %d" k Scorr.Verify.max_induction
+        | k -> k);
       seed = Json.to_int ~default:d.seed (Json.member "seed" v);
       analysis = Json.to_bool ~default:d.analysis (Json.member "analysis" v);
-      incremental = Json.to_bool ~default:d.incremental (Json.member "incremental" v);
       speculate = Json.to_bool ~default:d.speculate (Json.member "speculate" v);
       deadline = Json.to_float ~default:d.deadline (Json.member "deadline" v);
     }

@@ -3,7 +3,7 @@
 #
 # Rows in BENCH_scorr.json are keyed by (run, circuit, engine): several
 # bench targets measure the same (circuit, engine) pair under different
-# options (e.g. ablation-engine and ablation-incremental both emit
+# options (e.g. ablation-engine and ablation-speculation both emit
 # "sat" rows), so grouping by circuit/engine alone double-counts.  This
 # script prints one line per (run, circuit, engine) key and fails if
 # any key appears twice — the invariant the "run" field exists to keep.

@@ -235,6 +235,31 @@ let test_certificate_rejects_tampering () =
   | Error (Cert.Certificate.Bad_literal _) -> ()
   | _ -> Alcotest.fail "expected Bad_literal"
 
+(* An induction depth past the bound is a header error, found before any
+   frame is encoded: a depth of 4e8 once ran the checker out of memory. *)
+let test_certificate_bounds_induction () =
+  let spec, impl, cert = fig2_cert () in
+  let proved =
+    match Cert.Certificate.prove ~spec ~impl cert with
+    | Ok c -> c
+    | Error e -> Alcotest.fail (Cert.Certificate.explain_check_error e)
+  in
+  List.iter
+    (fun (use_proof, induction) ->
+      let before = Gc.allocated_bytes () in
+      (match
+         Cert.Certificate.check ~use_proof ~spec ~impl
+           { proved with Cert.Certificate.induction }
+       with
+      | Error (Cert.Certificate.Bad_header _) -> ()
+      | Ok () -> Alcotest.failf "accepted induction %d" induction
+      | Error e -> Alcotest.fail ("wrong rejection: " ^ Cert.Certificate.explain_check_error e));
+      Alcotest.(check bool)
+        (Printf.sprintf "induction %d allocates little" induction)
+        true
+        (Gc.allocated_bytes () -. before < 1e7))
+    [ (false, Scorr.Verify.max_induction + 1); (false, 400_000_000); (true, 400_000_000) ]
+
 let test_emit_refuses_dontcare_relations () =
   let spec, impl = Circuits.Fig2.pair () in
   let options = { Scorr.default_options with Scorr.Verify.use_reach_dontcare = true } in
@@ -413,6 +438,8 @@ let suite =
       test_certificate_rejects_mutated_impl;
     Alcotest.test_case "certificate rejects tampering" `Quick
       test_certificate_rejects_tampering;
+    Alcotest.test_case "certificate bounds the induction depth" `Quick
+      test_certificate_bounds_induction;
     Alcotest.test_case "emission refuses don't-care relations" `Quick
       test_emit_refuses_dontcare_relations;
     Alcotest.test_case "bogus equality fails the base case" `Quick

@@ -30,21 +30,11 @@ let check_route d ~what ~cls ~cone ~level expected =
 
 (* --- static thresholds ------------------------------------------------------- *)
 
-let test_sim_screens_first () =
-  (* a class that never survived a screen goes to simulation while
-     certified walk states exist (the initial state always does) *)
-  let d = make_dispatch () in
-  check_route d ~what:"fresh class simulates" ~cls:7 ~cone:10 ~level:3 Scorr.Dispatch.Sim;
-  Scorr.Dispatch.mark_sim_survivor d ~cls:7;
-  Alcotest.(check bool) "marked" true (Scorr.Dispatch.sim_survivor d ~cls:7);
-  check_route d ~what:"survivor escalates" ~cls:7 ~cone:10 ~level:3 Scorr.Dispatch.Bdd
-
 let test_bdd_threshold_boundaries () =
   let cfg = Scorr.Dispatch.default_config ~prefer:Scorr.Dispatch.Bdd in
   let d = make_dispatch ~config:cfg () in
   let cone_max = cfg.Scorr.Dispatch.bdd_cone_limit in
   let level_max = cfg.Scorr.Dispatch.bdd_level_limit in
-  Scorr.Dispatch.mark_sim_survivor d ~cls:1;
   check_route d ~what:"at both limits -> bdd" ~cls:1 ~cone:cone_max ~level:level_max
     Scorr.Dispatch.Bdd;
   check_route d ~what:"cone past limit -> sat" ~cls:1 ~cone:(cone_max + 1)
@@ -59,7 +49,6 @@ let test_sat_preference_shrinks_bdd_region () =
   let d = make_dispatch ~config:cfg () in
   let cone_max = cfg.Scorr.Dispatch.bdd_cone_limit / 4 in
   let level_max = cfg.Scorr.Dispatch.bdd_level_limit / 2 in
-  Scorr.Dispatch.mark_sim_survivor d ~cls:1;
   check_route d ~what:"small cone -> bdd despite sat preference" ~cls:1 ~cone:cone_max
     ~level:level_max Scorr.Dispatch.Bdd;
   check_route d ~what:"past shrunk cone limit -> sat" ~cls:1 ~cone:(cone_max + 1)
@@ -73,12 +62,10 @@ let test_cost_model_overrides_static () =
   (* once both engines have data on a class, the cheaper EMA wins over
      the static default, in either direction *)
   let d = make_dispatch ~prefer:Scorr.Dispatch.Bdd () in
-  Scorr.Dispatch.mark_sim_survivor d ~cls:3;
   Scorr.Dispatch.observe d ~cls:3 ~engine:Scorr.Dispatch.Bdd 2.0;
   Scorr.Dispatch.observe d ~cls:3 ~engine:Scorr.Dispatch.Sat 0.01;
   check_route d ~what:"cheap sat beats static bdd" ~cls:3 ~cone:10 ~level:3
     Scorr.Dispatch.Sat;
-  Scorr.Dispatch.mark_sim_survivor d ~cls:4;
   Scorr.Dispatch.observe d ~cls:4 ~engine:Scorr.Dispatch.Bdd 0.01;
   Scorr.Dispatch.observe d ~cls:4 ~engine:Scorr.Dispatch.Sat 2.0;
   check_route d ~what:"cheap bdd beats big cone" ~cls:4 ~cone:1_000_000 ~level:500
@@ -109,23 +96,16 @@ let test_ban_falls_back_to_sat () =
   (* a banned engine never routes again for that class; SAT, the
      fallback terminus, is never banned *)
   let d = make_dispatch ~prefer:Scorr.Dispatch.Bdd () in
-  Scorr.Dispatch.mark_sim_survivor d ~cls:5;
   check_route d ~what:"small cone -> bdd" ~cls:5 ~cone:10 ~level:3 Scorr.Dispatch.Bdd;
   Scorr.Dispatch.ban d ~cls:5 ~engine:Scorr.Dispatch.Bdd;
   check_route d ~what:"banned bdd -> sat" ~cls:5 ~cone:10 ~level:3 Scorr.Dispatch.Sat;
   (* the ban is per class: a sibling still routes to BDD *)
-  Scorr.Dispatch.mark_sim_survivor d ~cls:6;
   check_route d ~what:"sibling class unaffected" ~cls:6 ~cone:10 ~level:3
     Scorr.Dispatch.Bdd;
   (* a favorable EMA cannot resurrect a banned engine *)
   Scorr.Dispatch.observe d ~cls:5 ~engine:Scorr.Dispatch.Bdd 0.001;
   Scorr.Dispatch.observe d ~cls:5 ~engine:Scorr.Dispatch.Sat 9.0;
   check_route d ~what:"ban is sticky" ~cls:5 ~cone:10 ~level:3 Scorr.Dispatch.Sat
-
-let test_sim_ban_is_survivor_mark () =
-  let d = make_dispatch () in
-  Scorr.Dispatch.ban d ~cls:9 ~engine:Scorr.Dispatch.Sim;
-  Alcotest.(check bool) "sim ban marks survivor" true (Scorr.Dispatch.sim_survivor d ~cls:9)
 
 let test_exhausted_bdd_budget_preserves_fixpoint () =
   (* end to end: a BDD node budget too small for any obligation forces
@@ -155,6 +135,47 @@ let test_exhausted_bdd_budget_preserves_fixpoint () =
     = (match vp with Scorr.Equivalent _ -> 0 | Scorr.Not_equivalent _ -> 1 | Scorr.Unknown _ -> 2));
   Alcotest.(check bool) "same partition" true (classes rs = classes rp)
 
+(* At induction depth 2 a two-frame BDD counterexample shows only that
+   the obligation fails one step after a Q-state; the run it needs must
+   satisfy Q on two frames.  Refuting on it split a pair of this machine
+   that the plain depth-2 sweep (and the explicit-state oracle) keeps
+   together. *)
+let test_bdd_route_respects_depth () =
+  let seed = 411801 in
+  let a, _ =
+    Aig.of_netlist (Test_util.random_circuit ~n_inputs:3 ~n_latches:3 ~n_gates:14 seed)
+  in
+  let a' = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed a in
+  let run use_speculation =
+    Scorr.Verify.run_with_relation
+      ~options:
+        { Scorr.default_options with
+          Scorr.Verify.engine = Scorr.Verify.Sat_engine;
+          sat_unroll = 2;
+          use_speculation;
+          use_retime = false;
+          use_sim_seed = false;
+          use_ternary_seed = false;
+          jobs = 1
+        }
+      a a'
+  in
+  let classes = function
+    | _, _, Some p ->
+      List.sort compare
+        (List.map
+           (fun cls -> List.sort compare (Scorr.Partition.members p cls))
+           (Scorr.Partition.multi_member_classes p))
+    | _, _, None -> []
+  in
+  let spec = run true and plain = run false in
+  Alcotest.(check (list (list int))) "same partition at depth 2" (classes plain) (classes spec);
+  let _, product, _ = plain in
+  Alcotest.(check (list (list int)))
+    "the oracle's classes"
+    (List.map (List.map fst) (Test_util.scorr_gfp ~k:2 product))
+    (classes plain)
+
 (* The cost model is charged in work units, so at one job a speculative
    run's routing, and every work counter with it, repeats exactly. *)
 let test_speculative_counters_repeat () =
@@ -173,7 +194,6 @@ let test_speculative_counters_repeat () =
 
 let suite =
   [
-    Alcotest.test_case "sim screens first" `Quick test_sim_screens_first;
     Alcotest.test_case "bdd threshold boundaries" `Quick test_bdd_threshold_boundaries;
     Alcotest.test_case "sat preference shrinks bdd region" `Quick
       test_sat_preference_shrinks_bdd_region;
@@ -181,9 +201,10 @@ let suite =
       test_cost_model_overrides_static;
     Alcotest.test_case "cost model EMA" `Quick test_cost_model_ema;
     Alcotest.test_case "ban falls back to sat" `Quick test_ban_falls_back_to_sat;
-    Alcotest.test_case "sim ban marks survivor" `Quick test_sim_ban_is_survivor_mark;
     Alcotest.test_case "exhausted bdd budget preserves fixpoint" `Quick
       test_exhausted_bdd_budget_preserves_fixpoint;
+    Alcotest.test_case "bdd route respects the induction depth" `Quick
+      test_bdd_route_respects_depth;
     Alcotest.test_case "speculative counters repeat at one job" `Quick
       test_speculative_counters_repeat;
   ]

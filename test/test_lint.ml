@@ -410,8 +410,9 @@ let test_intake_errors () =
         (Lint.Intake.Path path))
 
 (* Byte mutations (replace, delete, insert) of every format [Intake]
-   reads, and of a witness: each must load to [Ok] or a typed error, never
-   raise, and allocate less than a fixed bound whatever the header
+   reads, and of a witness, a checkpoint and a certificate (with its DRAT
+   trace): each must load to [Ok] or a typed error, never raise another
+   exception, and allocate less than a fixed bound whatever the header
    claims. *)
 type mutation = Replace of int * char | Delete of int | Insert of int * char
 
@@ -432,12 +433,46 @@ let mutate text ms =
 
 let intake_alloc_bound = 64e6
 
+(* The text readers outside [Intake]: name, a valid sample, the reader. *)
+let text_readers =
+  lazy
+    (let spec = fst (Aig.of_netlist (Circuits.Counter.modulo 5)) in
+     let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_only ~seed:3 spec in
+     let options = Scorr.default_options in
+     let run = Scorr.Verify.run_with_relation ~options spec impl in
+     let checkpoint =
+       match Scorr.Verify.checkpoint_of_run ~options ~spec ~impl run with
+       | Ok cp ->
+         let bits n = Array.init n (fun i -> i mod 3 = 0) in
+         let _, product, _ = run in
+         let aig = product.Scorr.Product.aig in
+         Scorr.Checkpoint.to_string
+           { cp with
+             Scorr.Checkpoint.patterns = [ (bits (Aig.num_pis aig), bits (Aig.num_latches aig)) ]
+           }
+       | Error msg -> failwith msg
+     in
+     let certificate =
+       match Cert.Certificate.of_run ~options ~spec ~impl run with
+       | Ok cert -> (
+         match Cert.Certificate.prove ~spec ~impl cert with
+         | Ok cert -> Cert.Certificate.to_string cert
+         | Error e -> failwith (Cert.Certificate.explain_check_error e))
+       | Error e -> failwith (Cert.Certificate.explain_emit_error e)
+     in
+     [
+       ( "witness",
+         Cert.Witness.to_string
+           (Cert.Witness.make (Array.init 4 (fun t -> Array.init 3 (fun i -> (t + i) mod 2 = 0)))),
+         fun s -> ignore (Cert.Witness.parse_string s) );
+       ("checkpoint", checkpoint, fun s -> ignore (Scorr.Checkpoint.parse_string s));
+       ("certificate", certificate, fun s -> ignore (Cert.Certificate.parse_string s));
+     ])
+
+let test_text_readers_accept_samples () =
+  List.iter (fun (_, text, read) -> read text) (Lazy.force text_readers)
+
 let prop_intake_total =
-  let witness =
-    lazy
-      (Cert.Witness.to_string
-         (Cert.Witness.make (Array.init 4 (fun t -> Array.init 3 (fun i -> (t + i) mod 2 = 0)))))
-  in
   let gen =
     let open QCheck.Gen in
     let byte = map Char.chr (int_bound 255) and pos = int_bound 100_000 in
@@ -449,9 +484,14 @@ let prop_intake_total =
           map2 (fun i c -> Insert (i, c)) pos byte;
         ]
     in
-    pair (int_bound 5) (list_size (int_range 1 3) mutation)
+    pair (int_bound 7) (list_size (int_range 1 3) mutation)
   in
-  let suffix k = if k < 5 then fst (List.nth (Lazy.force intake_formats) k) else "witness" in
+  let suffix k =
+    if k < 5 then fst (List.nth (Lazy.force intake_formats) k)
+    else
+      let name, _, _ = List.nth (Lazy.force text_readers) (k - 5) in
+      name
+  in
   let print (k, ms) =
     Printf.sprintf "%s: %s" (suffix k)
       (String.concat "; "
@@ -475,9 +515,13 @@ let prop_intake_total =
               ignore (Lint.Intake.load (Lint.Intake.Text text))
           end
           else
-            match Cert.Witness.parse_string (mutate (Lazy.force witness) ms) with
-            | _ -> ()
-            | exception Cert.Witness.Parse_error _ -> ());
+            let _, text, read = List.nth (Lazy.force text_readers) (k - 5) in
+            match read (mutate text ms) with
+            | () -> ()
+            | exception
+                ( Cert.Witness.Parse_error _ | Scorr.Checkpoint.Parse_error _
+                | Cert.Certificate.Parse_error _ ) ->
+              ());
          Gc.allocated_bytes () -. before < intake_alloc_bound))
 
 let () =
@@ -514,6 +558,8 @@ let () =
         [
           Alcotest.test_case "every format loads" `Quick test_intake_formats;
           Alcotest.test_case "typed errors" `Quick test_intake_errors;
+          Alcotest.test_case "text readers accept their samples" `Quick
+            test_text_readers_accept_samples;
           prop_intake_total;
         ] );
     ]

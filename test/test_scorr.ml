@@ -312,42 +312,99 @@ let prop_engines_compute_same_relation =
                         (Scorr.Partition.multi_member_classes ps)))
          | _ -> true))
 
-let prop_batched_matches_pairwise =
-  (* the counterexample pool, batched disjunctive sweeps and the stability
-     cache are pure accelerators: for either engine the final partition,
-     the verdict and the equivalence score must be exactly those of the
-     legacy one-solve-per-pair path *)
+(* The mode matrix: every surviving combination of engine, induction
+   depth, speculation, static analysis and worker count computes the one
+   greatest fixed point of Eq. (3).  Each run that reached a fixed point
+   must match the explicit-state oracle class for class, relative
+   polarities included, and every conclusive verdict must match
+   exhaustive exploration.  Retiming is off, so the relation lives over
+   the product as built (of the pre-reduced circuits when speculation
+   and analysis are both on).  Seeding is off: on machines this small,
+   simulation alone reaches the fixed point, and Eq. (3) would have
+   nothing left to split.  The machines mix retimed pairs, rewrites,
+   and mutants that may or may not be observable; a retiming that leaves
+   more than 12 product latches falls back to a rewrite, so the oracle
+   enumerates at most 2^15 points. *)
+let matrix_pair seed =
+  let c = Test_util.random_circuit ~n_inputs:3 ~n_latches:3 ~n_gates:14 seed in
+  let a, _ = Aig.of_netlist c in
+  let small r = Aig.num_latches a + Aig.num_latches r <= 12 in
+  let retimed recipe =
+    let r = Circuits.Suite.implementation ~recipe ~seed a in
+    if small r then r else Transform.Opt.rewrite ~seed a
+  in
+  let a' =
+    match seed mod 3 with
+    | 0 -> retimed Circuits.Suite.Retime_opt
+    | 1 -> Transform.Opt.rewrite ~seed a
+    | _ -> (
+      let r = retimed Circuits.Suite.Retime_only in
+      match Transform.Mutate.pick_fault ~seed r with
+      | Some f -> Transform.Mutate.apply r f
+      | None -> r)
+  in
+  (a, a')
+
+let canonical_classes p =
+  List.sort compare
+    (List.map
+       (fun c ->
+         match List.sort compare (Scorr.Partition.members p c) with
+         | [] -> []
+         | first :: _ as ids ->
+           List.map
+             (fun id -> (id, Scorr.Partition.polarity p id <> Scorr.Partition.polarity p first))
+             ids)
+       (Scorr.Partition.multi_member_classes p))
+
+let mode_matrix_ok seed ~use_sat ~k ~use_speculation ~use_analysis ~jobs =
+  let a, a' = matrix_pair seed in
+  let options =
+    {
+      Scorr.default_options with
+      Scorr.Verify.engine = (if use_sat then Scorr.Verify.Sat_engine else Scorr.Verify.Bdd_engine);
+      sat_unroll = k;
+      use_speculation;
+      use_analysis;
+      jobs;
+      use_retime = false;
+      use_sim_seed = false;
+      use_ternary_seed = false;
+    }
+  in
+  let verdict, product, relation = Scorr.Verify.run_with_relation ~options a a' in
+  let fixpoint_ok =
+    match (verdict, relation) with
+    | (Scorr.Equivalent _ | Scorr.Unknown { Scorr.Verify.exhausted = None; _ }), Some p ->
+      canonical_classes p = Test_util.scorr_gfp ~k:(if use_sat then k else 1) product
+    | _ -> true
+  in
+  let verdict_ok =
+    match verdict with
+    | Scorr.Equivalent _ -> Test_util.bounded_seq_equiv a a'
+    | Scorr.Not_equivalent _ -> not (Test_util.bounded_seq_equiv a a')
+    | Scorr.Unknown _ -> true
+  in
+  fixpoint_ok && verdict_ok
+
+let prop_mode_matrix =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"batched sweeps reach the pairwise fixed point" ~count:12
-       QCheck.(pair (int_range 0 100_000) bool)
-       (fun (seed, use_sat) ->
-         let a = small_aig seed in
-         let a' = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed a in
-         let base = if use_sat then sat_opts else bdd_opts in
-         let run batched =
-           Scorr.Verify.run_with_relation
-             ~options:{ base with Scorr.Verify.use_batched_sweeps = batched }
-             a a'
-         in
-         let classes = function
-           | _, _, Some p ->
-             Some
-               (List.sort compare
-                  (List.map
-                     (fun c -> List.sort compare (Scorr.Partition.members p c))
-                     (Scorr.Partition.multi_member_classes p)))
-           | _, _, None -> None
-         in
-         let tag = function
-           | Scorr.Equivalent _ -> 0
-           | Scorr.Not_equivalent _ -> 1
-           | Scorr.Unknown _ -> 2
-         in
-         let ((vb, _, _) as rb) = run true and ((vp, _, _) as rp) = run false in
-         tag vb = tag vp
-         && (Scorr.Verify.verdict_stats vb).Scorr.Verify.eq_pct
-            = (Scorr.Verify.verdict_stats vp).Scorr.Verify.eq_pct
-         && classes rb = classes rp))
+    (QCheck.Test.make ~name:"all modes reach the oracle fixed point" ~count:120
+       QCheck.(
+         pair (int_range 0 100_000) (quad bool (int_range 1 2) (pair bool bool) (int_range 1 2)))
+       (fun (seed, (use_sat, k, (use_speculation, use_analysis), jobs)) ->
+         mode_matrix_ok seed ~use_sat ~k ~use_speculation ~use_analysis ~jobs))
+
+let prop_incremental_sat_matrix =
+  (* the SAT engine's persistent incremental lanes are its only path; this
+     draws the SAT half of the matrix alone, at one and two workers, so
+     the lanes' merge points are hit as often as the single-lane path *)
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"incremental sat matches the oracle" ~count:80
+       QCheck.(
+         pair (int_range 0 100_000) (triple (int_range 1 2) (pair bool bool) (int_range 1 2)))
+       (fun (seed, (k, (use_speculation, use_analysis), jobs)) ->
+         mode_matrix_ok seed ~use_sat:true ~k ~use_speculation ~use_analysis ~jobs))
 
 let prop_parallel_matches_sequential =
   (* the domain-parallel scheduler freezes the partition per round, solves
@@ -389,52 +446,6 @@ let prop_parallel_matches_sequential =
                 = (Scorr.Verify.verdict_stats v1).Scorr.Verify.eq_pct
              && classes r = classes r1)
            [ 2; 4 ]))
-
-let prop_incremental_matches_fresh =
-  (* persistent incremental solving — activation-guarded obligations on one
-     live solver per lane, learned-clause sharing at merge points, failed-core
-     proof transfer — is a pure accelerator: under any worker count, verdict,
-     equivalence score and final partition must match the fresh-solver-per-
-     class baseline exactly *)
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"incremental sat matches fresh solvers" ~count:10
-       QCheck.(pair (int_range 0 100_000) (int_range 1 2))
-       (fun (seed, k) ->
-         let a = small_aig seed in
-         let a' = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed a in
-         let run ~jobs ~incr =
-           Scorr.Verify.run_with_relation
-             ~options:
-               { sat_opts with
-                 Scorr.Verify.jobs;
-                 use_incremental = incr;
-                 sat_unroll = k
-               }
-             a a'
-         in
-         let classes = function
-           | _, _, Some p ->
-             Some
-               (List.sort compare
-                  (List.map
-                     (fun c -> List.sort compare (Scorr.Partition.members p c))
-                     (Scorr.Partition.multi_member_classes p)))
-           | _, _, None -> None
-         in
-         let tag = function
-           | Scorr.Equivalent _ -> 0
-           | Scorr.Not_equivalent _ -> 1
-           | Scorr.Unknown _ -> 2
-         in
-         List.for_all
-           (fun jobs ->
-             let ((vi, _, _) as ri) = run ~jobs ~incr:true
-             and ((vf, _, _) as rf) = run ~jobs ~incr:false in
-             tag vi = tag vf
-             && (Scorr.Verify.verdict_stats vi).Scorr.Verify.eq_pct
-                = (Scorr.Verify.verdict_stats vf).Scorr.Verify.eq_pct
-             && classes ri = classes rf)
-           [ 1; 2; 4 ]))
 
 let prop_speculation_matches_plain =
   (* speculative reduction — merge all candidates, discharge assumption
@@ -582,9 +593,9 @@ let suite =
     prop_fixpoint_is_correspondence;
     prop_engines_agree;
     prop_engines_compute_same_relation;
-    prop_batched_matches_pairwise;
+    prop_mode_matrix;
+    prop_incremental_sat_matrix;
     prop_parallel_matches_sequential;
-    prop_incremental_matches_fresh;
     prop_speculation_matches_plain;
     prop_regcorr_sound;
     prop_k_induction_sound;

@@ -113,7 +113,7 @@ let requests =
       {
         spec = Serve.Protocol.Path "spec.blif";
         impl = Serve.Protocol.Path "impl.aag";
-        opts = { Serve.Protocol.default_opts with engine = "sat"; incremental = false };
+        opts = { Serve.Protocol.default_opts with engine = "sat"; speculate = true };
         watch = false;
       };
     Serve.Protocol.Status "job-1";
@@ -246,6 +246,30 @@ let test_protocol_rejects_malformed () =
   match Serve.Protocol.decode_response "{\"resp\":\"nope\"}" with
   | Ok _ -> Alcotest.fail "unknown response accepted"
   | Error _ -> ()
+
+(* A submission deeper than the induction bound is a decoding error: the
+   daemon answers it with an [error] response before any job exists. *)
+let test_protocol_bounds_induction () =
+  let submit k =
+    Printf.sprintf
+      "{\"req\":\"submit\",\"spec\":{\"path\":\"a\"},\"impl\":{\"path\":\"b\"},\
+       \"opts\":{\"engine\":\"sat\",\"induction\":%d}}"
+      k
+  in
+  (match Serve.Protocol.decode_request (submit Scorr.Verify.max_induction) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail ("bound itself rejected: " ^ msg));
+  List.iter
+    (fun k ->
+      let before = Gc.allocated_bytes () in
+      (match Serve.Protocol.decode_request (submit k) with
+      | Ok _ -> Alcotest.failf "accepted induction %d" k
+      | Error _ -> ());
+      Alcotest.(check bool)
+        (Printf.sprintf "induction %d allocates little" k)
+        true
+        (Gc.allocated_bytes () -. before < 1e6))
+    [ Scorr.Verify.max_induction + 1; 400_000_000 ]
 
 let test_trace_strings () =
   let trace = [| [| true; false; true |]; [| false; false; true |] |] in
@@ -722,6 +746,7 @@ let () =
           Alcotest.test_case "request round trip" `Quick test_request_round_trip;
           Alcotest.test_case "response round trip" `Quick test_response_round_trip;
           Alcotest.test_case "rejects malformed lines" `Quick test_protocol_rejects_malformed;
+          Alcotest.test_case "bounds the induction depth" `Quick test_protocol_bounds_induction;
           Alcotest.test_case "trace bit strings" `Quick test_trace_strings;
         ] );
       ( "counters",

@@ -193,26 +193,53 @@ let test_budget_unknown_keeps_bdd_stats () =
     Alcotest.(check bool) "phase stats harvested" true (s.phase_seconds <> [])
   | _ -> Alcotest.fail "expected Unknown under a 2k-node BDD budget"
 
-(* arb4 against its retimed twin under a 700-node budget outgrows the
-   manager's hard limit inside one BDD operation, between two samples of
-   the peak: the reported peak must still exceed the budget. *)
+(* Two ways a node budget runs out: arb4 against its retimed twin under
+   700 nodes outgrows the manager's hard limit inside one BDD operation,
+   between two samples of the peak; ctr8 under 300 nodes runs out while
+   the engine itself is built, before any context exists to harvest.
+   Either way the reported peak must exceed the budget. *)
 let test_node_limit_abort_reports_peak () =
-  let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find "arb4")) in
-  let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_only ~seed:7 spec in
-  let options =
-    { Scorr.default_options with
-      Scorr.Verify.engine = Scorr.Verify.Bdd_engine;
-      node_limit = 700;
-      use_speculation = false
-    }
+  List.iter
+    (fun (name, node_limit) ->
+      let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find name)) in
+      let impl =
+        Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_only ~seed:7 spec
+      in
+      let options =
+        { Scorr.default_options with
+          Scorr.Verify.engine = Scorr.Verify.Bdd_engine;
+          node_limit;
+          use_speculation = false
+        }
+      in
+      match Scorr.check ~options spec impl with
+      | Scorr.Unknown s ->
+        Alcotest.(check (option string))
+          (name ^ " exhausted") (Some "bdd nodes") s.Scorr.Verify.exhausted;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s peak %d exceeds the budget %d" name s.peak_bdd_nodes node_limit)
+          true
+          (s.peak_bdd_nodes > node_limit)
+      | _ -> Alcotest.failf "%s: expected Unknown under a %d-node BDD budget" name node_limit)
+    [ ("arb4", 700); ("ctr8", 300) ]
+
+(* The retired baselines and an induction depth past the bound are
+   refused up front, before any circuit work. *)
+let test_rejects_bad_options () =
+  let spec, impl = aig_pair 1 in
+  let rejects what options =
+    let before = Gc.allocated_bytes () in
+    (match Scorr.Verify.run ~options spec impl with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail ("accepted " ^ what));
+    Alcotest.(check bool) (what ^ " allocates little") true (Gc.allocated_bytes () -. before < 1e6)
   in
-  match Scorr.check ~options spec impl with
-  | Scorr.Unknown s ->
-    Alcotest.(check (option string)) "exhausted" (Some "bdd nodes") s.Scorr.Verify.exhausted;
-    Alcotest.(check bool)
-      (Printf.sprintf "peak %d exceeds the budget" s.peak_bdd_nodes)
-      true (s.peak_bdd_nodes > 700)
-  | _ -> Alcotest.fail "expected Unknown under a 700-node BDD budget"
+  let d = Scorr.default_options in
+  rejects "use_batched_sweeps = false" { d with Scorr.Verify.use_batched_sweeps = false };
+  rejects "use_incremental = false" { d with Scorr.Verify.use_incremental = false };
+  let sat k = { d with Scorr.Verify.engine = Scorr.Verify.Sat_engine; sat_unroll = k } in
+  rejects "sat_unroll past the bound" (sat (Scorr.Verify.max_induction + 1));
+  rejects "sat_unroll 4e8" (sat 400_000_000)
 
 let suite =
   [ Alcotest.test_case "order interleaves counter" `Quick test_order_interleaves_counter;
@@ -226,6 +253,7 @@ let suite =
       test_budget_unknown_keeps_bdd_stats;
     Alcotest.test_case "node-limit abort reports its peak" `Quick
       test_node_limit_abort_reports_peak;
+    Alcotest.test_case "rejects retired and unbounded options" `Quick test_rejects_bad_options;
     prop_order_is_permutation;
     prop_traces_replay;
     prop_certificate_relation_is_inductive;

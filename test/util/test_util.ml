@@ -126,3 +126,140 @@ let bounded_seq_equiv ?(max_states = 1 lsl 16) a1 a2 =
     done
   done;
   !ok
+
+(* Explicit-state oracle for the maximum signal correspondence relation
+   of a small product machine at induction depth [k], independent of the
+   engines: every (state, input) point of the product is simulated once,
+   and the greatest fixed point is computed over sets of points.
+
+   - Equation (2), generalized to k frames: class members agree on every
+     point whose state is reachable from the initial state in fewer than
+     k steps.
+   - Equation (3): members agree on every point of frame k + 1 of a run
+     that starts in any state and satisfies Q on frames 1..k.  Refine
+     until no class splits.
+
+   Signals are compared up to polarity, normalized by their value at the
+   initial state under the all-zero input.  The result lists the
+   multi-member classes, sorted, each member tagged with whether its
+   polarity differs from the class's smallest member. *)
+let scorr_gfp ?(k = 1) ?(max_points = 1 lsl 18) product =
+  let aig = product.Scorr.Product.aig in
+  let n_pis = Aig.num_pis aig and n_latches = Aig.num_latches aig in
+  let n_nodes = Aig.num_nodes aig in
+  if n_pis + n_latches > 62 || 1 lsl (n_pis + n_latches) > max_points then
+    invalid_arg "scorr_gfp: product too large to enumerate";
+  (* point p = state * 2^n_pis + input *)
+  let n_points = 1 lsl (n_pis + n_latches) in
+  let n_words = (n_points + 63) / 64 in
+  let value = Array.make_matrix n_nodes n_words 0L in
+  let next = Array.make n_points 0 in
+  let bit w j = Int64.logand (Int64.shift_right_logical w j) 1L = 1L in
+  (* word [w] of the bit set of points satisfying [f] *)
+  let lane_word w f =
+    let acc = ref 0L in
+    for j = 0 to 63 do
+      let p = (64 * w) + j in
+      if p < n_points && f p then acc := Int64.logor !acc (Int64.shift_left 1L j)
+    done;
+    !acc
+  in
+  for w = 0 to n_words - 1 do
+    let pi_words = Array.init n_pis (fun i -> lane_word w (fun p -> (p lsr i) land 1 = 1)) in
+    let latch_words =
+      Array.init n_latches (fun l -> lane_word w (fun p -> (p lsr (n_pis + l)) land 1 = 1))
+    in
+    let values, nexts = Aig.Sim.step aig ~pi_words ~latch_words in
+    for id = 0 to n_nodes - 1 do
+      value.(id).(w) <- Aig.Sim.lit_word values (Aig.lit_of_node id)
+    done;
+    for j = 0 to min 63 (n_points - (64 * w) - 1) do
+      let s = ref 0 in
+      Array.iteri (fun l nw -> if bit nw j then s := !s lor (1 lsl l)) nexts;
+      next.((64 * w) + j) <- !s
+    done
+  done;
+  let init_state =
+    let s = ref 0 in
+    for l = 0 to n_latches - 1 do
+      if Aig.latch_init aig l then s := !s lor (1 lsl l)
+    done;
+    !s
+  in
+  let test p words = bit words.(p / 64) (p mod 64) in
+  let ref_point = init_state lsl n_pis in
+  let pol = Array.init n_nodes (fun id -> test ref_point value.(id)) in
+  let norm id = if pol.(id) then Array.map Int64.lognot value.(id) else value.(id) in
+  let nv = Array.init n_nodes norm in
+  (* the points whose state is in [states], as a bit set *)
+  let points_of states =
+    Array.init n_words (fun w -> lane_word w (fun p -> states.(p lsr n_pis)))
+  in
+  let successors points =
+    let states = Array.make (1 lsl n_latches) false in
+    for p = 0 to n_points - 1 do
+      if test p points then states.(next.(p)) <- true
+    done;
+    states
+  in
+  let all_points = points_of (Array.make (1 lsl n_latches) true) in
+  (* the relation: a class id per node; refining by a point set keys each
+     node by its class and its normalized values on the set *)
+  let cls = Array.make n_nodes 0 in
+  let refine points =
+    let n_before = 1 + Array.fold_left max 0 cls in
+    let keys = Hashtbl.create 64 in
+    for id = 0 to n_nodes - 1 do
+      let key = (cls.(id), Array.map2 Int64.logand nv.(id) points) in
+      match Hashtbl.find_opt keys key with
+      | Some c -> cls.(id) <- c
+      | None ->
+        let c = Hashtbl.length keys in
+        Hashtbl.add keys key c;
+        cls.(id) <- c
+    done;
+    Hashtbl.length keys > n_before
+  in
+  (* Equation (2): frames 0..k-1 from the initial state *)
+  let frame_states = Array.make (1 lsl n_latches) false in
+  frame_states.(init_state) <- true;
+  let reach = ref frame_states in
+  let init_states = Array.copy frame_states in
+  for _ = 2 to k do
+    reach := successors (points_of !reach);
+    Array.iteri (fun s b -> if b then init_states.(s) <- true) !reach
+  done;
+  ignore (refine (points_of init_states));
+  (* Equation (3) until stable *)
+  let rep = Array.make n_nodes (-1) in
+  let rec fix () =
+    Array.fill rep 0 n_nodes (-1);
+    let good = Array.copy all_points in
+    for id = 0 to n_nodes - 1 do
+      let c = cls.(id) in
+      if rep.(c) < 0 then rep.(c) <- id
+      else
+        let r = rep.(c) in
+        for w = 0 to n_words - 1 do
+          good.(w) <- Int64.logand good.(w) (Int64.lognot (Int64.logxor nv.(id).(w) nv.(r).(w)))
+        done
+    done;
+    let frame = ref good in
+    for _ = 2 to k do
+      frame := Array.map2 Int64.logand good (points_of (successors !frame))
+    done;
+    if refine (points_of (successors !frame)) then fix ()
+  in
+  fix ();
+  let members = Hashtbl.create 64 in
+  for id = n_nodes - 1 downto 0 do
+    Hashtbl.replace members cls.(id)
+      (id :: Option.value ~default:[] (Hashtbl.find_opt members cls.(id)))
+  done;
+  Hashtbl.fold
+    (fun _ ids acc ->
+      match ids with
+      | [] | [ _ ] -> acc
+      | first :: _ -> List.map (fun id -> (id, pol.(id) <> pol.(first))) ids :: acc)
+    members []
+  |> List.sort compare
