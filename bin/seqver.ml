@@ -915,7 +915,9 @@ let verify_cmd =
   let unroll =
     Arg.(value & opt int 1
          & info [ "k"; "unroll" ]
-             ~doc:"SAT-engine induction depth (1 = the paper; at most 64).")
+             ~doc:"SAT-engine induction depth (1 = the paper; at most 64). The cap \
+                   bounds memory, not time: a deep unrolling can run for minutes, so \
+                   pair a large $(b,-k) with $(b,--deadline).")
   in
   let seconds =
     Arg.(value & opt float 60.0 & info [ "time-limit" ] ~doc:"Traversal time budget (s).")
@@ -1186,7 +1188,9 @@ let submit_cmd =
   let induction =
     Arg.(value & opt int 1
          & info [ "k"; "unroll" ]
-             ~doc:"SAT-engine induction depth (1 = the paper; at most 64).")
+             ~doc:"SAT-engine induction depth (1 = the paper; at most 64). The cap \
+                   bounds memory, not time: a deep unrolling can run for minutes, so \
+                   pair a large $(b,-k) with $(b,--deadline).")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
   let analysis =

@@ -1,112 +1,117 @@
 (* Structural queries on BDDs: support, size, evaluation, model counting,
-   model extraction and printing. *)
+   model extraction and printing.  Walks over shared nodes mark visited
+   node indices with the manager's traversal epoch instead of allocating a
+   visited set. *)
 
 open Node
 
-let support f =
-  let seen = Hashtbl.create 64 in
-  let vars = Hashtbl.create 16 in
+(* Visit every node reachable from [roots] once, in depth-first order;
+   [visit i] may raise to stop the walk. *)
+let iter_nodes m roots visit =
+  let e = next_epoch m in
   let rec go f =
-    match f with
-    | Zero | One -> ()
-    | Node n ->
-      if not (Hashtbl.mem seen n.id) then begin
-        Hashtbl.add seen n.id ();
-        Hashtbl.replace vars n.var ();
-        go n.lo;
-        go n.hi
+    if not (is_const f) then begin
+      let i = index f in
+      if m.mark.(i) <> e then begin
+        m.mark.(i) <- e;
+        visit i;
+        go m.lo.(i);
+        go m.hi.(i)
       end
+    end
   in
-  go f;
-  List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) vars [])
+  List.iter go roots
 
-let size f =
-  let seen = Hashtbl.create 64 in
-  let rec go acc f =
-    match f with
-    | Zero | One -> acc
-    | Node n ->
-      if Hashtbl.mem seen n.id then acc
-      else begin
-        Hashtbl.add seen n.id ();
-        go (go (acc + 1) n.lo) n.hi
-      end
+let support m f =
+  let vars = ref [] in
+  iter_nodes m [ f ] (fun i -> vars := m.var.(i) :: !vars);
+  List.sort_uniq compare !vars
+
+let size_list m fs =
+  let n = ref 0 in
+  iter_nodes m fs (fun _ -> incr n);
+  !n
+
+let size m f = size_list m [ f ]
+
+(* [size_at_most m f k] is [Some n] when the DAG has n <= k nodes, [None]
+   otherwise; the walk stops as soon as the bound is exceeded, so probing
+   a huge function for smallness is cheap. *)
+let size_at_most m f k =
+  let e = next_epoch m in
+  let n = ref 0 in
+  (* false once more than [k] nodes have been seen *)
+  let rec within f =
+    is_const f
+    ||
+    let i = index f in
+    m.mark.(i) = e
+    || begin
+      m.mark.(i) <- e;
+      incr n;
+      !n <= k && within m.lo.(i) && within m.hi.(i)
+    end
   in
-  go 0 f
+  if within f then Some !n else None
 
-let size_list fs =
-  let seen = Hashtbl.create 64 in
-  let rec go acc f =
-    match f with
-    | Zero | One -> acc
-    | Node n ->
-      if Hashtbl.mem seen n.id then acc
-      else begin
-        Hashtbl.add seen n.id ();
-        go (go (acc + 1) n.lo) n.hi
-      end
-  in
-  List.fold_left go 0 fs
+let rec eval m f env =
+  if is_const f then f = one
+  else
+    let i = index f in
+    eval m ((if env m.var.(i) then m.hi.(i) else m.lo.(i)) lxor (f land 1)) env
 
-let rec eval f env =
-  match f with
-  | Zero -> false
-  | One -> true
-  | Node n -> if env n.var then eval n.hi env else eval n.lo env
-
-(* Number of satisfying assignments over [nvars] variables. *)
+(* Number of satisfying assignments over [nvars] variables: the fraction
+   of satisfying points, which negation complements, scaled by 2^nvars. *)
 let sat_count m ~nvars f =
-  let memo = Hashtbl.create 256 in
-  (* weight of a subfunction rooted strictly below level [above] *)
-  let nlevels = nvars in
-  let rec go f =
-    match f with
-    | Zero -> (0.0, nlevels)
-    | One -> (1.0, nlevels)
-    | Node n -> (
-      let lv = level m n.var in
-      match Hashtbl.find_opt memo n.id with
-      | Some c -> (c, lv)
-      | None ->
-        let clo, llo = go n.lo and chi, lhi = go n.hi in
-        let clo = clo *. (2.0 ** float_of_int (llo - lv - 1)) in
-        let chi = chi *. (2.0 ** float_of_int (lhi - lv - 1)) in
-        let c = clo +. chi in
-        Hashtbl.add memo n.id c;
-        (c, lv))
+  let memo = Memo.create 64 in
+  let rec density f =
+    if is_const f then if f = one then 1.0 else 0.0
+    else begin
+      let i = index f in
+      let d =
+        match Memo.find_opt memo i with
+        | Some d -> d
+        | None ->
+          let d = 0.5 *. (density m.lo.(i) +. density m.hi.(i)) in
+          Memo.add memo i d;
+          d
+      in
+      if is_compl f then 1.0 -. d else d
+    end
   in
-  let c, lv = go f in
-  c *. (2.0 ** float_of_int lv)
+  density f *. (2.0 ** float_of_int nvars)
 
-(* One satisfying assignment as a partial cube, or [None] if unsat. *)
-let any_sat f =
+(* One satisfying assignment as a partial cube, or [None] if unsat.  The
+   walk tries the then-branch first; in a reduced BDD every branch other
+   than [zero] is satisfiable, so it never backtracks more than one step. *)
+let any_sat m f =
   let rec go acc f =
-    match f with
-    | Zero -> None
-    | One -> Some (List.rev acc)
-    | Node n -> (
-      match go ((n.var, true) :: acc) n.hi with
+    if f = zero then None
+    else if f = one then Some (List.rev acc)
+    else
+      let v = top_var m f in
+      match go ((v, true) :: acc) (high m f) with
       | Some cube -> Some cube
-      | None -> go ((n.var, false) :: acc) n.lo)
+      | None -> go ((v, false) :: acc) (low m f)
   in
   go [] f
 
 (* All satisfying partial cubes, for tests on small functions. *)
-let all_sat f =
+let all_sat m f =
   let rec go acc f k =
-    match f with
-    | Zero -> k
-    | One -> List.rev acc :: k
-    | Node n -> go ((n.var, true) :: acc) n.hi (go ((n.var, false) :: acc) n.lo k)
+    if f = zero then k
+    else if f = one then List.rev acc :: k
+    else
+      let v = top_var m f in
+      go ((v, true) :: acc) (high m f) (go ((v, false) :: acc) (low m f) k)
   in
   go [] f []
 
-let pp ?(max_cubes = 8) ppf f =
-  match f with
-  | Zero -> Format.fprintf ppf "false"
-  | One -> Format.fprintf ppf "true"
-  | Node _ ->
-    let cubes = all_sat f in
+let pp ?(max_cubes = 8) m ppf f =
+  if f = zero then Format.fprintf ppf "false"
+  else if f = one then Format.fprintf ppf "true"
+  else begin
+    let cubes = all_sat m f in
     let shown = List.filteri (fun i _ -> i < max_cubes) cubes in
     let pp_lit ppf (v, b) = Format.fprintf ppf "%sx%d" (if b then "" else "~") v in
     let pp_cube ppf cube =
@@ -118,45 +123,22 @@ let pp ?(max_cubes = 8) ppf f =
       ~pp_sep:(fun ppf () -> Format.fprintf ppf " + ")
       pp_cube ppf shown;
     if List.length cubes > max_cubes then Format.fprintf ppf " + ..."
+  end
 
-let to_dot ppf f =
-  let seen = Hashtbl.create 64 in
+(* Graphviz rendering: one box for the terminal [1], dashed else-edges,
+   and a dot-headed arrow on every complemented edge. *)
+let to_dot m ppf f =
+  let edge ppf e =
+    Format.fprintf ppf "n%d%s" (index e)
+      (if is_compl e then " [arrowhead=odot]" else "")
+  in
   Format.fprintf ppf "digraph bdd {@.";
-  Format.fprintf ppf "  n0 [label=\"0\",shape=box];@.";
-  Format.fprintf ppf "  n1 [label=\"1\",shape=box];@.";
-  let rec go f =
-    match f with
-    | Zero | One -> ()
-    | Node n ->
-      if not (Hashtbl.mem seen n.id) then begin
-        Hashtbl.add seen n.id ();
-        Format.fprintf ppf "  n%d [label=\"x%d\"];@." n.id n.var;
-        Format.fprintf ppf "  n%d -> n%d [style=dashed];@." n.id (id n.lo);
-        Format.fprintf ppf "  n%d -> n%d;@." n.id (id n.hi);
-        go n.lo;
-        go n.hi
-      end
-  in
-  go f;
+  Format.fprintf ppf "  n0 [label=\"1\",shape=box];@.";
+  Format.fprintf ppf "  root [shape=point];@.";
+  Format.fprintf ppf "  root -> %a;@." edge f;
+  iter_nodes m [ f ] (fun i ->
+      Format.fprintf ppf "  n%d [label=\"x%d\"];@." i m.var.(i);
+      Format.fprintf ppf "  n%d -> n%d [style=dashed%s];@." i (index m.lo.(i))
+        (if is_compl m.lo.(i) then ",arrowhead=odot" else "");
+      Format.fprintf ppf "  n%d -> %a;@." i edge m.hi.(i));
   Format.fprintf ppf "}@."
-
-(* [size_at_most f k] is [Some n] when the DAG has n <= k nodes, [None]
-   otherwise; the walk aborts as soon as the bound is exceeded, so probing
-   a huge function for smallness is cheap. *)
-let size_at_most f k =
-  let seen = Hashtbl.create 64 in
-  let exception Too_big in
-  let count = ref 0 in
-  let rec go f =
-    match f with
-    | Node.Zero | Node.One -> ()
-    | Node.Node n ->
-      if not (Hashtbl.mem seen n.id) then begin
-        incr count;
-        if !count > k then raise Too_big;
-        Hashtbl.add seen n.id ();
-        go n.lo;
-        go n.hi
-      end
-  in
-  match go f with () -> Some !count | exception Too_big -> None

@@ -11,23 +11,23 @@ let made_nodes = Node.made_nodes
 let var = Node.var
 let nvar = Node.nvar
 let level = Node.level
-let one = Node.One
-let zero = Node.Zero
-let is_true f = f == Node.One
-let is_false f = f == Node.Zero
-let equal (a : t) (b : t) = a == b
-let id = Node.id
+let one = Node.one
+let zero = Node.zero
+let is_true f = f = Node.one
+let is_false f = f = Node.zero
+let equal = Int.equal
+let id f = f
 
 let mk_not = Ops.mk_not
-let mk_and = Ops.mk_and
-let mk_or = Ops.mk_or
-let mk_xor = Ops.mk_xor
+let mk_and = Node.mk_and
+let mk_or = Node.mk_or
+let mk_xor = Node.mk_xor
 let mk_xnor = Ops.mk_xnor
 let mk_nand = Ops.mk_nand
 let mk_nor = Ops.mk_nor
 let mk_imp = Ops.mk_imp
 let mk_iff = Ops.mk_iff
-let ite = Ops.ite
+let ite = Node.ite
 let big_and = Ops.big_and
 let big_or = Ops.big_or
 let cube = Ops.cube
@@ -45,6 +45,7 @@ let restrict = Ops.restrict
 let support = Analyze.support
 let size = Analyze.size
 let size_list = Analyze.size_list
+let size_at_most = Analyze.size_at_most
 let eval = Analyze.eval
 let sat_count = Analyze.sat_count
 let any_sat = Analyze.any_sat
@@ -53,8 +54,6 @@ let pp = Analyze.pp
 let to_dot = Analyze.to_dot
 
 module Reorder = Reorder
-let size_at_most = Analyze.size_at_most
-let memo_entries = Node.memo_entries
 
 exception Limit_exceeded = Node.Limit_exceeded
 

@@ -1,34 +1,35 @@
 (** Reduced ordered binary decision diagrams.
 
     A from-scratch ROBDD package in the style of the "BDD package developed
-    at Eindhoven University" used by the paper: hash-consed nodes owned by a
-    manager, memoized Boolean operations, quantification, composition,
-    generalized cofactors, and rebuild-based variable reordering.
+    at Eindhoven University" used by the paper, laid out as in Brace,
+    Rudell and Bryant's package: a flat node store with complement edges,
+    an open-addressed unique table and a lossy computed cache, owned by a
+    manager; quantification, composition, generalized cofactors, and
+    rebuild-based variable reordering.
 
-    Within one manager, two BDDs are semantically equal iff they are
-    physically equal ([==]); {!equal} exposes this test. *)
+    A BDD is an int edge into its manager's store.  Within one manager two
+    BDDs are semantically equal iff they are equal ints; {!equal} is that
+    test, and negation flips one bit without making a node. *)
 
 type manager
-(** Mutable owner of a node universe: unique table, operation caches and the
-    global variable order. *)
+(** Mutable owner of a node universe: node store, unique table, computed
+    cache and the global variable order. *)
 
 type t
-(** A BDD node.  Valid only together with the manager that created it. *)
+(** A BDD edge.  Valid only together with the manager that created it;
+    every traversal takes that manager. *)
 
 (** {1 Managers and variables} *)
 
-val create : ?cache_size:int -> unit -> manager
+val create : unit -> manager
 (** Fresh manager with the identity variable order. *)
 
 val clear_caches : manager -> unit
-(** Drop all memoization tables (the unique table is kept). *)
-
-val memo_entries : manager -> int
-(** Total entries across the operation caches; callers with memory budgets
-    can {!clear_caches} when this grows too large. *)
+(** Empty the computed cache (the nodes and the unique table are kept).
+    The cache is bounded, so no caller needs this to limit memory. *)
 
 exception Limit_exceeded
-(** Raised by any operation that would grow the unique table beyond the
+(** Raised by any operation that would grow the node store beyond the
     manager's node limit — a hard memory budget enforced even inside a
     single long-running operation. *)
 
@@ -39,11 +40,13 @@ val nvars : manager -> int
 (** Number of variables known to the manager. *)
 
 val live_nodes : manager -> int
-(** Number of distinct nodes currently in the unique table; the "BDD nodes"
-    statistic of the paper's Table 1. *)
+(** Number of nodes in the store; the "BDD nodes" statistic of the paper's
+    Table 1.  With complement edges a function and its negation share
+    their nodes. *)
 
 val made_nodes : manager -> int
-(** Total number of nodes ever created: a monotone work/peak measure. *)
+(** Total number of nodes ever created: a monotone work/peak measure.  The
+    store is never collected, so this equals {!live_nodes}. *)
 
 val var : manager -> int -> t
 (** [var m i] is the function of the i-th variable (created on demand). *)
@@ -62,14 +65,18 @@ val is_true : t -> bool
 val is_false : t -> bool
 
 val equal : t -> t -> bool
-(** Physical equality; equivalent to semantic equality within one manager. *)
+(** Int equality on edges; equivalent to semantic equality within one
+    manager. *)
 
 val id : t -> int
-(** Unique id of a node within its manager (usable as a hash key). *)
+(** The edge as an int, unique per function within its manager (usable as
+    a hash key). *)
 
 (** {1 Boolean connectives} *)
 
 val mk_not : manager -> t -> t
+(** O(1): flips the complement bit and makes no node. *)
+
 val mk_and : manager -> t -> t -> t
 val mk_or : manager -> t -> t -> t
 val mk_xor : manager -> t -> t -> t
@@ -122,43 +129,45 @@ val restrict : manager -> t -> care:t -> t
 
 (** {1 Analysis} *)
 
-val support : t -> int list
+val support : manager -> t -> int list
 (** Sorted list of variables the function depends on. *)
 
-val size : t -> int
-(** Number of internal nodes of the DAG rooted here. *)
+val size : manager -> t -> int
+(** Number of internal nodes of the DAG rooted here; [f] and [mk_not f]
+    have the same size. *)
 
-val size_list : t list -> int
+val size_list : manager -> t list -> int
 (** Shared node count of a set of roots. *)
 
-val size_at_most : t -> int -> int option
-(** [size_at_most f k] is [Some n] when the DAG has [n <= k] nodes, [None]
-    otherwise; aborts early, so probing a huge function is cheap. *)
+val size_at_most : manager -> t -> int -> int option
+(** [size_at_most m f k] is [Some n] when the DAG has [n <= k] nodes,
+    [None] otherwise; aborts early, so probing a huge function is cheap. *)
 
-val eval : t -> (int -> bool) -> bool
+val eval : manager -> t -> (int -> bool) -> bool
 
 val sat_count : manager -> nvars:int -> t -> float
 (** Number of satisfying assignments over [nvars] variables. *)
 
-val any_sat : t -> (int * bool) list option
-(** One satisfying partial assignment, or [None] when unsatisfiable. *)
+val any_sat : manager -> t -> (int * bool) list option
+(** One satisfying partial assignment, or [None] when unsatisfiable.  The
+    walk prefers each node's then-branch. *)
 
-val all_sat : t -> (int * bool) list list
+val all_sat : manager -> t -> (int * bool) list list
 (** Every satisfying path as a partial cube (tests / small functions). *)
 
-val pp : ?max_cubes:int -> Format.formatter -> t -> unit
-val to_dot : Format.formatter -> t -> unit
+val pp : ?max_cubes:int -> manager -> Format.formatter -> t -> unit
+val to_dot : manager -> Format.formatter -> t -> unit
 
 (** {1 Variable ordering} *)
 
 module Reorder : sig
-  val copy_to : dst:manager -> t list -> t list
-  (** Rebuild roots inside another manager (any variable order). *)
+  val copy_to : src:manager -> dst:manager -> t list -> t list
+  (** Rebuild roots of [src] inside another manager (any variable order). *)
 
   val manager_with_order : int array -> manager
   (** Manager where variable [order.(i)] sits at level [i]. *)
 
-  val with_order : order:int array -> t list -> manager * t list
+  val with_order : src:manager -> order:int array -> t list -> manager * t list
   (** Fresh manager with the given order plus the rebuilt roots. *)
 
   val interleave : int list list -> int list

@@ -1,298 +1,218 @@
-(* Boolean operations on ROBDDs.  Binary operations recurse on the topmost
-   level of their operands with global memoization; traversal-style
-   operations (quantification, composition, restrict) use a per-call memo
-   table keyed by node ids. *)
+(* Boolean operations on ROBDDs with complement edges, built on the apply
+   core of {!Node}; negation is free.  Traversal-style operations
+   (quantification, composition, restrict) use a per-call memo keyed by
+   int edges. *)
 
 open Node
 
-let rec mk_not m f =
-  match f with
-  | Zero -> One
-  | One -> Zero
-  | Node n -> (
-    match Hashtbl.find_opt m.not_memo n.id with
-    | Some r -> r
-    | None ->
-      let r = mk m ~var:n.var ~lo:(mk_not m n.lo) ~hi:(mk_not m n.hi) in
-      Hashtbl.add m.not_memo n.id r;
-      r)
+(* Two edges as one memo key; edges stay far below 2^31. *)
+let pair a b = (a lsl 31) lor b
 
-let ordered_key a b =
-  let ia = id a and ib = id b in
-  if ia <= ib then (ia, ib) else (ib, ia)
-
-let rec mk_and m f g =
-  match (f, g) with
-  | Zero, _ | _, Zero -> Zero
-  | One, x | x, One -> x
-  | _ when f == g -> f
-  | _ ->
-    let key = ordered_key f g in
-    (match Hashtbl.find_opt m.and_memo key with
-    | Some r -> r
-    | None ->
-      let lv = min (top_level m f) (top_level m g) in
-      let f0, f1 = cofactors m f lv and g0, g1 = cofactors m g lv in
-      let v = if top_level m f = lv then top_var f else top_var g in
-      let r = mk m ~var:v ~lo:(mk_and m f0 g0) ~hi:(mk_and m f1 g1) in
-      Hashtbl.add m.and_memo key r;
-      r)
-
-let rec mk_or m f g =
-  match (f, g) with
-  | One, _ | _, One -> One
-  | Zero, x | x, Zero -> x
-  | _ when f == g -> f
-  | _ ->
-    let key = ordered_key f g in
-    (match Hashtbl.find_opt m.or_memo key with
-    | Some r -> r
-    | None ->
-      let lv = min (top_level m f) (top_level m g) in
-      let f0, f1 = cofactors m f lv and g0, g1 = cofactors m g lv in
-      let v = if top_level m f = lv then top_var f else top_var g in
-      let r = mk m ~var:v ~lo:(mk_or m f0 g0) ~hi:(mk_or m f1 g1) in
-      Hashtbl.add m.or_memo key r;
-      r)
-
-let rec mk_xor m f g =
-  match (f, g) with
-  | Zero, x | x, Zero -> x
-  | One, x | x, One -> mk_not m x
-  | _ when f == g -> Zero
-  | _ ->
-    let key = ordered_key f g in
-    (match Hashtbl.find_opt m.xor_memo key with
-    | Some r -> r
-    | None ->
-      let lv = min (top_level m f) (top_level m g) in
-      let f0, f1 = cofactors m f lv and g0, g1 = cofactors m g lv in
-      let v = if top_level m f = lv then top_var f else top_var g in
-      let r = mk m ~var:v ~lo:(mk_xor m f0 g0) ~hi:(mk_xor m f1 g1) in
-      Hashtbl.add m.xor_memo key r;
-      r)
-
-let mk_nand m f g = mk_not m (mk_and m f g)
-let mk_nor m f g = mk_not m (mk_or m f g)
-let mk_xnor m f g = mk_not m (mk_xor m f g)
-let mk_imp m f g = mk_or m (mk_not m f) g
+let mk_not _m f = neg f
+let mk_nand m f g = neg (mk_and m f g)
+let mk_nor m f g = neg (mk_or m f g)
+let mk_xnor m f g = neg (mk_xor m f g)
+let mk_imp m f g = mk_or m (neg f) g
 let mk_iff = mk_xnor
 
-let rec ite m f g h =
-  match f with
-  | One -> g
-  | Zero -> h
-  | Node _ -> (
-    if g == h then g
-    else if g == One && h == Zero then f
-    else if g == Zero && h == One then mk_not m f
-    else
-      let key = (id f, id g, id h) in
-      match Hashtbl.find_opt m.ite_memo key with
+(* A traversal memoized on the regular edge, for operations that commute
+   with negation: [go] sees only regular non-constant edges. *)
+let negation_invariant memo go f =
+  if is_const f then f
+  else
+    let f' = regular f in
+    let r =
+      match Memo.find_opt memo f' with
       | Some r -> r
       | None ->
-        let lv = min (top_level m f) (min (top_level m g) (top_level m h)) in
-        let f0, f1 = cofactors m f lv
-        and g0, g1 = cofactors m g lv
-        and h0, h1 = cofactors m h lv in
-        let v =
-          if top_level m f = lv then top_var f
-          else if top_level m g = lv then top_var g
-          else top_var h
-        in
-        let r = mk m ~var:v ~lo:(ite m f0 g0 h0) ~hi:(ite m f1 g1 h1) in
-        Hashtbl.add m.ite_memo key r;
-        r)
+        let r = go f' in
+        Memo.add memo f' r;
+        r
+    in
+    r lxor (f land 1)
 
 (* Restrict a single variable to a constant. *)
 let cofactor m f v value =
   ensure_var m v;
   let lv = level m v in
-  let memo = Hashtbl.create 64 in
+  let memo = Memo.create 64 in
   let rec go f =
-    match f with
-    | Zero | One -> f
-    | Node n ->
-      if level m n.var > lv then f
-      else if level m n.var = lv then if value then n.hi else n.lo
-      else begin
-        match Hashtbl.find_opt memo n.id with
-        | Some r -> r
-        | None ->
-          let r = mk m ~var:n.var ~lo:(go n.lo) ~hi:(go n.hi) in
-          Hashtbl.add memo n.id r;
-          r
-      end
+    negation_invariant memo
+      (fun f ->
+        let l = top_level m f in
+        if l > lv then f
+        else if l = lv then if value then high m f else low m f
+        else mk m (top_var m f) ~lo:(go (low m f)) ~hi:(go (high m f)))
+      f
   in
   go f
 
-let quantify m ~merge vars f =
-  let in_set = Hashtbl.create 16 in
+let var_set m vars =
+  let in_set = Array.make (List.fold_left max (-1) vars + 1) false in
   List.iter
     (fun v ->
       ensure_var m v;
-      Hashtbl.replace in_set v ())
+      in_set.(v) <- true)
     vars;
-  let memo = Hashtbl.create 256 in
+  fun v -> v < Array.length in_set && in_set.(v)
+
+let exists m vars f =
+  let quantified = var_set m vars in
+  let memo = Memo.create 64 in
   let rec go f =
-    match f with
-    | Zero | One -> f
-    | Node n -> (
-      match Hashtbl.find_opt memo n.id with
+    if is_const f then f
+    else
+      match Memo.find_opt memo f with
       | Some r -> r
       | None ->
-        let lo = go n.lo and hi = go n.hi in
-        let r =
-          if Hashtbl.mem in_set n.var then merge m lo hi
-          else mk m ~var:n.var ~lo ~hi
-        in
-        Hashtbl.add memo n.id r;
-        r)
+        let lo = go (low m f) and hi = go (high m f) in
+        let v = top_var m f in
+        let r = if quantified v then mk_or m lo hi else mk m v ~lo ~hi in
+        Memo.add memo f r;
+        r
   in
   go f
 
-let exists m vars f = quantify m ~merge:mk_or vars f
-let forall m vars f = quantify m ~merge:mk_and vars f
+let forall m vars f = neg (exists m vars (neg f))
 
 (* exists vars (f /\ g), the workhorse of image computation.  Conjunction
    and quantification are interleaved so the full conjunction is never
    built when a branch collapses early. *)
 let and_exists m vars f g =
-  let in_set = Hashtbl.create 16 in
-  List.iter
-    (fun v ->
-      ensure_var m v;
-      Hashtbl.replace in_set v ())
-    vars;
-  let memo = Hashtbl.create 1024 in
+  let quantified = var_set m vars in
+  let memo = Memo.create 64 in
   let rec go f g =
-    match (f, g) with
-    | Zero, _ | _, Zero -> Zero
-    | One, One -> One
-    | _ ->
-      let f, g = if id f <= id g then (f, g) else (g, f) in
-      begin
-        let key = (id f, id g) in
-        match Hashtbl.find_opt memo key with
-        | Some r -> r
-        | None ->
-          let lv = min (top_level m f) (top_level m g) in
-          let f0, f1 = cofactors m f lv and g0, g1 = cofactors m g lv in
-          let v = if top_level m f = lv then top_var f else top_var g in
-          let r =
-            if Hashtbl.mem in_set v then
-              let lo = go f0 g0 in
-              if lo == One then One else mk_or m lo (go f1 g1)
-            else mk m ~var:v ~lo:(go f0 g0) ~hi:(go f1 g1)
-          in
-          Hashtbl.add memo key r;
-          r
-      end
+    if f = zero || g = zero || f = neg g then zero
+    else if f = one && g = one then one
+    else begin
+      let f, g = if f <= g then (f, g) else (g, f) in
+      let key = pair f g in
+      match Memo.find_opt memo key with
+      | Some r -> r
+      | None ->
+        let lf = top_level m f and lg = top_level m g in
+        let lv = min lf lg in
+        let v = if lf = lv then top_var m f else top_var m g in
+        let f0 = cofactor0 m f lv and f1 = cofactor1 m f lv in
+        let g0 = cofactor0 m g lv and g1 = cofactor1 m g lv in
+        let r =
+          if quantified v then
+            let lo = go f0 g0 in
+            if lo = one then one else mk_or m lo (go f1 g1)
+          else mk m v ~lo:(go f0 g0) ~hi:(go f1 g1)
+        in
+        Memo.add memo key r;
+        r
+    end
   in
   go f g
 
 let compose m f v g =
   ensure_var m v;
   let lv = level m v in
-  let memo = Hashtbl.create 256 in
+  let memo = Memo.create 64 in
   let rec go f =
-    match f with
-    | Zero | One -> f
-    | Node n ->
-      if level m n.var > lv then f
-      else if level m n.var = lv then ite m g n.hi n.lo
-      else begin
-        match Hashtbl.find_opt memo n.id with
-        | Some r -> r
-        | None ->
-          let lo = go n.lo and hi = go n.hi in
-          (* [g] may mention variables ordered above [n.var]; rebuilding
-             through [ite] keeps the result canonical in every case. *)
-          let r = ite m (var m n.var) hi lo in
-          Hashtbl.add memo n.id r;
-          r
-      end
+    negation_invariant memo
+      (fun f ->
+        let l = top_level m f in
+        if l > lv then f
+        else if l = lv then ite m g (high m f) (low m f)
+        else
+          let lo = go (low m f) and hi = go (high m f) in
+          (* [g] may mention variables ordered above [f]'s top variable;
+             rebuilding through [ite] keeps the result canonical in every
+             case. *)
+          ite m (var m (top_var m f)) hi lo)
+      f
   in
   go f
 
 let vector_compose m f subst =
-  let memo = Hashtbl.create 1024 in
+  let memo = Memo.create 64 in
   let rec go f =
-    match f with
-    | Zero | One -> f
-    | Node n -> (
-      match Hashtbl.find_opt memo n.id with
-      | Some r -> r
-      | None ->
-        let lo = go n.lo and hi = go n.hi in
+    negation_invariant memo
+      (fun f ->
+        let lo = go (low m f) and hi = go (high m f) in
+        let v = top_var m f in
         let gv =
-          if n.var < Array.length subst then
-            match subst.(n.var) with Some g -> g | None -> var m n.var
-          else var m n.var
+          if v < Array.length subst then
+            match subst.(v) with Some g -> g | None -> var m v
+          else var m v
         in
-        let r = ite m gv hi lo in
-        Hashtbl.add memo n.id r;
-        r)
+        ite m gv hi lo)
+      f
   in
   go f
 
+(* Coudert–Madre generalized cofactor and restrict.  Both commute with
+   negation of [f], so the memo keys on the regular edge of [f] and the
+   result takes [f]'s complement bit back. *)
 let constrain m f c =
-  if c == Zero then invalid_arg "Bdd.constrain: empty care set";
-  let memo = Hashtbl.create 256 in
+  if c = zero then invalid_arg "Bdd.constrain: empty care set";
+  let memo = Memo.create 64 in
   let rec go f c =
-    if c == One then f
-    else
-      match f with
-      | Zero | One -> f
-      | Node _ when f == c -> One
-      | Node _ -> (
-        let key = (id f, id c) in
-        match Hashtbl.find_opt memo key with
+    if c = one || is_const f then f
+    else if f = c then one
+    else if f = neg c then zero
+    else begin
+      let parity = f land 1 in
+      let f = regular f in
+      let key = pair f c in
+      let r =
+        match Memo.find_opt memo key with
         | Some r -> r
         | None ->
-          let lv = min (top_level m f) (top_level m c) in
-          let f0, f1 = cofactors m f lv and c0, c1 = cofactors m c lv in
-          let v = if top_level m f = lv then top_var f else top_var c in
+          let lf = top_level m f and lc = top_level m c in
+          let lv = min lf lc in
+          let v = if lf = lv then top_var m f else top_var m c in
+          let f0 = cofactor0 m f lv and f1 = cofactor1 m f lv in
+          let c0 = cofactor0 m c lv and c1 = cofactor1 m c lv in
           let r =
-            if c1 == Zero then go f0 c0
-            else if c0 == Zero then go f1 c1
-            else mk m ~var:v ~lo:(go f0 c0) ~hi:(go f1 c1)
+            if c1 = zero then go f0 c0
+            else if c0 = zero then go f1 c1
+            else mk m v ~lo:(go f0 c0) ~hi:(go f1 c1)
           in
-          Hashtbl.add memo key r;
-          r)
+          Memo.add memo key r;
+          r
+      in
+      r lxor parity
+    end
   in
   go f c
 
 let restrict m f ~care =
-  if care == Zero then invalid_arg "Bdd.restrict: empty care set";
-  let memo = Hashtbl.create 256 in
+  if care = zero then invalid_arg "Bdd.restrict: empty care set";
+  let memo = Memo.create 64 in
   let rec go f c =
-    if c == One then f
-    else
-      match f with
-      | Zero | One -> f
-      | Node _ when f == c -> One
-      | Node _ -> (
-        let key = (id f, id c) in
-        match Hashtbl.find_opt memo key with
+    if c = one || is_const f then f
+    else if f = c then one
+    else if f = neg c then zero
+    else begin
+      let parity = f land 1 in
+      let f = regular f in
+      let key = pair f c in
+      let r =
+        match Memo.find_opt memo key with
         | Some r -> r
         | None ->
           let lvf = top_level m f and lvc = top_level m c in
           let r =
             if lvc < lvf then
               (* the care set tests a variable [f] ignores: drop it *)
-              let c0, c1 = cofactors m c lvc in
-              go f (mk_or m c0 c1)
+              go f (mk_or m (low m c) (high m c))
             else begin
-              let lv = lvf in
-              let f0, f1 = cofactors m f lv and c0, c1 = cofactors m c lv in
-              if c1 == Zero then go f0 c0
-              else if c0 == Zero then go f1 c1
-              else mk m ~var:(top_var f) ~lo:(go f0 c0) ~hi:(go f1 c1)
+              let f0 = cofactor0 m f lvf and f1 = cofactor1 m f lvf in
+              let c0 = cofactor0 m c lvf and c1 = cofactor1 m c lvf in
+              if c1 = zero then go f0 c0
+              else if c0 = zero then go f1 c1
+              else mk m (top_var m f) ~lo:(go f0 c0) ~hi:(go f1 c1)
             end
           in
-          Hashtbl.add memo key r;
-          r)
+          Memo.add memo key r;
+          r
+      in
+      r lxor parity
+    end
   in
   go f care
 
@@ -305,12 +225,12 @@ let rename m f perm =
   List.iter (fun (o, n) -> subst.(o) <- Some (var m n)) perm;
   vector_compose m f subst
 
-let big_and m fs = List.fold_left (mk_and m) One fs
-let big_or m fs = List.fold_left (mk_or m) Zero fs
+let big_and m fs = List.fold_left (mk_and m) one fs
+let big_or m fs = List.fold_left (mk_or m) zero fs
 
 let cube m lits =
   List.fold_left
     (fun acc (v, value) ->
       let lit = if value then var m v else nvar m v in
       mk_and m acc lit)
-    One lits
+    one lits

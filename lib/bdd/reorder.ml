@@ -1,28 +1,34 @@
 (* Variable (re)ordering.
 
-   Nodes are immutable, so reordering is performed by rebuilding root
-   functions inside a fresh manager that carries the new order.  This is
-   the honest substitute for in-place dynamic sifting documented in
-   DESIGN.md: a static order good for circuits (interleaving related
-   variable groups) plus an optional greedy improvement pass. *)
+   Stored nodes are never rewritten, so reordering is performed by
+   rebuilding root functions inside a fresh manager that carries the new
+   order.  This is the honest substitute for in-place dynamic sifting
+   documented in DESIGN.md: a static order good for circuits
+   (interleaving related variable groups) plus an optional greedy
+   improvement pass. *)
 
 open Node
 
-(* Rebuild [roots] inside [dst]; [dst] may use any variable order. *)
-let copy_to ~dst roots =
-  let memo = Hashtbl.create 1024 in
+(* Rebuild [roots] of [src] inside [dst]; [dst] may use any variable
+   order.  Rebuilding commutes with negation, so the memo keys on the
+   regular edge. *)
+let copy_to ~src ~dst roots =
+  let memo = Memo.create 64 in
   let rec go f =
-    match f with
-    | Zero -> Zero
-    | One -> One
-    | Node n -> (
-      match Hashtbl.find_opt memo n.id with
-      | Some r -> r
-      | None ->
-        let lo = go n.lo and hi = go n.hi in
-        let r = Ops.ite dst (Node.var dst n.var) hi lo in
-        Hashtbl.add memo n.id r;
-        r)
+    if is_const f then f
+    else begin
+      let i = index f in
+      let r =
+        match Memo.find_opt memo i with
+        | Some r -> r
+        | None ->
+          let lo = go src.lo.(i) and hi = go src.hi.(i) in
+          let r = Node.ite dst (Node.var dst src.var.(i)) hi lo in
+          Memo.add memo i r;
+          r
+      in
+      r lxor (f land 1)
+    end
   in
   List.map go roots
 
@@ -36,9 +42,9 @@ let manager_with_order order =
   set_level_of_var dst levels;
   dst
 
-let with_order ~order roots =
+let with_order ~src ~order roots =
   let dst = manager_with_order order in
-  (dst, copy_to ~dst roots)
+  (dst, copy_to ~src ~dst roots)
 
 (* Interleave k groups of variables: [ [a0;a1]; [b0;b1] ] gives the order
    a0 b0 a1 b1.  Used to interleave specification and implementation state
@@ -72,15 +78,15 @@ let sift ?(max_passes = 1) m roots =
       order
     in
     let best_m = ref m and best_roots = ref roots in
-    let best_size = ref (Analyze.size_list roots) in
+    let best_size = ref (Analyze.size_list m roots) in
     for _pass = 1 to max_passes do
       for lv = 0 to n - 2 do
         let order = Array.copy current_order in
         let tmp = order.(lv) in
         order.(lv) <- order.(lv + 1);
         order.(lv + 1) <- tmp;
-        let m', roots' = with_order ~order !best_roots in
-        let size' = Analyze.size_list roots' in
+        let m', roots' = with_order ~src:!best_m ~order !best_roots in
+        let size' = Analyze.size_list m' roots' in
         if size' < !best_size then begin
           best_m := m';
           best_roots := roots';

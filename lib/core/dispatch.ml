@@ -261,7 +261,7 @@ let bdd_solve t br raig ob =
     bdd_check_limit t br.br_man;
     if Bdd.is_false diff then Bdd_discharged
     else
-      match Bdd.any_sat diff with
+      match Bdd.any_sat br.br_man diff with
       | None -> Bdd_discharged
       | Some assignment ->
         let s = Array.make n_latches false in

@@ -47,10 +47,7 @@ let note ctx =
   if Deadline.expired ctx.deadline then raise (Budget_exceeded "deadline");
   let live = Bdd.live_nodes ctx.m in
   if live > ctx.peak_nodes then ctx.peak_nodes <- live;
-  if live > ctx.node_limit then raise (Budget_exceeded "bdd nodes");
-  (* operation caches are unbounded; keep memory proportional to the
-     unique table *)
-  if Bdd.memo_entries ctx.m > (4 * live) + 1_000_000 then Bdd.clear_caches ctx.m
+  if live > ctx.node_limit then raise (Budget_exceeded "bdd nodes")
 
 (* [latch_order], when given, lists product latch indices in the order
    their state variables should be placed (correspondence candidates
@@ -181,7 +178,7 @@ let fundep_subst ?(max_fn_size = 8) ctx partition =
          later compositions of the nu functions explode, so probe sizes
          with an early-abort bound *)
       let bounded_size f =
-        match Bdd.size_at_most f max_fn_size with Some n -> n | None -> max_int
+        match Bdd.size_at_most ctx.m f max_fn_size with Some n -> n | None -> max_int
       in
       let try_target w =
         let g_w = norm_cur ctx partition w in
@@ -189,7 +186,7 @@ let fundep_subst ?(max_fn_size = 8) ctx partition =
         if bounded_size h > max_fn_size then None
         else begin
           let h' = if !any then Bdd.vector_compose ctx.m h subst else h in
-          if bounded_size h' > max_fn_size || List.mem si (Bdd.support h') then None
+          if bounded_size h' > max_fn_size || List.mem si (Bdd.support ctx.m h') then None
           else Some h'
         end
       in
@@ -258,7 +255,7 @@ let nu_builder ~clamp_size ctx partition q subst =
   let m = ctx.m in
   let apply f = match subst with Some s -> Bdd.vector_compose m f s | None -> f in
   let clamp f =
-    match Bdd.size_at_most f clamp_size with
+    match Bdd.size_at_most m f clamp_size with
     | Some _ -> f
     | None ->
       note ctx;
@@ -287,7 +284,7 @@ let nu_builder ~clamp_size ctx partition q subst =
 let counterexample_valuation ctx subst q nu_a nu_b =
   let m = ctx.m in
   let d = Bdd.mk_and m q (Bdd.mk_xor m nu_a nu_b) in
-  match Bdd.any_sat d with
+  match Bdd.any_sat m d with
   | None -> None
   | Some assignment ->
     let env = Hashtbl.create 16 in
@@ -296,12 +293,12 @@ let counterexample_valuation ctx subst q nu_a nu_b =
     let lookup v =
       match subst with
       | Some s when v < Array.length s -> (
-        match s.(v) with Some h -> Bdd.eval h base | None -> base v)
+        match s.(v) with Some h -> Bdd.eval m h base | None -> base v)
       | _ -> base v
     in
     Some
       ( Array.init ctx.n_pis (fun i -> lookup ctx.x2.(i)),
-        Array.init ctx.n_latches (fun i -> Bdd.eval ctx.delta.(i) lookup) )
+        Array.init ctx.n_latches (fun i -> Bdd.eval m ctx.delta.(i) lookup) )
 
 (* The per-class scan outcome, mirroring the SAT engine's round shape:
    the sweep freezes the suspect classes, scans each through the

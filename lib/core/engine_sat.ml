@@ -85,7 +85,6 @@ type ctx = {
   init_clean : (int, int) Hashtbl.t; (* class -> frames proven clean from s0 *)
   mutable n_batched : int; (* batched class solves issued *)
   mutable n_cache_hits : int; (* classes skipped by the UNSAT cache *)
-  jobs : int; (* worker lanes for Eq.(3) sweeps *)
   sched : wstate Parsweep.t; (* persistent pool; lane 0 = primary solver *)
   static_filter : bool; (* split support-disjoint members before solving *)
   mutable n_static : int; (* classes split by the static prefilter *)
@@ -155,7 +154,6 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
     init_clean = Hashtbl.create 256;
     n_batched = 0;
     n_cache_hits = 0;
-    jobs = max 1 jobs;
     sched =
       Parsweep.create ~jobs ~init:(fun lane -> if lane = 0 then lane0 else unrolled_lane aig k);
     static_filter;

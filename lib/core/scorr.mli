@@ -599,8 +599,7 @@ module Engine_sat : sig
     init_clean : (int, int) Hashtbl.t;
     mutable n_batched : int;  (** batched class solves issued *)
     mutable n_cache_hits : int;  (** classes skipped by the UNSAT cache *)
-    jobs : int;  (** worker lanes for Eq.(3) sweeps *)
-    sched : wstate Parsweep.t;
+    sched : wstate Parsweep.t;  (** the sweep's lanes ({!Parsweep.jobs}) *)
     static_filter : bool;
         (** split PI-support-incompatible candidates for free before every
             pass (see {!Support.prefilter_class}) *)
@@ -865,7 +864,8 @@ module Verify : sig
 
   val max_induction : int
   (** 64: the deepest induction any entry point accepts (options, CLI
-      [-k], serve requests, certificates). *)
+      [-k], serve requests, certificates).  It bounds memory, not time:
+      only a deadline bounds a run at large depths. *)
 
   include module type of struct include Counters.Record end
   (** [stats] is the counter record {!Counters.t}, labels included. *)

@@ -134,7 +134,9 @@ let default_options =
 
 (* The deepest induction a run may unroll: every SAT lane encodes k + 1
    copies of the product, so an unchecked depth from a flag, a request or
-   a certificate would exhaust memory before any budget is polled. *)
+   a certificate would exhaust memory before any budget is polled.  The
+   cap bounds memory only: solving time still grows steeply with k, so a
+   run near the cap is bounded by its deadline alone. *)
 let max_induction = 64
 
 (* The option projections a checkpoint must reproduce on resume. *)
@@ -326,7 +328,7 @@ let make_engine (options : options) deadline product pol =
           (fun m s_vars ->
             let trans = Reach.Trans.make product.Product.aig in
             let ub = Reach.Approx.upper_bound ~block_size:options.reach_block_size trans in
-            match Bdd.Reorder.copy_to ~dst:m [ ub ] with
+            match Bdd.Reorder.copy_to ~src:trans.Reach.Trans.m ~dst:m [ ub ] with
             | [ ub' ] ->
               let perm =
                 Array.to_list

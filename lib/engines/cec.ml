@@ -45,7 +45,7 @@ let check_bdd a1 a2 =
       let diff = Bdd.mk_xor m (f1 l1) (f2 l2) in
       if Bdd.is_false diff then scan rest
       else
-        let cube = match Bdd.any_sat diff with Some c -> c | None -> assert false in
+        let cube = match Bdd.any_sat m diff with Some c -> c | None -> assert false in
         let assign = Array.make (n_pis + n_latches) false in
         List.iter (fun (v, b) -> assign.(v) <- b) cube;
         Different

@@ -16,7 +16,7 @@ let partition_latches trans ~k =
     Array.init n (fun i ->
         List.filter
           (fun v -> Array.exists (fun cs -> cs = v) trans.Trans.cs_vars)
-          (Bdd.support trans.Trans.next_fns.(i)))
+          (Bdd.support trans.Trans.m trans.Trans.next_fns.(i)))
   in
   let latch_of_var = Hashtbl.create 16 in
   Array.iteri (fun i v -> Hashtbl.replace latch_of_var v i) trans.Trans.cs_vars;

@@ -68,7 +68,7 @@ let image_with t ~next_fns from =
     for i = 0 to n - 1 do
       List.iter
         (fun v -> if Hashtbl.mem last_use v then Hashtbl.replace last_use v i)
-        (Bdd.support next_fns.(i))
+        (Bdd.support m next_fns.(i))
     done;
     let due = Array.make n [] in
     let immediately = ref [] in

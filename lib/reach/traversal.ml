@@ -36,12 +36,7 @@ let run ?(budget = default_budget) ?(use_fundep = false) ?property trans =
   let start = Sys.time () in
   let peak = ref (Bdd.live_nodes m) in
   let deps_found = ref 0 in
-  let note_peak () =
-    let live = Bdd.live_nodes m in
-    peak := max !peak live;
-    (* keep the operation caches proportional to the unique table *)
-    if Bdd.memo_entries m > (4 * live) + 1_000_000 then Bdd.clear_caches m
-  in
+  let note_peak () = peak := max !peak (Bdd.live_nodes m) in
   let finish outcome iterations =
     {
       outcome;

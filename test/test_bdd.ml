@@ -84,9 +84,9 @@ let test_hashcons () =
   let m = Bdd.create () in
   let f = Bdd.mk_and m (Bdd.var m 0) (Bdd.var m 1) in
   let g = Bdd.mk_and m (Bdd.var m 1) (Bdd.var m 0) in
-  Alcotest.(check bool) "and commutes physically" true (Bdd.equal f g);
+  Alcotest.(check bool) "and commutes canonically" true (Bdd.equal f g);
   let h = Bdd.mk_not m (Bdd.mk_or m (Bdd.nvar m 0) (Bdd.nvar m 1)) in
-  Alcotest.(check bool) "de morgan physically" true (Bdd.equal f h)
+  Alcotest.(check bool) "de morgan canonically" true (Bdd.equal f h)
 
 let test_cofactor () =
   let m = Bdd.create () in
@@ -119,7 +119,7 @@ let test_sat_count () =
 let test_support () =
   let m = Bdd.create () in
   let f = Bdd.mk_and m (Bdd.var m 4) (Bdd.mk_or m (Bdd.var m 1) (Bdd.var m 2)) in
-  Alcotest.(check (list int)) "support" [ 1; 2; 4 ] (Bdd.support f)
+  Alcotest.(check (list int)) "support" [ 1; 2; 4 ] (Bdd.support m f)
 
 let test_restrict_example () =
   let m = Bdd.create () in
@@ -133,7 +133,7 @@ let test_restrict_example () =
 let agree_tt f =
   let m = Bdd.create () in
   let b = build m f in
-  forall_envs (fun env -> Bdd.eval b env = eval_formula env f)
+  forall_envs (fun env -> Bdd.eval m b env = eval_formula env f)
 
 let quantify_exists_ok f =
   let m = Bdd.create () in
@@ -147,7 +147,7 @@ let quantify_exists_ok f =
             eval_formula env' f)
           [ (false, false); (false, true); (true, false); (true, true) ]
       in
-      Bdd.eval q env = expect)
+      Bdd.eval m q env = expect)
 
 let and_exists_ok (f, g) =
   let m = Bdd.create () in
@@ -162,7 +162,7 @@ let compose_ok (f, g) =
   let c = Bdd.compose m bf 1 bg in
   forall_envs (fun env ->
       let env' v = if v = 1 then eval_formula env g else env v in
-      Bdd.eval c env = eval_formula env' f)
+      Bdd.eval m c env = eval_formula env' f)
 
 let vector_compose_ok (f, g) =
   let m = Bdd.create () in
@@ -174,7 +174,7 @@ let vector_compose_ok (f, g) =
   forall_envs (fun env ->
       let gv = eval_formula env g in
       let env' v = if v = 0 then gv else if v = 2 then not gv else env v in
-      Bdd.eval c env = eval_formula env' f)
+      Bdd.eval m c env = eval_formula env' f)
 
 let restrict_sound (f, g) =
   (* restrict agrees with f wherever the care set holds *)
@@ -182,23 +182,23 @@ let restrict_sound (f, g) =
   let bf = build m f and care = build m g in
   QCheck.assume (not (Bdd.is_false care));
   let r = Bdd.restrict m bf ~care in
-  forall_envs (fun env -> (not (Bdd.eval care env)) || Bdd.eval r env = Bdd.eval bf env)
+  forall_envs (fun env -> (not (Bdd.eval m care env)) || Bdd.eval m r env = Bdd.eval m bf env)
 
 let constrain_sound (f, g) =
   let m = Bdd.create () in
   let bf = build m f and c = build m g in
   QCheck.assume (not (Bdd.is_false c));
   let r = Bdd.constrain m bf c in
-  forall_envs (fun env -> (not (Bdd.eval c env)) || Bdd.eval r env = Bdd.eval bf env)
+  forall_envs (fun env -> (not (Bdd.eval m c env)) || Bdd.eval m r env = Bdd.eval m bf env)
 
 let any_sat_ok f =
   let m = Bdd.create () in
   let b = build m f in
-  match Bdd.any_sat b with
+  match Bdd.any_sat m b with
   | None -> Bdd.is_false b
   | Some cube ->
     let env v = match List.assoc_opt v cube with Some b -> b | None -> false in
-    Bdd.eval b env
+    Bdd.eval m b env
 
 let sat_count_ok f =
   let m = Bdd.create () in
@@ -209,26 +209,60 @@ let sat_count_ok f =
   done;
   abs_float (Bdd.sat_count m ~nvars:nvars_tt b -. float_of_int !expect) < 0.5
 
+(* Rebuilt roots, a function and its complement, evaluate in their new
+   manager as the originals do in theirs. *)
+let rebuilt_agree m b (m', roots') =
+  match roots' with
+  | [ b'; nb' ] ->
+    forall_envs (fun env ->
+        let v = Bdd.eval m b env in
+        Bdd.eval m' b' env = v && Bdd.eval m' nb' env = not v)
+  | _ -> false
+
 let reorder_preserves f =
   let m = Bdd.create () in
   let b = build m f in
   (* force all nvars_tt variables to exist so orders are total *)
   let _ = Bdd.var m (nvars_tt - 1) in
   let order = Array.init nvars_tt (fun i -> nvars_tt - 1 - i) in
-  match Bdd.Reorder.with_order ~order [ b ] with
-  | _, [ b' ] -> forall_envs (fun env -> Bdd.eval b' env = Bdd.eval b env)
-  | _ -> false
+  rebuilt_agree m b (Bdd.Reorder.with_order ~src:m ~order [ b; Bdd.mk_not m b ])
 
 let sift_preserves f =
   let m = Bdd.create () in
   let b = build m f in
   let _ = Bdd.var m (nvars_tt - 1) in
-  match Bdd.Reorder.sift m [ b ] with
-  | _, [ b' ] -> forall_envs (fun env -> Bdd.eval b' env = Bdd.eval b env)
-  | _ -> false
+  rebuilt_agree m b (Bdd.Reorder.sift m [ b; Bdd.mk_not m b ])
+
+(* --- complement edges --------------------------------------------------- *)
+
+let not_involution f =
+  let m = Bdd.create () in
+  let b = build m f in
+  let made = Bdd.made_nodes m in
+  let nb = Bdd.mk_not m b in
+  Bdd.equal (Bdd.mk_not m nb) b && Bdd.made_nodes m = made
+
+let not_differs f =
+  let m = Bdd.create () in
+  let b = build m f in
+  not (Bdd.equal b (Bdd.mk_not m b))
+
+let not_same_size f =
+  let m = Bdd.create () in
+  let b = build m f in
+  Bdd.size m b = Bdd.size m (Bdd.mk_not m b)
+
+let not_sat_count f =
+  let m = Bdd.create () in
+  let b = build m f in
+  let total = float_of_int (1 lsl nvars_tt) in
+  abs_float
+    (Bdd.sat_count m ~nvars:nvars_tt (Bdd.mk_not m b)
+    -. (total -. Bdd.sat_count m ~nvars:nvars_tt b))
+  < 0.5
 
 let canonical (f, g) =
-  (* semantically equal formulas yield physically equal BDDs *)
+  (* semantically equal formulas yield equal edges *)
   let m = Bdd.create () in
   let bf = build m f and bg = build m g in
   let sem_equal = forall_envs (fun env -> eval_formula env f = eval_formula env g) in
@@ -237,10 +271,10 @@ let canonical (f, g) =
 let test_size_at_most () =
   let m = Bdd.create () in
   let f = Bdd.mk_xor m (Bdd.mk_xor m (Bdd.var m 0) (Bdd.var m 1)) (Bdd.var m 2) in
-  let n = Bdd.size f in
-  Alcotest.(check (option int)) "within bound" (Some n) (Bdd.size_at_most f n);
-  Alcotest.(check (option int)) "over bound" None (Bdd.size_at_most f (n - 1));
-  Alcotest.(check (option int)) "terminal" (Some 0) (Bdd.size_at_most Bdd.one 0)
+  let n = Bdd.size m f in
+  Alcotest.(check (option int)) "within bound" (Some n) (Bdd.size_at_most m f n);
+  Alcotest.(check (option int)) "over bound" None (Bdd.size_at_most m f (n - 1));
+  Alcotest.(check (option int)) "terminal" (Some 0) (Bdd.size_at_most m Bdd.one 0)
 
 let test_node_limit () =
   let m = Bdd.create () in
@@ -260,12 +294,30 @@ let test_memo_entries_clearing () =
   let f = Bdd.mk_and m (Bdd.var m 0) (Bdd.var m 1) in
   let g = Bdd.mk_or m f (Bdd.var m 2) in
   ignore (Bdd.mk_xor m f g);
-  Alcotest.(check bool) "caches populated" true (Bdd.memo_entries m > 0);
   Bdd.clear_caches m;
-  Alcotest.(check int) "caches empty" 0 (Bdd.memo_entries m);
   (* results remain canonical after clearing *)
   let f' = Bdd.mk_and m (Bdd.var m 0) (Bdd.var m 1) in
-  Alcotest.(check bool) "hash-consing survives" true (Bdd.equal f f')
+  Alcotest.(check bool) "hash-consing survives" true (Bdd.equal f f');
+  (* The computed cache is lossy and bounded: a function built through
+     more operations than it has slots must still come out canonical.
+     [x = y] over 16-bit words ordered x0..x15 y0..y15 has about 2^17
+     nodes. *)
+  let bits = 16 in
+  let x i = Bdd.var m i and y i = Bdd.var m (bits + i) in
+  let eq_bit i = Bdd.mk_iff m (x i) (y i) in
+  let upward = Bdd.big_and m (List.init bits eq_bit) in
+  let downward = Bdd.big_and m (List.rev (List.init bits eq_bit)) in
+  let differ = Bdd.big_or m (List.init bits (fun i -> Bdd.mk_xor m (x i) (y i))) in
+  Alcotest.(check bool) "more nodes than cache slots" true (Bdd.made_nodes m > 1 lsl 18);
+  Alcotest.(check bool) "association order" true (Bdd.equal upward downward);
+  Alcotest.(check bool) "de morgan" true (Bdd.equal upward (Bdd.mk_not m differ));
+  let rng = Random.State.make [| 7 |] in
+  for _ = 1 to 200 do
+    let word = Random.State.int rng (1 lsl bits) in
+    let other = if Random.State.bool rng then word else Random.State.int rng (1 lsl bits) in
+    let env v = if v < bits then word land (1 lsl v) <> 0 else other land (1 lsl (v - bits)) <> 0 in
+    Alcotest.(check bool) "evaluates x = y" (word = other) (Bdd.eval m upward env)
+  done
 
 let test_interleave () =
   let order = Bdd.Reorder.interleave [ [ 0; 1; 2 ]; [ 3; 4 ] ] in
@@ -296,6 +348,10 @@ let suite =
     prop "reorder preserves semantics" 100 reorder_preserves;
     prop "sift preserves semantics" 50 sift_preserves;
     prop2 "canonicity" 200 canonical;
+    prop "mk_not is a free involution" 200 not_involution;
+    prop "a function differs from its complement" 200 not_differs;
+    prop "complement has the same size" 200 not_same_size;
+    prop "complement sat_count" 200 not_sat_count;
   ]
 
 let () = Alcotest.run "bdd" [ ("bdd", suite) ]

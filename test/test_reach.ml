@@ -93,7 +93,7 @@ let prop_fundep_same_reachable =
                let rec idx i = if i >= Array.length arr then None else if arr.(i) = v then Some i else idx (i + 1) in
                match idx 0 with Some i -> bits land (1 lsl i) <> 0 | None -> false
              in
-             Bdd.eval r1 (env_of t1) = Bdd.eval r2 (env_of t2) && go (bits + 1)
+             Bdd.eval t1.Reach.Trans.m r1 (env_of t1) = Bdd.eval t2.Reach.Trans.m r2 (env_of t2) && go (bits + 1)
            in
            go 0
          in
@@ -126,12 +126,12 @@ let test_approx_excludes_unreachable () =
       Alcotest.(check bool)
         (Printf.sprintf "state %d excluded" bits)
         false
-        (Bdd.eval approx (env_of bits)))
+        (Bdd.eval trans.Reach.Trans.m approx (env_of bits)))
     [ 5; 6; 7 ];
   List.iter
     (fun bits ->
       Alcotest.(check bool) (Printf.sprintf "state %d included" bits) true
-        (Bdd.eval approx (env_of bits)))
+        (Bdd.eval trans.Reach.Trans.m approx (env_of bits)))
     [ 0; 1; 2; 3; 4 ]
 
 let test_fundep_detect () =
