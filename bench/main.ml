@@ -7,7 +7,7 @@
      ablation-sim       simulation seeding on/off (A1)
      ablation-retime    retiming extension on/off (A2)
      ablation-engine    BDD vs SAT refinement engine (A3)
-     ablation-speculation  speculative reduction + per-class dispatch on/off (E4)
+     ablation-speculation  speculative reduction (BDD screen + SAT sweep) on/off (E4)
      ablation-dontcare  reachable don't-cares on re-encoded FSMs (A4)
      micro              Bechamel microbenchmarks of the substrates (B1)
      all                everything above
@@ -19,9 +19,10 @@
                     nonzero exit when any verdict regresses from "proved"
    --filter RE      only bench suite circuits whose name matches RE
                     (OCaml Str regexp: alternation is backslash-pipe)
-   --speculate      run every scorr target with speculative reduction and
-                    the per-class dispatcher (the ablation-speculation
-                    target always A/Bs both modes regardless)
+   --speculate      run every scorr target with speculative reduction, the
+                    BDD screen in front of the SAT sweep (the
+                    ablation-speculation target always A/Bs both modes
+                    regardless)
    --seed N         PRNG seed for simulation seeding (Scorr options.seed)
    -j N             run ablation-engine circuit jobs across N worker domains
    --sweep-jobs N   worker domains inside each SAT sweep (Scorr options.jobs)
@@ -450,17 +451,17 @@ let ablation_unroll () =
 
 (* --- E4: speculative reduction ----------------------------------------------------------- *)
 
-(* A/B of speculative reduction: merge every candidate class onto its
-   representative, discharge the assumption obligations on the reduced
-   product through the per-class dispatcher (BDD, persistent incremental
-   SAT), refine and rebuild on refutation —
-   against the plain per-class sweep.  Verdicts and final partitions
-   are identical by construction (the refinement loop reaches the same
+(* A/B of speculative reduction: before every sweep, merge every
+   candidate class onto its representative and BDD-check the assumption
+   obligations on the reduced product, proving the classes whose
+   obligations all hold; the SAT sweep (at depth 1 on the bdd rows) takes
+   the rest — against the plain per-class sweep.  Verdicts and final
+   partitions are identical by construction (the loop reaches the same
    greatest fixed point); the table shows the wall-time and conflict
-   reduction per engine, plus how the dispatcher split the obligations. *)
+   reduction per engine, plus how the screen split the obligations. *)
 let ablation_speculation () =
   Printf.printf
-    "E4 (extension): speculative reduction + per-class engine dispatch vs the\n\
+    "E4 (extension): speculative reduction (BDD screen + SAT sweep) vs the\n\
      plain per-class sweep (identical verdicts by construction)\n\n";
   Printf.printf "%-9s %-4s | %-8s %8s %9s | %-8s %8s %9s %7s %7s | %7s %7s\n" "circuit"
     "eng" "plain" "time" "conflicts" "spec" "time" "conflicts" "merges" "bdd/sat"
@@ -479,17 +480,15 @@ let ablation_speculation () =
             (* both arms run the static-analysis layer, so the A/B isolates
                speculation itself: the plain arm gets the support
                prefilter, the speculative arm additionally pre-reduces
-               (Verify.prereduces) and dispatches per class.  bus's
+               (Verify.prereduces) and screens every sweep.  bus's
                depth-1 gfp does not imply output equality — depth-2
                induction closes it, at the same depth in both arms so
                the comparison stays engine-for-engine fair *)
             let options =
               { (scorr_options ()) with Scorr.Verify.engine; use_speculation;
                 use_analysis = true;
-                (* one lane in both arms: the plain sweep gains from solver
-                   partitioning at -j>1 while every dispatcher lane re-encodes
-                   the reduced product, so multi-lane runs on few cores would
-                   skew the A/B without measuring speculation at all *)
+                (* one lane in both arms, so the A/B measures speculation
+                   and not the sweep's solver partitioning at -j>1 *)
                 jobs = 1;
                 sat_unroll = (if name = "bus" then 2 else 1) }
             in

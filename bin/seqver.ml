@@ -885,13 +885,14 @@ let verify_cmd =
   let speculate =
     Arg.(value & flag
          & info [ "speculate" ]
-             ~doc:"Discharge the one-frame induction step on the speculatively reduced \
-                   product: every candidate class is merged onto its representative, \
-                   each merge yields one assumption obligation, and obligations are \
-                   routed per class to BDD or incremental SAT by an online cost \
-                   model.  Refuted assumptions refine the partition and rebuild \
-                   the reduction.  Verdicts and the final partition are identical to \
-                   the plain sweep; only the work differs.  (Also \\$SEQVER_SPECULATE.)")
+             ~doc:"Screen every sweep with speculative reduction: every candidate \
+                   class is merged onto its representative, each merge yields one \
+                   assumption obligation, and a class whose obligations are all valid \
+                   on the reduced product by a two-frame BDD check is proven without \
+                   a SAT call; the SAT sweep (at depth 1 under $(b,-e bdd)) proves \
+                   or splits the rest.  Verdicts and the final partition are \
+                   identical to the plain sweep at that depth; only the work \
+                   differs.  (Also \\$SEQVER_SPECULATE.)")
   in
   let no_speculate =
     Arg.(value & flag
@@ -1199,8 +1200,8 @@ let submit_cmd =
   let speculate =
     Arg.(value & flag
          & info [ "speculate" ]
-             ~doc:"Run the job with speculative reduction and the per-class engine \
-                   dispatcher (cached separately).")
+             ~doc:"Run the job with speculative reduction, the BDD screen in front \
+                   of the SAT sweep (cached separately).")
   in
   let deadline =
     Arg.(value & opt float 0.0

@@ -136,29 +136,6 @@ module Steer : sig
 
   val drop_on_exhaustion : reason:string option -> rung -> bool
   (** Drop later BDD rungs once one aborted on the node budget. *)
-
-  (** Online per-class solve-cost model for the speculation dispatcher: an
-      exponential moving average of past solve work (the dispatcher's
-      deterministic units, not seconds) keyed on (class id, engine), plus
-      sticky exhaustion bans.  Consulted before the static cone/level
-      thresholds. *)
-  module Cost : sig
-    type t
-
-    val alpha : float
-    (** EMA smoothing factor: estimate' = alpha*sample + (1-alpha)*estimate. *)
-
-    val create : unit -> t
-    val observe : t -> cls:int -> engine:engine -> float -> unit
-    val estimate : t -> cls:int -> engine:engine -> float option
-    val note_exhausted : t -> cls:int -> engine:engine -> unit
-    val exhausted : t -> cls:int -> engine:engine -> bool
-
-    val prefer : t -> cls:int -> default:engine -> engine option
-    (** Proving-engine choice for one class: banned engines excluded
-        ([None] when both are), cheaper EMA wins when both are known,
-        [default] (the static-threshold pick) otherwise. *)
-  end
 end
 
 (** One-stop report for `seqver analyze` and the bench shape columns. *)

@@ -1,6 +1,6 @@
 (* Engine steering: turn static shape metrics into a rung ladder for the
    verification portfolio, plus the two dynamic rules the portfolio applies
-   as rungs finish (past-solve-cost feedback).
+   as rungs finish.
 
    Static policy.  The BDD engine is the paper's method and wins on small
    state spaces; its failure mode is variable-order blowup, which tracks
@@ -68,53 +68,3 @@ let redundant_after ~completed rung = rung.induction <= completed.induction
    reason (the [exhausted] stats field of a finished rung)? *)
 let drop_on_exhaustion ~reason rung =
   match reason with Some "bdd nodes" -> rung.engine = Bdd | _ -> false
-
-(* Online per-class solve-cost model for the speculation dispatcher: an
-   exponential moving average of past solve work, keyed on (class id,
-   engine).  The dispatcher consults it before the static thresholds, so a
-   class whose cones look BDD-friendly but whose obligations keep costing
-   the BDD manager more than SAT migrates to SAT after a few rounds — and
-   vice versa.  Exhaustion (node-limit blowup, budget refusal) is sticky: a
-   banned (class, engine) pair is never routed to that engine again, which
-   is the fallback path's contract. *)
-module Cost = struct
-  type t = {
-    ema : (int * engine, float) Hashtbl.t;
-    banned : (int * engine, unit) Hashtbl.t;
-  }
-
-  (* EMA smoothing: new estimate = alpha * sample + (1 - alpha) * old. *)
-  let alpha = 0.5
-
-  let create () = { ema = Hashtbl.create 64; banned = Hashtbl.create 16 }
-
-  let observe t ~cls ~engine work =
-    let key = (cls, engine) in
-    let v =
-      match Hashtbl.find_opt t.ema key with
-      | None -> work
-      | Some old -> (alpha *. work) +. ((1. -. alpha) *. old)
-    in
-    Hashtbl.replace t.ema key v
-
-  let estimate t ~cls ~engine = Hashtbl.find_opt t.ema (cls, engine)
-  let note_exhausted t ~cls ~engine = Hashtbl.replace t.banned (cls, engine) ()
-  let exhausted t ~cls ~engine = Hashtbl.mem t.banned (cls, engine)
-
-  (* Pick between the two proving engines for [cls]: banned engines are
-     excluded; with both estimates present the cheaper EMA wins; a single
-     estimate wins only while the other side has no data and the estimate
-     beats [default] (the static-threshold choice) — otherwise fall back
-     to [default]. *)
-  let prefer t ~cls ~default =
-    let pick e = Some e in
-    let b_banned = exhausted t ~cls ~engine:Bdd in
-    let s_banned = exhausted t ~cls ~engine:Sat in
-    if b_banned && s_banned then None
-    else if b_banned then pick Sat
-    else if s_banned then pick Bdd
-    else
-      match (estimate t ~cls ~engine:Bdd, estimate t ~cls ~engine:Sat) with
-      | Some b, Some s -> pick (if b <= s then Bdd else Sat)
-      | _ -> pick default
-end

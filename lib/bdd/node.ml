@@ -124,7 +124,7 @@ end)
 (* Double the store; the unique table is rebuilt at twice the store's
    capacity.  The computed cache is replaced, empty, by one with a slot
    per node of capacity, up to [max_cache]: a larger cache made each
-   short-lived manager (one per speculative dispatch round) allocate
+   short-lived manager (one per speculation screen round) allocate
    megabytes it never filled. *)
 let grow m =
   let cap = Array.length m.var in

@@ -6,7 +6,7 @@
    under, and the rule that combines two harvests.
 
    The sources — the two refinement engines, the sweep scheduler, the
-   speculation dispatcher and Verify's own loop — keep counting in their
+   speculation screen and Verify's own loop — keep counting in their
    local mutable fields and atomics.  When a source is harvested it
    returns one record with its own counters set and the rest at [zero];
    Verify folds each harvest into its single accumulator with [combine].
@@ -28,12 +28,12 @@ module Record = struct
     batched_solves : int; (* one-per-class disjunctive solves / key scans *)
     cache_hits : int; (* classes skipped by the stability (UNSAT) cache *)
     static_splits : int; (* classes split by the PI-support prefilter, no solver *)
-    spec_rounds : int; (* speculative reductions built (0 = speculation off/unused) *)
+    spec_rounds : int; (* speculative reductions screened (0 = speculation off) *)
     spec_merges : int; (* candidate members merged onto representatives, all rounds *)
-    refuted_assumptions : int; (* speculation obligations a discharge refuted *)
-    spec_by_sim : int; (* obligations settled by each dispatcher engine *)
-    spec_by_bdd : int;
-    spec_by_sat : int;
+    refuted_assumptions : int; (* always 0: the screen never refutes *)
+    spec_by_sim : int; (* always 0 *)
+    spec_by_bdd : int; (* obligations the BDD screen proved *)
+    spec_by_sat : int; (* obligations the screen left to the SAT sweep *)
     domains : int; (* worker lanes of the sweep scheduler *)
     lane_solves : int list; (* sweep tasks completed per lane *)
     steals : int; (* tasks claimed from another lane's segment *)

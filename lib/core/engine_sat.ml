@@ -575,6 +575,14 @@ let sweep ctx partition ~trust =
   flush ();
   !splits > 0
 
+(* Record classes another prover (the speculative BDD screen) proved
+   stable at the partition's current version: the sweep skips them while
+   the version stands, exactly as it skips its own UNSAT answers, and the
+   strict pass re-proves them once the partition moves on. *)
+let mark_proved ctx partition classes =
+  let v = Partition.version partition in
+  List.iter (fun cls -> Hashtbl.replace ctx.proved_at cls v) classes
+
 (* One refinement iteration: a trusting sweep over suspect classes; when
    it is quiescent, a strict confirmation sweep that re-examines every
    class not proven at the current version, so the reported fixed point

@@ -11,7 +11,6 @@ module Support = Support
 module Simseed = Simseed
 module Ternseed = Ternseed
 module Specreduce = Specreduce
-module Dispatch = Dispatch
 module Engine_bdd = Engine_bdd
 module Engine_sat = Engine_sat
 module Retime_aug = Retime_aug

@@ -37,19 +37,19 @@ module Counters : sig
       static_splits : int;
           (** classes split by the PI-support prefilter at zero solver cost *)
       spec_rounds : int;
-          (** speculative reductions built; 0 when speculation was off or
-              never engaged (immediate convergence) *)
+          (** speculative reductions screened, one per fixed-point
+              iteration; 0 when speculation was off *)
       spec_merges : int;
           (** candidate members merged onto representatives, summed over
               the speculation rounds *)
       refuted_assumptions : int;
-          (** speculation obligations refuted by a discharge engine — each
-              fed the pool and refined the partition *)
+          (** always 0: the screen never refutes; the field stays only
+              because perfbench reads it *)
       spec_by_sim : int;
           (** always 0: the dispatcher's simulation screen is gone, and
               the field stays only because perfbench reads it *)
-      spec_by_bdd : int;  (** … by the BDD route *)
-      spec_by_sat : int;  (** … by the incremental-SAT route *)
+      spec_by_bdd : int;  (** obligations the BDD screen proved valid *)
+      spec_by_sat : int;  (** obligations the screen left to the SAT sweep *)
       domains : int;  (** worker lanes of the sweep scheduler *)
       lane_solves : int list;  (** sweep tasks completed per lane *)
       steals : int;  (** tasks claimed from another lane's segment *)
@@ -348,12 +348,6 @@ module Support : sig
   val make : Aig.t -> t
   val in_cone : t -> node:int -> of_:int -> bool
 
-  val cone_size : t -> int -> int
-  (** Number of nodes the signal structurally depends on (closed through
-      latches), itself included. *)
-
-  val max_cone_size : t -> int
-
   val pi_compatible : t -> int -> int -> bool
   (** May the two nodes be equivalent, judged by structural PI support?
       [false] exactly when both supports are non-empty and disjoint. *)
@@ -391,7 +385,9 @@ end
 (** Speculative reduction (ABC-style SRM): the product machine rebuilt
     with every candidate class merged onto its representative, one
     assumption obligation per merge that structural hashing did not
-    discharge outright.  Exactness argument in specreduce.ml. *)
+    discharge outright, and the BDD screen that proves classes on the
+    reduction ahead of the SAT sweep.  Exactness argument in
+    specreduce.ml. *)
 module Specreduce : sig
   type obligation = {
     ob_class : int;  (** partition class id at build time *)
@@ -415,82 +411,32 @@ module Specreduce : sig
   val tr : t -> int -> int
   (** Reduced image of an original-product literal. *)
 
-  val obligation_live : Partition.t -> obligation -> bool
-  (** Has the obligation's pair survived the refinements since build? *)
-
-  val q_holds : Product.t -> Partition.t -> pi:bool array -> latch:bool array -> bool
-  (** Does the full candidate relation Q hold on the ORIGINAL product at
-      this valuation?  The vetting gate for counterexamples obtained
-      without the Q-hat assumptions. *)
-
-  val step_original : Product.t -> pi:bool array -> latch:bool array -> bool array
-  (** Successor state under the ORIGINAL transition function — the only
-      way counterexample states may enter the pattern pool. *)
-end
-
-(** Per-class hybrid engine dispatcher for discharging speculation
-    obligations: a BDD validity route and persistent per-lane
-    incremental SAT, steered by cone/level thresholds and the online
-    {!Analysis.Steer.Cost} model. *)
-module Dispatch : sig
   exception Budget_exceeded of string
+  (** Raised by {!screen} when the deadline expires. *)
 
-  type engine = Bdd | Sat
-
-  val engine_name : engine -> string
-
-  type config = {
-    prefer : engine;  (** the caller's engine bias: the tie-break default *)
-    bdd_cone_limit : int;  (** static routing threshold on cone size *)
-    bdd_level_limit : int;  (** static routing threshold on level depth *)
-    bdd_node_limit : int;  (** per-round BDD manager budget *)
-    unroll : int;
-        (** induction depth k of the SAT route (>= 1): Q-hat is assumed
-            at frames 1..k and obligations are checked at frame k+1 *)
-    jobs : int;  (** Parsweep lanes carrying the persistent SAT solvers *)
+  (** The BDD screen of a speculative run: per-round manager and node
+      budget, plus the classes banned after a blowup. *)
+  type screen = {
+    node_limit : int;  (** per-round BDD manager budget *)
+    latch_pos : int array;  (** latch index -> BDD variable position *)
+    deadline : Deadline.t;  (** polled once per obligation *)
+    banned : (int, unit) Hashtbl.t;  (** classes whose check blew the budget *)
+    mutable counters : Counters.t;
+        (** speculation rounds and merges, obligations proved by the BDD
+            check ([spec_by_bdd]) and left to the sweep ([spec_by_sat]),
+            peak BDD nodes *)
   }
 
-  val default_config : prefer:engine -> config
+  val screen_create : node_limit:int -> latch_order:int array -> deadline:Deadline.t -> screen
 
-  type t
-
-  val create :
-    ?config:config ->
-    ?latch_order:int array ->
-    ?check_budget:(unit -> unit) ->
-    product:Product.t ->
-    pool:Simpool.t ->
-    deadline:Deadline.t ->
-    unit ->
-    t
-  (** [check_budget] is called before every solver-backed discharge (from
-      whatever lane runs it) and may raise to abort the round;
-      [latch_order] seeds the BDD variable order (default: latch index). *)
-
-  val route : t -> cls:int -> cone:int -> level:int -> engine
-  (** The routing rule: cost-model preference, static cone/level
-      thresholds and exhaustion bans (SAT is never banned — the fallback
-      terminus). *)
-
-  val observe : t -> cls:int -> engine:engine -> float -> unit
-  (** Feed one solve's work into the cost model: SAT propagations plus a
-      weight per conflict, or a weight per BDD node made —
-      deterministic, unlike seconds. *)
-
-  val ban : t -> cls:int -> engine:engine -> unit
-  (** Exhaustion: never route this class to this engine again. *)
-
-  val discharge : t -> Partition.t -> Specreduce.t -> int * int
-  (** Discharge every obligation, replaying counterexamples through the
-      shared pool: [(refuted, splits)].  The caller rebuilds the
-      reduction while [refuted > 0]; [refuted > 0] with [splits = 0]
-      signals a broken replay invariant and demands a fallback. *)
-
-  val harvest : t -> Counters.t
-  (** SAT solves and solver work, peak BDD nodes, and the obligations
-      settled by each engine. *)
-
-  val shutdown : t -> unit
+  val screen : screen -> Product.t -> Partition.t -> int list
+  (** Build the reduction of the partition and check every obligation of
+      an unbanned class for unconstrained two-frame validity on it.
+      Returns the multi-member classes whose obligations are all
+      structurally trivial or valid: they hold at the partition's
+      current version (which the screen does not change) for every
+      induction depth, provided every other class is proven at that
+      same version (the argument in specreduce.ml).  Never refutes. *)
 end
 
 (** BDD refinement engine (the paper's own implementation style). *)
@@ -644,6 +590,11 @@ module Engine_sat : sig
   (** Equation (2) batched: one staged disjunctive solve per (class,
       frame), counterexamples pooled and replayed bit-parallel. *)
 
+  val mark_proved : ctx -> Partition.t -> int list -> unit
+  (** Record classes proven stable at the partition's current version by
+      another prover (the speculative BDD screen); the sweep treats them
+      like its own UNSAT answers at that version. *)
+
   val refine_once : ctx -> Partition.t -> bool
   (** Equation (3) batched: the suspect classes of a round are frozen
       into snapshot tasks, solved across the pool's lanes (one staged
@@ -792,16 +743,16 @@ module Verify : sig
             perfbench builds the whole record. *)
     use_speculation : bool;
         (** Speculative reduction (default false, overridable via the
-            SEQVER_SPECULATE environment variable): merge every candidate
-            class onto its representative ({!Specreduce}), discharge one
-            assumption obligation per surviving merge on the REDUCED
-            product through the per-class hybrid dispatcher
-            ({!Dispatch}), and rebuild on refutation.  Exact
-            counterexample replay makes the fixed point, verdict and
-            final partition identical to the plain sweeps
-            (property-tested).  Drives every induction depth: the
-            dispatcher's SAT route unrolls [sat_unroll + 1] frames with
-            Q-hat assumed at frames 1..[sat_unroll]. *)
+            SEQVER_SPECULATE environment variable): before every sweep of
+            the fixed point, merge every candidate class onto its
+            representative ({!Specreduce}) and BDD-check each surviving
+            merge obligation on the REDUCED product; classes whose
+            obligations all hold are proven at the current partition
+            version and the SAT sweep takes the rest.  The exact engine
+            is then always the SAT sweep, at depth [sat_unroll] under
+            [Sat_engine] and at depth 1 under [Bdd_engine].  The fixed
+            point, verdict and final partition equal the plain sweeps'
+            at the same depth (property-tested). *)
     use_analysis : bool;
         (** Static-analysis steering (default false): the engines run the
             zero-cost PI-support prefilter before every pass, the BDD

@@ -5,30 +5,23 @@
    by (the polarity-adjusted image of) its representative, so every
    fanout reads the representative's signal.  Each merge carries one
    assumption obligation — "the member's own function still equals the
-   representative's signal in the reduced machine" — and the one-frame
-   induction step Eq.(3) is discharged on this reduced machine instead of
-   the full product.  Structural hashing plus the two-level rewrite rules
-   ([Analysis.Reduce.smart_and]) collapse most member functions onto
-   their representative outright (the FRAIG effect): those obligations
-   are structurally true and never reach a solver, which is where the
-   speedup comes from.
+   representative's signal in the reduced machine".  Structural hashing
+   plus the two-level rewrite rules ([Analysis.Reduce.smart_and])
+   collapse most member functions onto their representative outright
+   (the FRAIG effect): those obligations are structurally true, and most
+   of the rest are valid over the small reduced cones, so the screen
+   below proves their classes without a SAT call.
 
-   Soundness / exactness.  Write Q for the conjunction of the partition's
-   candidate equivalences over the ORIGINAL product and Q-hat for the
-   conjunction of the (non-trivial) obligations over the reduced machine.
-   By induction over the topological order, any frame-1 valuation of
-   (inputs, latches) satisfying Q-hat makes every reduced node equal to
-   its original counterpart — a merged fanin read is exactly the equality
-   Q grants — so at such valuations the reduced transition function, the
-   reduced obligations at frame 2, and the original Eq.(3) instances all
-   coincide with their original-product counterparts.  Hence discharging
-   "Q-hat at frame 1 implies each obligation at frame 2" on the reduced
-   machine proves exactly Eq.(3) for the partition, and any counterexample
-   model yields a genuine Eq.(3) witness of the original product (replayed
-   through [Simpool] after re-simulating the ORIGINAL transition function
-   — never the speculative one).  The fixed point reached by
-   refine-on-refutation is therefore the same greatest fixed point the
-   plain per-class sweeps compute.
+   Exactness.  Write Q for the conjunction of the partition's candidate
+   equivalences over the ORIGINAL product and Q-hat for the conjunction
+   of the (non-trivial) obligations over the reduced machine.  By
+   induction over the topological order, any valuation of (inputs,
+   latches) satisfying Q-hat makes every reduced node equal to its
+   original counterpart — a merged fanin read is exactly the equality Q
+   grants — so at such valuations the reduced transition function agrees
+   with the original one, and Q-hat and Q hold together.  The
+   sequential check "Q at frames 1..k implies Q at frame k+1" is
+   therefore the same statement over either machine.
 
    The reduced AIG deliberately skips [Aig.cleanup]: obligation literals
    must stay valid node references even when the merge makes them dead. *)
@@ -115,44 +108,118 @@ let build product partition =
     strash_rewrites = !rewrites;
   }
 
-(* Is an obligation still live?  Mid-round Simpool flushes refine the
-   partition; an obligation whose pair has already been separated (or
-   re-polarized) needs no solver time. *)
-let obligation_live partition ob =
-  Partition.lits_equal partition
-    (Partition.norm_lit partition ob.ob_member)
-    (Partition.norm_lit partition ob.ob_rep)
+(* ------------------------------------------------------------------ *)
+(* The BDD screen                                                     *)
 
-let broadcast b = if b then -1L else 0L
+(* A screen in front of the SAT sweep.  Every obligation of a fresh
+   reduction is checked for unconstrained two-frame validity on the
+   reduced circuit: its member and representative literals must agree
+   one step after ANY state, so in particular after every state the
+   sweep's Q admits at frame k, whatever the induction depth k.  A class
+   whose obligations are all structurally trivial or BDD-valid is proven
+   at the reduction's partition version; the others are left to the
+   exact sweep.  This is sound class by class because the exactness
+   argument above is topological: when every class is proven at ONE
+   version, some by the screen and the rest by the sweep's Eq.(3) under
+   the same Q, an induction over node ids makes every reduced node equal
+   its original at frame k+1, so every pair of the partition holds
+   there.  The screen never refutes: a BDD counterexample is unconstrained
+   and proves nothing, so the class simply goes to the sweep.
 
-(* Does the full candidate relation Q of [partition] hold on the ORIGINAL
-   product at the given frame-1 valuation?  Used to vet counterexamples
-   found without the Q-hat assumptions (the BDD screen) before their
-   successor state is replayed into the pool, and to certify simulation
-   states as Q-reachable. *)
-let q_holds product partition ~pi ~latch =
-  let aig = product.Product.aig in
-  let pi_words = Array.map broadcast pi in
-  let latch_words = Array.map broadcast latch in
-  let values = Aig.Sim.eval_comb aig ~pi_words ~latch_words in
-  List.for_all
-    (fun cls ->
-      match Partition.members partition cls with
-      | [] | [ _ ] -> true
-      | rep :: rest ->
-        let v = Aig.Sim.lit_word values (Partition.norm_lit partition rep) in
-        List.for_all
-          (fun m -> Aig.Sim.lit_word values (Partition.norm_lit partition m) = v)
-          rest)
-    (Partition.multi_member_classes partition)
+   The frame-2 functions are built lazily in a fresh manager per
+   reduction (the variable order puts latches first, at [latch_pos], then
+   the frame-1 and frame-2 inputs); every AND polls the node budget.  A
+   class whose check blows the budget is banned from the screen for the
+   rest of the run, and the manager is abandoned for the round. *)
 
-(* Original-product successor state of a frame-1 valuation: the exact
-   replay rule.  Counterexample states always step through the ORIGINAL
-   transition function — stepping the speculative one would justify
-   splits with states the real machine cannot reach under Q. *)
-let step_original product ~pi ~latch =
-  let aig = product.Product.aig in
-  let pi_words = Array.map broadcast pi in
-  let latch_words = Array.map broadcast latch in
-  let _, next = Aig.Sim.step aig ~pi_words ~latch_words in
-  Array.map (fun w -> Int64.equal (Int64.logand w 1L) 1L) next
+exception Budget_exceeded of string
+
+type screen = {
+  node_limit : int;  (* per-round BDD manager budget *)
+  latch_pos : int array;  (* latch index -> BDD variable position *)
+  deadline : Deadline.t;  (* polled once per obligation *)
+  banned : (int, unit) Hashtbl.t;  (* classes whose check blew the budget *)
+  mutable counters : Counters.t;
+}
+
+let screen_create ~node_limit ~latch_order ~deadline =
+  { node_limit; latch_pos = latch_order; deadline; banned = Hashtbl.create 16;
+    counters = Counters.zero }
+
+exception Blowup
+
+let poll_nodes sc man =
+  let live = Bdd.live_nodes man in
+  if live > sc.counters.Counters.peak_bdd_nodes then
+    sc.counters <- { sc.counters with Counters.peak_bdd_nodes = live };
+  if live > sc.node_limit then raise Blowup
+
+(* Frame-2 function of a reduced literal: the node functions over the
+   frame-2 inputs composed with the next-state functions over (state,
+   frame-1 inputs) — the same lazy construction as the BDD sweep
+   engine. *)
+let frame2 sc man raig =
+  let n_latches = Aig.num_latches raig and n_pis = Aig.num_pis raig in
+  let and_ a b =
+    poll_nodes sc man;
+    Bdd.mk_and man a b
+  in
+  let cur =
+    Engines.Aig_bdd.build ~and_ man raig
+      ~pi_var:(fun i -> Bdd.var man (n_latches + i))
+      ~latch_var:(fun i -> Bdd.var man sc.latch_pos.(i))
+  in
+  Engines.Aig_bdd.build ~and_ man raig
+    ~pi_var:(fun i -> Bdd.var man (n_latches + n_pis + i))
+    ~latch_var:(fun i -> cur (Aig.latch_next raig i))
+
+(* Screen one reduction of [partition]: the multi-member classes it
+   proves, to be marked proven at [Partition.version partition], which
+   the screen does not change. *)
+let screen sc product partition =
+  let sr = build product partition in
+  let left = Hashtbl.create 64 in
+  let by_bdd = ref 0 and by_sat = ref 0 in
+  let nxt =
+    lazy
+      (let man = Bdd.create () in
+       Bdd.set_node_limit man (2 * sc.node_limit);
+       (man, frame2 sc man sr.raig))
+  in
+  let dead = ref false in
+  Array.iter
+    (fun ob ->
+      let cls = ob.ob_class in
+      let valid =
+        (not !dead)
+        && (not (Hashtbl.mem left cls))
+        && (not (Hashtbl.mem sc.banned cls))
+        &&
+        (if Deadline.expired sc.deadline then raise (Budget_exceeded "deadline");
+         match
+           let man, nxt = Lazy.force nxt in
+           let diff = Bdd.mk_xor man (nxt ob.ob_mem_lit) (nxt ob.ob_rep_lit) in
+           poll_nodes sc man;
+           Bdd.is_false diff
+         with
+         | valid -> valid
+         | exception (Blowup | Bdd.Limit_exceeded) ->
+           dead := true;
+           Hashtbl.replace sc.banned cls ();
+           false)
+      in
+      if valid then incr by_bdd
+      else begin
+        Hashtbl.replace left cls ();
+        incr by_sat
+      end)
+    sr.obligations;
+  sc.counters <-
+    Counters.combine sc.counters
+      { Counters.zero with
+        spec_rounds = 1;
+        spec_merges = sr.n_merges;
+        spec_by_bdd = !by_bdd;
+        spec_by_sat = !by_sat
+      };
+  List.filter (fun cls -> not (Hashtbl.mem left cls)) (Partition.multi_member_classes partition)

@@ -67,32 +67,6 @@ let make aig =
 
 let in_cone t ~node ~of_ = node < t.n && of_ < t.n && test_bit t of_ node
 
-(* Cone cardinality: the number of nodes a signal structurally depends on
-   (closed through latches), i.e. the population count of its row. *)
-let cone_size t row =
-  let popcount w =
-    let open Int64 in
-    let w = sub w (logand (shift_right_logical w 1) 0x5555555555555555L) in
-    let w =
-      add (logand w 0x3333333333333333L) (logand (shift_right_logical w 2) 0x3333333333333333L)
-    in
-    let w = logand (add w (shift_right_logical w 4)) 0x0f0f0f0f0f0f0f0fL in
-    to_int (shift_right_logical (mul w 0x0101010101010101L) 56)
-  in
-  let acc = ref 0 in
-  let base = row * t.words in
-  for w = 0 to t.words - 1 do
-    acc := !acc + popcount t.table.(base + w)
-  done;
-  !acc
-
-let max_cone_size t =
-  let m = ref 0 in
-  for row = 0 to t.n - 1 do
-    m := max !m (cone_size t row)
-  done;
-  !m
-
 (* --- static candidate prefilter ------------------------------------------------ *)
 
 (* Projection of a cone onto the primary inputs.  Structural PI support

@@ -42,14 +42,13 @@ type options = {
          throwaway-solver baselines they once selected only because
          perfbench builds the whole record *)
   use_speculation : bool;
-      (* speculative reduction: merge every candidate class onto its
-         representative, discharge the assumption obligations on the
-         REDUCED product through the per-class hybrid dispatcher, and
-         rebuild on refutation.  Reaches the same greatest fixed point as
-         the plain sweeps (exact counterexample replay — see
-         specreduce.ml) at every induction depth: the dispatcher unrolls
-         [sat_unroll] + 1 frames with the partition assumed at frames
-         1..[sat_unroll]. *)
+      (* speculative reduction: before every sweep, merge every
+         candidate class onto its representative and BDD-check the
+         assumption obligations on the REDUCED product; classes whose
+         obligations all hold are proven at the current version and the
+         SAT sweep, always the exact engine here, takes the rest.  Reaches
+         the same greatest fixed point as the plain sweeps at
+         [effective_induction] (see specreduce.ml). *)
   use_analysis : bool;
       (* static-analysis steering: semantics-preserving pre-reduction (in
          {!portfolio}, when not resuming), the zero-cost PI-support
@@ -190,9 +189,6 @@ let verdict_stats = function
 type engine_ops = {
   refine_initial : Partition.t -> unit;
   refine_once : Partition.t -> bool;
-  pool : Simpool.t;
-      (* the engine's counterexample pool, shared with the speculation
-         dispatcher so its replayed patterns flow through one buffer *)
   harvest : unit -> Counters.t; (* the engine's run counters so far *)
   pool_patterns : unit -> (bool array * bool array) list;
       (* pending counterexample lanes, for checkpointing *)
@@ -311,7 +307,7 @@ let make_engine (options : options) deadline product pol =
       ps
   in
   match options.engine with
-  | Bdd_engine ->
+  | Bdd_engine when not options.use_speculation ->
     ignore pol;
     (* The variable order stays the structural output-cone interleave even
        in analysis mode: keying each cone's latches by next-state level or
@@ -350,23 +346,46 @@ let make_engine (options : options) deadline product pol =
     {
       refine_initial = wrap (Engine_bdd.refine_initial ctx);
       refine_once = (fun p -> wrap (Engine_bdd.refine_once ctx) p);
-      pool = ctx.Engine_bdd.pool;
       harvest = (fun () -> Engine_bdd.harvest ctx);
       pool_patterns = (fun () -> Simpool.snapshot ctx.Engine_bdd.pool);
       pool_add = (fun ps -> add_patterns ctx.Engine_bdd.pool ps);
       shutdown = (fun () -> Engine_bdd.shutdown ctx);
     }
-  | Sat_engine ->
+  | Bdd_engine | Sat_engine ->
+    (* Under speculation the exact engine is always the SAT sweep at the
+       run's induction depth, with the BDD screen of {!Specreduce} in
+       front of every sweep: each iteration proves the classes the
+       screen settles at the partition's current version, and the sweep
+       (whose strict pass re-proves every class at the version it ends
+       on) takes the rest. *)
     let ctx =
-      Engine_sat.make ~max_sat_calls:options.max_sat_calls ~k:options.sat_unroll
+      Engine_sat.make ~max_sat_calls:options.max_sat_calls ~k:(effective_induction options)
         ~jobs:options.jobs ~deadline ~static_filter:options.use_analysis product
     in
-    let wrap f x = try f x with Engine_sat.Budget_exceeded msg -> raise (Budget msg) in
+    let screen =
+      if not options.use_speculation then None
+      else
+        Some
+          (Specreduce.screen_create ~node_limit:options.node_limit
+             ~latch_order:(latch_order_from_outputs product) ~deadline)
+    in
+    let refine_once p =
+      Option.iter
+        (fun sc -> Engine_sat.mark_proved ctx p (Specreduce.screen sc product p))
+        screen;
+      Engine_sat.refine_once ctx p
+    in
+    let wrap f x =
+      try f x
+      with Engine_sat.Budget_exceeded msg | Specreduce.Budget_exceeded msg -> raise (Budget msg)
+    in
     {
       refine_initial = wrap (Engine_sat.refine_initial ctx);
-      refine_once = (fun p -> wrap (Engine_sat.refine_once ctx) p);
-      pool = ctx.Engine_sat.pool;
-      harvest = (fun () -> Engine_sat.harvest ctx);
+      refine_once = wrap refine_once;
+      harvest =
+        (fun () ->
+          let c = Engine_sat.harvest ctx in
+          match screen with Some sc -> Counters.combine c sc.Specreduce.counters | None -> c);
       pool_patterns = (fun () -> Simpool.snapshot ctx.Engine_sat.pool);
       pool_add = (fun ps -> add_patterns ctx.Engine_sat.pool ps);
       shutdown = (fun () -> Engine_sat.shutdown ctx);
@@ -773,108 +792,18 @@ let run_with_relation ?(options = default_options) spec impl =
                   if options.max_iterations > 0 && !acc.iterations >= options.max_iterations
                   then raise (Budget "iterations")
                 in
-                (* Speculative fixed point: merge all candidates, discharge
-                   the assumption obligations on the reduced product via the
-                   per-class dispatcher, refine and rebuild on refutation.
-                   Returns true when it converged (no obligation refuted —
-                   the partition is Eq.(3)-stable at the configured
-                   induction depth, and exact replay makes it THE greatest
-                   fixed point, so the plain loop is skipped); false falls
-                   back to the plain per-class sweeps.  The SAT route
-                   unrolls to [effective_induction] frames of Q-hat
-                   assumptions, matching what the plain sweep would
-                   assume, so the fixed points coincide at every k. *)
-                let speculative_fixpoint partition =
-                  (* start from the sharpest partition: replay whatever the
-                     seeding phases or a resume buffered in the pool *)
-                  if Simpool.lanes engine.pool > 0 then
-                    ignore (Simpool.flush engine.pool partition);
-                  let prefer =
-                    match options.engine with
-                    | Bdd_engine -> Dispatch.Bdd
-                    | Sat_engine -> Dispatch.Sat
-                  in
-                  let config =
-                    {
-                      (Dispatch.default_config ~prefer) with
-                      Dispatch.bdd_node_limit = options.node_limit;
-                      unroll = effective_induction options;
-                      jobs = options.jobs;
-                    }
-                  in
-                  (* the sweep engine is idle while the dispatcher runs, so
-                     its call count is fixed *)
-                  let engine_calls = (engine.harvest ()).sat_calls in
-                  let spec_calls = Atomic.make 0 in
-                  let check_budget () =
-                    let used = Atomic.fetch_and_add spec_calls 1 in
-                    if options.max_sat_calls > 0 && engine_calls + used >= options.max_sat_calls
-                    then raise (Budget "sat calls")
-                  in
-                  let dispatch =
-                    Dispatch.create ~config
-                      ~latch_order:(latch_order_from_outputs product)
-                      ~check_budget ~product ~pool:engine.pool ~deadline ()
-                  in
-                  Fun.protect
-                    ~finally:(fun () ->
-                      count (Dispatch.harvest dispatch);
-                      Dispatch.shutdown dispatch)
-                    (fun () ->
-                      (* every productive round splits >= 1 class, and
-                         classes are bounded by the candidate count, so
-                         this terminates; a round that refutes without
-                         splitting would violate the exact-replay
-                         invariant, and we fall back rather than spin *)
-                      let rec go () =
-                        poll ();
-                        let sr = Specreduce.build product partition in
-                        count
-                          {
-                            Counters.zero with
-                            spec_rounds = 1;
-                            spec_merges = sr.Specreduce.n_merges;
-                          };
-                        if Array.length sr.Specreduce.obligations = 0 then true
-                        else begin
-                          let refuted, splits =
-                            try Dispatch.discharge dispatch partition sr
-                            with Dispatch.Budget_exceeded why -> raise (Budget why)
-                          in
-                          count
-                            { Counters.zero with refuted_assumptions = refuted; iterations = 1 };
-                          notify partition;
-                          if
-                            options.checkpoint_every > 0
-                            && !acc.iterations mod options.checkpoint_every = 0
-                          then
-                            write_checkpoint ~round:n
-                              ~patterns:(engine.pool_patterns ())
-                              partition;
-                          if refuted = 0 then true
-                          else if splits = 0 then false
-                          else go ()
-                        end
-                      in
-                      go ())
-                in
-                let use_spec = options.use_speculation in
                 phase "fixpoint" (fun () ->
                     poll ();
-                    let converged = use_spec && speculative_fixpoint partition in
-                    if not converged then
-                      while engine.refine_once partition do
-                        count { Counters.zero with iterations = 1 };
-                        notify partition;
-                        poll ();
-                        if
-                          options.checkpoint_every > 0
-                          && !acc.iterations mod options.checkpoint_every = 0
-                        then
-                          write_checkpoint ~round:n
-                            ~patterns:(engine.pool_patterns ())
-                            partition
-                      done);
+                    while engine.refine_once partition do
+                      count { Counters.zero with iterations = 1 };
+                      notify partition;
+                      poll ();
+                      if
+                        options.checkpoint_every > 0
+                        && !acc.iterations mod options.checkpoint_every = 0
+                      then
+                        write_checkpoint ~round:n ~patterns:(engine.pool_patterns ()) partition
+                    done);
                 count { Counters.zero with iterations = 1 };
                 record_stats ();
                 if phase "outputs" (fun () -> outputs_proved options product partition) then
@@ -1014,22 +943,27 @@ let portfolio ?(options = default_options) ?(max_unroll = 3) spec impl =
             { options with engine = Sat_engine; sat_unroll = r.Analysis.Steer.induction })
         plan.Analysis.Steer.rungs
   in
-  (* dynamic skip state (analysis mode only): the deepest induction whose
-     fixed point some rung COMPLETED, and whether a BDD rung aborted on
-     the node budget *)
-  let completed_depth = ref 0 in
-  let bdd_exhausted = ref false in
-  let note_unknown opts (stats : stats) =
-    if plan <> None then
-      match stats.exhausted with
-      | None -> completed_depth := max !completed_depth (effective_induction opts)
-      | Some "bdd nodes" -> if opts.engine = Bdd_engine then bdd_exhausted := true
-      | Some _ -> ()
+  (* dynamic skip state (analysis mode only): every inconclusive rung so
+     far with the budget it exhausted, if any, judged by the two
+     {!Analysis.Steer} rules *)
+  let rung_of opts =
+    {
+      Analysis.Steer.engine =
+        (match opts.engine with Bdd_engine -> Analysis.Steer.Bdd | Sat_engine -> Analysis.Steer.Sat);
+      induction = effective_induction opts;
+    }
   in
+  let finished = ref [] in
+  let note_unknown opts (stats : stats) = finished := (rung_of opts, stats.exhausted) :: !finished in
   let skip_rung opts =
     plan <> None
-    && (effective_induction opts <= !completed_depth
-       || (!bdd_exhausted && opts.engine = Bdd_engine))
+    &&
+    let rung = rung_of opts in
+    List.exists
+      (fun (completed, reason) ->
+        (reason = None && Analysis.Steer.redundant_after ~completed rung)
+        || Analysis.Steer.drop_on_exhaustion ~reason rung)
+      !finished
   in
   if options.deadline_seconds <= 0.0 then
     let rec try_all last = function

@@ -568,7 +568,7 @@ let analyze_final s a =
 
 (* Search until a restart is due ([budget] conflicts), Sat, or Unsat.
    [assumptions] are re-installed as the first decisions after every
-   restart or deep backjump. *)
+   restart or deep backjump; an array, so installing one is O(1). *)
 let search s assumptions budget =
   let conflicts_here = ref 0 in
   try
@@ -595,8 +595,8 @@ let search s assumptions budget =
         end;
         if s.n_learnts > 4000 + (2 * s.n_clauses) then reduce_db s;
         (* install pending assumptions as decisions *)
-        if decision_level s < List.length assumptions then begin
-          let a = List.nth assumptions (decision_level s) in
+        if decision_level s < Array.length assumptions then begin
+          let a = assumptions.(decision_level s) in
           match value_lit s a with
           | 0 ->
             (* assumption contradicted: extract the failed core *)
@@ -633,6 +633,7 @@ let solve ?(assumptions = []) s =
       log_proof s (Step_add []);
       Unsat
     | None ->
+      let assumptions = Array.of_list assumptions in
       let restart = ref 0 in
       let rec loop () =
         let budget = int_of_float (100.0 *. luby 2.0 !restart) in

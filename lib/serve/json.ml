@@ -192,10 +192,18 @@ let parse_number c =
     | Some i -> Int i
     | None -> fail "malformed number %S at offset %d" s start
 
-let rec parse_value c =
+(* The deepest nesting a reader accepts.  Protocol messages nest about
+   three levels; the bound keeps a hostile line of brackets from costing
+   the daemon's single select loop time in proportion to its length
+   before it is refused. *)
+let max_depth = 64
+
+let rec parse_value ?(depth = 0) c =
   skip_ws c;
   match peek c with
   | None -> fail "unexpected end of input at offset %d" c.pos
+  | Some ('{' | '[') when depth >= max_depth ->
+    fail "nesting deeper than %d at offset %d" max_depth c.pos
   | Some '{' ->
     advance c;
     skip_ws c;
@@ -211,7 +219,7 @@ let rec parse_value c =
         let key = parse_string_body c in
         skip_ws c;
         expect c ':';
-        let v = parse_value c in
+        let v = parse_value ~depth:(depth + 1) c in
         fields := (key, v) :: !fields;
         skip_ws c;
         match peek c with
@@ -234,7 +242,7 @@ let rec parse_value c =
     else begin
       let items = ref [] in
       let rec elements () =
-        let v = parse_value c in
+        let v = parse_value ~depth:(depth + 1) c in
         items := v :: !items;
         skip_ws c;
         match peek c with

@@ -20,7 +20,7 @@ type verify_opts = {
   induction : int;  (** SAT-engine unrolling depth, at most {!Scorr.Verify.max_induction} *)
   seed : int;
   analysis : bool;
-  speculate : bool;  (** speculative reduction with the per-class dispatcher *)
+  speculate : bool;  (** speculative reduction: the BDD screen in front of the SAT sweep *)
   deadline : float;  (** per-job wall budget, seconds; 0 = none *)
 }
 

@@ -467,6 +467,16 @@ let text_readers =
          fun s -> ignore (Cert.Witness.parse_string s) );
        ("checkpoint", checkpoint, fun s -> ignore (Scorr.Checkpoint.parse_string s));
        ("certificate", certificate, fun s -> ignore (Cert.Certificate.parse_string s));
+       ( "serve-json",
+         Serve.Protocol.request_to_line
+           (Serve.Protocol.Submit
+              {
+                spec = Serve.Protocol.Path "spec.blif";
+                impl = Serve.Protocol.Aag "aag 1 1 0 1 0\n2\n2\n";
+                opts = { Serve.Protocol.default_opts with speculate = true; deadline = 2.5 };
+                watch = true;
+              }),
+         fun s -> ignore (Serve.Json.of_string s) );
      ])
 
 let test_text_readers_accept_samples () =
@@ -484,7 +494,7 @@ let prop_intake_total =
           map2 (fun i c -> Insert (i, c)) pos byte;
         ]
     in
-    pair (int_bound 7) (list_size (int_range 1 3) mutation)
+    pair (int_bound 8) (list_size (int_range 1 3) mutation)
   in
   let suffix k =
     if k < 5 then fst (List.nth (Lazy.force intake_formats) k)
@@ -520,7 +530,7 @@ let prop_intake_total =
             | () -> ()
             | exception
                 ( Cert.Witness.Parse_error _ | Scorr.Checkpoint.Parse_error _
-                | Cert.Certificate.Parse_error _ ) ->
+                | Cert.Certificate.Parse_error _ | Serve.Json.Parse_error _ ) ->
               ());
          Gc.allocated_bytes () -. before < intake_alloc_bound))
 

@@ -98,6 +98,28 @@ let test_json_rejects_malformed () =
       "{'single':1}";
     ]
 
+(* Nesting is bounded, so a line of brackets is refused at the bound
+   rather than read to its end: ten million of them fail at offset
+   [max_depth], in well under a second (unbounded, this took minutes). *)
+let test_json_rejects_deep_nesting () =
+  let nested n = String.make n '[' ^ String.make n ']' in
+  Alcotest.(check bool)
+    "the bound itself is accepted" true
+    (Serve.Json.of_string (nested Serve.Json.max_depth) <> Serve.Json.Null);
+  let t0 = Unix.gettimeofday () in
+  (match Serve.Json.of_string (String.make 10_000_000 '[') with
+  | exception Serve.Json.Parse_error msg ->
+    Alcotest.(check string)
+      "refused at the bound"
+      (Printf.sprintf "nesting deeper than %d at offset %d" Serve.Json.max_depth
+         Serve.Json.max_depth)
+      msg
+  | _ -> Alcotest.fail "ten million brackets parsed");
+  Alcotest.(check bool) "fails fast" true (Unix.gettimeofday () -. t0 < 1.0);
+  match Serve.Json.of_string (nested (Serve.Json.max_depth + 1)) with
+  | exception Serve.Json.Parse_error _ -> ()
+  | _ -> Alcotest.fail "one level past the bound parsed"
+
 (* --- protocol ------------------------------------------------------------------- *)
 
 let requests =
@@ -740,6 +762,7 @@ let () =
           Alcotest.test_case "floats are plain" `Quick test_json_floats_plain;
           Alcotest.test_case "floats read back exactly" `Quick test_json_floats_exact;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects_malformed;
+          Alcotest.test_case "rejects deep nesting fast" `Quick test_json_rejects_deep_nesting;
         ] );
       ( "protocol",
         [

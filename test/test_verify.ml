@@ -179,8 +179,8 @@ let test_budget_unknown_keeps_bdd_stats () =
   let options =
     (* low enough that the refinement sweep blows the budget, high enough
        that engine construction itself succeeds (it needs ~5k nodes);
-       speculation pinned off — its dispatcher would route the starved
-       classes to SAT and prove the pair instead of going Unknown *)
+       speculation pinned off — under it the SAT sweep is the exact
+       engine and would prove the pair instead of going Unknown *)
     { Scorr.default_options with
       Scorr.Verify.node_limit = 10_000;
       use_retime = false;
