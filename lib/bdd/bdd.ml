@@ -16,6 +16,7 @@ let zero = Node.zero
 let is_true f = f = Node.one
 let is_false f = f = Node.zero
 let equal = Int.equal
+let leq = Node.leq
 let id f = f
 
 let mk_not = Ops.mk_not

@@ -72,6 +72,13 @@ val id : t -> int
 (** The edge as an int, unique per function within its manager (usable as
     a hash key). *)
 
+val leq : manager -> t -> t -> bool
+(** [leq m f g] holds when [f] implies [g], i.e. [mk_and m f (mk_not m g)]
+    is {!zero}.  It makes no node: the test walks both graphs and keeps
+    its answers in the computed cache.  [leq m q (mk_xnor m f g)] tells
+    whether [f] and [g] agree wherever [q] holds without building
+    [f /\ q] or [g /\ q]. *)
+
 (** {1 Boolean connectives} *)
 
 val mk_not : manager -> t -> t

@@ -210,8 +210,9 @@ let cache_add m a b tagged r =
   m.c_r.(s) <- r
 
 (* The apply core.  [mk_and], [mk_xor] and [ite] recurse on the topmost
-   level of their operands and share the computed cache; they live next to
-   the store so that the recursion reads its arrays directly. *)
+   level of their operands and share the computed cache with [leq]; they
+   live next to the store so that the recursion reads its arrays
+   directly. *)
 
 let tag_and = 0
 let tag_xor = 1
@@ -328,6 +329,34 @@ and ite_step m f g h =
     let r = mk m v ~lo ~hi in
     cache_add m f g tagged r;
     r
+  end
+
+(* Implication test: does [f] imply [g]?  The recursion only reads the
+   store, so it makes no node; a pair's answer is kept in the computed
+   cache as the edge [one] (true) or [zero] (false).  A cofactor pair that
+   fails stops the walk, and only completed answers are cached. *)
+let tag_leq = 3
+
+let rec leq m f g =
+  if f = zero || g = one || f = g then true
+  else if f = one || g = zero || f = neg g then false
+  else begin
+    let r = cache_find m f g tag_leq in
+    if r >= 0 then r = one
+    else begin
+      let i = index f and j = index g in
+      let cf = f land 1 and cg = g land 1 in
+      let lf = m.level_of_var.(m.var.(i)) and lg = m.level_of_var.(m.var.(j)) in
+      let holds =
+        if lf = lg then
+          leq m (m.lo.(i) lxor cf) (m.lo.(j) lxor cg)
+          && leq m (m.hi.(i) lxor cf) (m.hi.(j) lxor cg)
+        else if lf < lg then leq m (m.lo.(i) lxor cf) g && leq m (m.hi.(i) lxor cf) g
+        else leq m f (m.lo.(j) lxor cg) && leq m f (m.hi.(j) lxor cg)
+      in
+      cache_add m f g tag_leq (if holds then one else zero);
+      holds
+    end
   end
 
 (* Start a traversal that marks visited nodes. *)

@@ -26,6 +26,8 @@ type ctx = {
   nxt : int -> Bdd.t; (* nu_v over (s, x1, x2), by literal *)
   ini : int -> Bdd.t; (* f_v(s0, x1), by literal *)
   use_fundep : bool;
+  fn_size : int array;
+      (* by node: bounded size of [cur], -1 until probed (see [fundep_subst]) *)
   care : Bdd.t; (* over s: upper bound of reachable states (or one) *)
   node_limit : int;
   deadline : Deadline.t; (* wall-clock budget, polled with every [note] *)
@@ -92,7 +94,8 @@ let make ?(use_fundep = true) ?latch_order ?care_of ?(node_limit = max_int)
     in
     let care = match care_of with Some f -> f m s | None -> Bdd.one in
     let ctx =
-      { p; m; n_pis; n_latches; x1; s; x2; cur; delta; nxt; ini; use_fundep; care;
+      { p; m; n_pis; n_latches; x1; s; x2; cur; delta; nxt; ini; use_fundep;
+        fn_size = Array.make (Aig.num_nodes aig) (-1); care;
         node_limit; deadline; peak_nodes = 0; pool = Simpool.create aig;
         support = lazy (Support.make aig); proved_at = Hashtbl.create 256;
         n_batched = 0; n_cache_hits = 0; static_filter; n_static = 0;
@@ -163,8 +166,28 @@ let refine_initial ctx partition =
    correspondence condition to be applied as a smaller don't-care set.
    Greedy and cycle-free: a chosen function is composed with the
    substitutions selected so far and rejected if it still mentions the
-   variable being replaced. *)
-let fundep_subst ?(max_fn_size = 8) ctx partition =
+   variable being replaced.  Replacement functions are kept small:
+   large ones make the later compositions of the nu functions explode. *)
+let fundep_max_size = 8
+
+(* Size of a node's current-state function up to [fundep_max_size]
+   ([max_int] beyond), probed with an early-abort bound.  It depends only
+   on the node (a function and its complement share their nodes), so it is
+   probed once per engine, not once per latch and sweep. *)
+let fn_size ctx w =
+  let n = ctx.fn_size.(w) in
+  if n >= 0 then n
+  else begin
+    let n =
+      match Bdd.size_at_most ctx.m (ctx.cur (Aig.lit_of_node w)) fundep_max_size with
+      | Some n -> n
+      | None -> max_int
+    in
+    ctx.fn_size.(w) <- n;
+    n
+  end
+
+let fundep_subst ctx partition =
   let nvars = Bdd.nvars ctx.m in
   let subst = Array.make nvars None in
   let any = ref false in
@@ -174,29 +197,20 @@ let fundep_subst ?(max_fn_size = 8) ctx partition =
       let cls = Partition.class_of partition node in
       let others = List.filter (fun w -> w <> node) (Partition.members partition cls) in
       let si = ctx.s.(i) in
-      (* keep substitutions cheap: large replacement functions make the
-         later compositions of the nu functions explode, so probe sizes
-         with an early-abort bound *)
-      let bounded_size f =
-        match Bdd.size_at_most ctx.m f max_fn_size with Some n -> n | None -> max_int
-      in
+      (* the candidates were filtered by size, so only a composed
+         replacement needs a new probe *)
       let try_target w =
         let g_w = norm_cur ctx partition w in
         let h = if Partition.polarity partition node then Bdd.mk_not ctx.m g_w else g_w in
-        if bounded_size h > max_fn_size then None
-        else begin
-          let h' = if !any then Bdd.vector_compose ctx.m h subst else h in
-          if bounded_size h' > max_fn_size || List.mem si (Bdd.support ctx.m h') then None
-          else Some h'
-        end
+        let h' = if !any then Bdd.vector_compose ctx.m h subst else h in
+        let too_big = !any && Bdd.size_at_most ctx.m h' fundep_max_size = None in
+        if too_big || List.mem si (Bdd.support ctx.m h') then None else Some h'
       in
       (* prefer single-node replacements (other state variables or
          constants): these are plain renames *)
       let by_size =
-        let keyed =
-          List.map (fun w -> (bounded_size (norm_cur ctx partition w), w)) others
-        in
-        List.map snd (List.sort compare (List.filter (fun (k, _) -> k <= max_fn_size) keyed))
+        let keyed = List.map (fun w -> (fn_size ctx w, w)) others in
+        List.map snd (List.sort compare (List.filter (fun (k, _) -> k <= fundep_max_size) keyed))
       in
       match List.find_map try_target by_size with
       | Some h' ->
@@ -306,16 +320,19 @@ let counterexample_valuation ctx subst q nu_a nu_b =
    class order. *)
 type outcome =
   | O_stable
-  | O_split of (int, int) Hashtbl.t * (bool array * bool array) option
-      (* member -> canonical key; witness valuation for the pattern pool *)
+  | O_split of (bool array * bool array) option
+      (* witness valuation for the pattern pool *)
 
-(* One batched sweep: each suspect class is refined in a single scan by
-   the canonical key [Bdd.id (nu /\ Q)] — members are Q-equivalent iff
-   their conjunctions with Q are the same BDD — instead of a quadratic
-   pairwise comparison.  Split classes contribute one counterexample
-   pattern to the pool, flushed at the start of the next sweep (and when
-   full) so cheap bit-parallel simulation pre-splits classes before any
-   further BDD work.  [trust] enables the cone-based dirty skip; the
+(* One batched sweep: each suspect class is scanned once.  Members a and b
+   agree when [Bdd.leq q (xnor nu_a nu_b)] — nu_a /\ Q = nu_b /\ Q,
+   Equation (3) — a test that makes no node, so no member's conjunction
+   with Q (a copy of Q, often thousands of nodes) is ever built.  A scan
+   tests each member against the representative; the merge regroups a
+   split class by testing each member against one representative per
+   group ([Partition.refine_class]).  Split classes contribute one
+   counterexample pattern to the pool, flushed at the start of the next
+   sweep (and when full) so cheap bit-parallel simulation pre-splits
+   classes before any further BDD work.  [trust] enables the cone-based dirty skip; the
    strict confirmation pass re-proves stale classes at the current
    version. *)
 let sweep ~clamp_size ctx partition ~trust =
@@ -355,27 +372,20 @@ let sweep ~clamp_size ctx partition ~trust =
     in
     (* the scan runs in the caller (single lane) — it mutates the shared
        hash-consed manager and must never cross a domain boundary *)
+    let agree f g =
+      let same = Bdd.equal f g || Bdd.leq ctx.m q (Bdd.mk_xnor ctx.m f g) in
+      note ctx;
+      same
+    in
     let scan () (_cls, mems) =
       note ctx;
       ctx.n_batched <- ctx.n_batched + 1;
-      let keys = Hashtbl.create 8 in
-      let key id =
-        match Hashtbl.find_opt keys id with
-        | Some k -> k
-        | None ->
-          let k = Bdd.id (Bdd.mk_and ctx.m (nu_of id) q) in
-          note ctx;
-          Hashtbl.add keys id k;
-          k
-      in
       let rep = List.hd mems in
-      let rep_key = key rep in
-      match List.find_opt (fun id -> key id <> rep_key) mems with
+      let nu_rep = nu_of rep in
+      match List.find_opt (fun id -> not (agree nu_rep (nu_of id))) mems with
       | None -> O_stable
       | Some other ->
-        let cex = counterexample_valuation ctx subst q (nu_of rep) (nu_of other) in
-        List.iter (fun id -> ignore (key id)) mems;
-        O_split (keys, cex)
+        O_split (counterexample_valuation ctx subst q nu_rep (nu_of other))
     in
     let outcomes = Parsweep.map ctx.sched ~f:scan tasks in
     Array.iteri
@@ -383,15 +393,14 @@ let sweep ~clamp_size ctx partition ~trust =
         let cls, _ = tasks.(i) in
         match outcome with
         | O_stable -> Hashtbl.replace ctx.proved_at cls vq
-        | O_split (keys, cex) ->
+        | O_split cex ->
           (match cex with
           | Some (pi, latch) ->
             if Simpool.is_full ctx.pool then
               splits := Simpool.flush ctx.pool partition > 0 || !splits;
             Simpool.add ctx.pool ~pi:(fun i -> pi.(i)) ~latch:(fun i -> latch.(i))
           | None -> ());
-          let key id = Hashtbl.find keys id in
-          if Partition.refine_class partition cls ~equal:(fun a b -> key a = key b)
+          if Partition.refine_class partition cls ~equal:(fun a b -> agree (nu_of a) (nu_of b))
           then splits := true)
       outcomes;
     note ctx;

@@ -460,6 +460,9 @@ module Engine_bdd : sig
     nxt : int -> Bdd.t;
     ini : int -> Bdd.t;
     use_fundep : bool;
+    fn_size : int array;
+        (** by node: size of [cur] up to the substitution bound, [-1]
+            until probed (see {!fundep_subst}) *)
     care : Bdd.t;
     node_limit : int;
     deadline : Deadline.t;  (** wall-clock budget, polled per class scan *)
@@ -507,7 +510,7 @@ module Engine_bdd : sig
 
   val correspondence_condition :
     ?memo:(int, Bdd.t) Hashtbl.t -> ctx -> Partition.t -> Bdd.t option array option -> Bdd.t
-  val fundep_subst : ?max_fn_size:int -> ctx -> Partition.t -> Bdd.t option array option
+  val fundep_subst : ctx -> Partition.t -> Bdd.t option array option
 
   val norm_cur : ctx -> Partition.t -> int -> Bdd.t
   (** Normalized current-state function of a candidate node. *)

@@ -28,13 +28,13 @@ let rec build m = function
 
 let nvars_tt = 5
 
-let formula_gen =
+let formula_gen_over nvars =
   let open QCheck.Gen in
   sized @@ fix (fun self n ->
-      if n <= 0 then map (fun v -> F_var v) (int_bound (nvars_tt - 1))
+      if n <= 0 then map (fun v -> F_var v) (int_bound (nvars - 1))
       else
         frequency
-          [ (1, map (fun v -> F_var v) (int_bound (nvars_tt - 1)));
+          [ (1, map (fun v -> F_var v) (int_bound (nvars - 1)));
             (2, map (fun f -> F_not f) (self (n - 1)));
             (3, map2 (fun f g -> F_and (f, g)) (self (n / 2)) (self (n / 2)));
             (3, map2 (fun f g -> F_or (f, g)) (self (n / 2)) (self (n / 2)));
@@ -42,6 +42,8 @@ let formula_gen =
             (1,
              map3 (fun f g h -> F_ite (f, g, h)) (self (n / 3)) (self (n / 3)) (self (n / 3)));
           ])
+
+let formula_gen = formula_gen_over nvars_tt
 
 let rec pp_formula ppf = function
   | F_var v -> Format.fprintf ppf "x%d" v
@@ -67,6 +69,14 @@ let prop name count p =
 let prop2 name count p =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count (QCheck.pair arbitrary_formula arbitrary_formula) p)
+
+(* Wider formulas for properties that need no truth table. *)
+let arbitrary_wide_formula =
+  QCheck.make (formula_gen_over 7) ~print:(Format.asprintf "%a" pp_formula)
+
+let prop2_wide name count p =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count (QCheck.pair arbitrary_wide_formula arbitrary_wide_formula) p)
 
 (* --- unit tests --------------------------------------------------------- *)
 
@@ -276,6 +286,41 @@ let test_size_at_most () =
   Alcotest.(check (option int)) "over bound" None (Bdd.size_at_most m f (n - 1));
   Alcotest.(check (option int)) "terminal" (Some 0) (Bdd.size_at_most m Bdd.one 0)
 
+(* [leq f g] against the built test [f /\ not g = 0], on random pairs, on
+   pairs where the implication holds by construction, and on constants
+   and complement edges; the store must not grow by a node, and a second
+   call (answered from the computed cache) must agree. *)
+let leq_ok (f, g) =
+  let m = Bdd.create () in
+  let bf = build m f and bg = build m g in
+  let bfg = Bdd.mk_and m bf bg and bfog = Bdd.mk_or m bf bg in
+  let nf = Bdd.mk_not m bf in
+  let pairs =
+    [ (bf, bg); (bg, bf); (bfg, bg); (bf, bfog); (bg, Bdd.mk_xnor m bf bg);
+      (bf, nf); (nf, bf); (bf, Bdd.one); (Bdd.zero, bf); (Bdd.one, bf); (bf, Bdd.zero) ]
+  in
+  let live = Bdd.live_nodes m in
+  let got = List.map (fun (a, b) -> Bdd.leq m a b) pairs in
+  let unchanged = Bdd.live_nodes m = live in
+  let expect = List.map (fun (a, b) -> Bdd.is_false (Bdd.mk_and m a (Bdd.mk_not m b))) pairs in
+  unchanged && got = expect && List.map (fun (a, b) -> Bdd.leq m a b) pairs = expect
+
+let test_leq_complement_edges () =
+  let m = Bdd.create () in
+  let x = Bdd.var m 0 and y = Bdd.var m 1 in
+  let f = Bdd.mk_and m x y in
+  let live = Bdd.live_nodes m in
+  Alcotest.(check bool) "x&y implies x" true (Bdd.leq m f x);
+  Alcotest.(check bool) "x does not imply x&y" false (Bdd.leq m x f);
+  Alcotest.(check bool) "!x implies !(x&y)" true (Bdd.leq m (Bdd.mk_not m x) (Bdd.mk_not m f));
+  Alcotest.(check bool) "x&y does not imply !(x&y)" false (Bdd.leq m f (Bdd.mk_not m f));
+  Alcotest.(check bool) "!(x&y) does not imply x&y" false (Bdd.leq m (Bdd.mk_not m f) f);
+  Alcotest.(check bool) "x implies one" true (Bdd.leq m x Bdd.one);
+  Alcotest.(check bool) "zero implies !x" true (Bdd.leq m Bdd.zero (Bdd.mk_not m x));
+  Alcotest.(check bool) "one does not imply x" false (Bdd.leq m Bdd.one x);
+  Alcotest.(check bool) "x does not imply zero" false (Bdd.leq m x Bdd.zero);
+  Alcotest.(check int) "no node made" live (Bdd.live_nodes m)
+
 let test_node_limit () =
   let m = Bdd.create () in
   Bdd.set_node_limit m 8;
@@ -336,6 +381,7 @@ let suite =
     Alcotest.test_case "size_at_most" `Quick test_size_at_most;
     Alcotest.test_case "node limit" `Quick test_node_limit;
     Alcotest.test_case "memo entries" `Quick test_memo_entries_clearing;
+    Alcotest.test_case "leq on complement edges" `Quick test_leq_complement_edges;
     prop "bdd agrees with truth table" 300 agree_tt;
     prop "exists agrees with expansion" 150 quantify_exists_ok;
     prop2 "and_exists = exists of and" 150 and_exists_ok;
@@ -352,6 +398,7 @@ let suite =
     prop "a function differs from its complement" 200 not_differs;
     prop "complement has the same size" 200 not_same_size;
     prop "complement sat_count" 200 not_sat_count;
+    prop2_wide "leq = (f and not g) is zero, no node made" 300 leq_ok;
   ]
 
 let () = Alcotest.run "bdd" [ ("bdd", suite) ]

@@ -448,13 +448,15 @@ let prop_parallel_matches_sequential =
            [ 2; 4 ]))
 
 let prop_speculation_matches_plain =
-  (* speculative reduction — merge all candidates, discharge assumption
-     obligations on the reduced product through the per-class dispatcher,
-     refine on refutation — reaches the same greatest fixed point as the
-     plain per-class sweep (the exactness lemma in specreduce.ml): under
-     either engine and any worker count, verdict, equivalence score and
-     final partition must match exactly.  Analysis is off so neither arm
-     pre-reduces and the partitions live over the same product. *)
+  (* speculative reduction — before every sweep, merge all candidates,
+     BDD-screen each class's assumption obligations on the reduced
+     product and mark the classes whose obligations all hold as proven,
+     then let the SAT sweep check the rest on the full product — reaches
+     the same greatest fixed point as the plain per-class sweep (the
+     exactness lemma in specreduce.ml): under either engine and any
+     worker count, verdict, equivalence score and final partition must
+     match exactly.  Analysis is off so neither arm pre-reduces and the
+     partitions live over the same product. *)
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"speculation matches plain sweeps" ~count:8
        QCheck.(pair (int_range 0 100_000) (oneofl [ `Bdd; `Sat ]))

@@ -223,6 +223,39 @@ let test_node_limit_abort_reports_peak () =
       | _ -> Alcotest.failf "%s: expected Unknown under a %d-node BDD budget" name node_limit)
     [ ("arb4", 700); ("ctr8", 300) ]
 
+(* --- the BDD engine's fixed-point work, pinned ---------------------------- *)
+
+(* ctr16 and lfsr16 against their retime+opt seed-1 implementations at the
+   default options (engine, jobs and speculation pinned, so the CI legs
+   that override them through the environment run the same fixed point).
+   The counts were recorded when the sweep still compared class members by
+   building each member's nu /\ Q as a hash-consed key; the node-free
+   implication test must leave the work itself unchanged: the same
+   iterations, batched class scans and stability-cache hits, and a peak
+   node count no higher than the recorded one. *)
+let test_bdd_fixpoint_work_pinned () =
+  List.iter
+    (fun (name, iterations, batched, cache_hits, peak) ->
+      let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find name)) in
+      let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed:1 spec in
+      let options =
+        { Scorr.default_options with
+          Scorr.Verify.engine = Scorr.Verify.Bdd_engine;
+          jobs = 1;
+          use_speculation = false
+        }
+      in
+      match Scorr.check ~options spec impl with
+      | Scorr.Equivalent s ->
+        Alcotest.(check int) (name ^ " iterations") iterations s.Scorr.Verify.iterations;
+        Alcotest.(check int) (name ^ " batched solves") batched s.batched_solves;
+        Alcotest.(check int) (name ^ " cache hits") cache_hits s.cache_hits;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s peak %d within %d" name s.peak_bdd_nodes peak)
+          true (s.peak_bdd_nodes <= peak)
+      | _ -> Alcotest.failf "%s: expected Equivalent" name)
+    [ ("ctr16", 67, 3722, 110, 238_421); ("lfsr16", 3, 207, 75, 357_384) ]
+
 (* The retired baselines and an induction depth past the bound are
    refused up front, before any circuit work. *)
 let test_rejects_bad_options () =
@@ -254,6 +287,7 @@ let suite =
     Alcotest.test_case "node-limit abort reports its peak" `Quick
       test_node_limit_abort_reports_peak;
     Alcotest.test_case "rejects retired and unbounded options" `Quick test_rejects_bad_options;
+    Alcotest.test_case "bdd fixed-point work pinned" `Quick test_bdd_fixpoint_work_pinned;
     prop_order_is_permutation;
     prop_traces_replay;
     prop_certificate_relation_is_inductive;
