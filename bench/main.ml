@@ -332,7 +332,7 @@ let smoke_circuits = [ "ctr8"; "gray12"; "traffic"; "mod10"; "arb4" ]
 let ablation_engine () =
   Printf.printf
     "A3: BDD refinement (the paper) vs SAT refinement (the paper's future work),\n\
-     and the analysis-steered portfolio (pre-reduction + engine-rung plan)\n\n";
+     and the analysis-steered portfolio (pre-reduction + one rung per depth)\n\n";
   Printf.printf "%-9s | %-8s %7s %8s | %-8s %7s %7s %5s %5s %5s | %-8s %7s %7s\n"
     "circuit" "bdd" "time" "nodes" "sat" "time" "calls" "pool" "resim" "hits" "auto" "time"
     "solves";

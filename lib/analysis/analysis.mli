@@ -2,8 +2,8 @@
 
     Facts a solver never has to discover: per-node shape metrics,
     SAT-discharged structural reduction, input-support prefiltering, and
-    static diagnostics — plus the policy that turns the metrics into an
-    engine-steering plan for the verification portfolio.  Everything here
+    static diagnostics — plus the policy that turns the metrics into the
+    engine of the verification portfolio's k = 1 rung.  Everything here
     is computed before (or between) fixed-point runs; nothing depends on
     the correspondence engines. *)
 
@@ -118,24 +118,16 @@ module Diag : sig
   val clean : t -> bool
 end
 
-(** Shape metrics -> portfolio rung ladder, plus the dynamic skip rules. *)
+(** Shape metrics -> the engine of the portfolio's k = 1 rung. *)
 module Steer : sig
-  type engine = Bdd | Sat
-  type rung = { engine : engine; induction : int }
-  type plan = { rungs : rung list; bdd_first : bool; reason : string }
-
   val bdd_latch_limit : int
   val bdd_level_limit : int
 
-  val plan : ?max_unroll:int -> product_latches:int -> levels:int -> unit -> plan
-
-  val redundant_after : completed:rung -> rung -> bool
-  (** After [completed] finished its whole fixed point (Unknown, no blown
-      budget), rungs of depth [<= completed.induction] would compute the
-      same — or a coarser — relation and fail identically; skip them. *)
-
-  val drop_on_exhaustion : reason:string option -> rung -> bool
-  (** Drop later BDD rungs once one aborted on the node budget. *)
+  val bdd_first : product_latches:int -> levels:int -> bool
+  (** Run the BDD engine (rather than the SAT engine) at k = 1: the
+      product has at most [bdd_latch_limit] state variables and at most
+      [bdd_level_limit] combinational levels.  Both engines reach the same
+      k = 1 fixed point, so this only picks the cheaper one. *)
 end
 
 (** One-stop report for `seqver analyze` and the bench shape columns. *)

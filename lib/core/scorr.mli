@@ -445,7 +445,8 @@ module Engine_bdd : sig
 
   exception Build_exceeded of { reason : string; live_nodes : int }
   (** A budget ran out inside {!make}; [live_nodes] is the manager's
-      live node count at the abort. *)
+      live node count at the abort.  {!Verify.run} hands a node-budget
+      abort, here or in a refinement step, to the SAT engine at k = 1. *)
 
   type ctx = {
     p : Product.t;
@@ -720,7 +721,9 @@ module Verify : sig
     p_round : int;  (** retiming round the iteration belongs to *)
     p_iteration : int;  (** refinement iterations completed so far *)
     p_classes : int;  (** equivalence classes remaining *)
-    p_engine : string;  (** engine rung label, e.g. ["bdd"], ["sat-k2"] *)
+    p_engine : string;
+        (** label of the engine doing the work, e.g. ["bdd"], ["sat-k2"];
+            ["sat-k1"] once a BDD run has handed off to the SAT sweep *)
   }
   (** One snapshot of the fixed-point iteration, delivered to
       [options.progress] after the initial refinement and after every
@@ -758,10 +761,9 @@ module Verify : sig
             at the same depth (property-tested). *)
     use_analysis : bool;
         (** Static-analysis steering (default false): the engines run the
-            zero-cost PI-support prefilter before every pass, the BDD
-            variable order is seeded from combinational levels, and
-            {!portfolio} pre-reduces the circuits and orders its rung
-            ladder by the shape metrics (see {!Analysis}). *)
+            zero-cost PI-support prefilter before every pass, and
+            {!portfolio} pre-reduces the circuits and picks its k = 1
+            engine by the shape metrics ({!Analysis.Steer.bdd_first}). *)
     use_fundep : bool;
     use_retime : bool;
     max_retime_rounds : int;
@@ -878,25 +880,21 @@ module Verify : sig
       later run can resume from its partition. *)
 
   val portfolio : ?options:options -> ?max_unroll:int -> Aig.t -> Aig.t -> verdict
-  (** Production mode: BDD engine first, then the SAT engine with
-      induction depths 1..[max_unroll]; the first conclusive verdict
-      wins.  All strategies are sound.
+  (** Production mode: one rung per induction depth k = 1..[max_unroll],
+      in ascending k; the first conclusive verdict wins, and the last
+      rung's verdict is returned otherwise.  The k = 1 rung runs
+      [options.engine] (the BDD engine hands off to the SAT sweep when
+      its node budget runs out); deeper rungs run the SAT engine.  All
+      rungs are sound.  [options.resume] seeds every rung whose depth
+      the checkpoint's allows.
 
       With [deadline_seconds] set, the remaining wall clock is split
-      evenly over the remaining rungs (holding one share in reserve);
-      each rung that runs out of time leaves an in-memory checkpoint of
-      its partition, later rungs of compatible induction depth resume
-      from it, and the reserved final rung re-runs the BDD engine from
-      the most refined partition reached instead of returning a bare
-      [Unknown].
+      evenly over the remaining rungs.
 
       With [use_analysis] set, both circuits are first reduced by
       {!Analysis.Reduce.run} (semantics-preserving, so verdicts and
-      traces carry back to the originals; skipped when resuming), the
-      rung order follows {!Analysis.Steer.plan}, rungs whose induction
-      depth an already completed fixed point covers are skipped, and
-      after a BDD rung exhausts its node budget no further BDD rung
-      runs. *)
+      traces carry back to the originals; skipped when resuming), and
+      the k = 1 engine is the one {!Analysis.Steer.bdd_first} picks. *)
 end
 
 (** {1 Convenience} *)
@@ -921,6 +919,7 @@ val register_correspondence : ?options:options -> Aig.t -> Aig.t -> verdict
     outputs checked combinationally under the tied registers. *)
 
 val portfolio : ?options:options -> ?max_unroll:int -> Aig.t -> Aig.t -> verdict
-(** {!Verify.portfolio}: escalate through engines until conclusive. *)
+(** {!Verify.portfolio}: escalate through induction depths until
+    conclusive. *)
 
 val verdict_stats : verdict -> stats

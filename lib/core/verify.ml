@@ -20,13 +20,13 @@ type candidate_set = All_signals | Registers_only
 
 (* One streamed progress observation of a running fixed point: enough for
    a watcher (the serve daemon's clients, a progress bar) to see the
-   iteration count, the classes still standing, and which portfolio rung
-   is doing the work — without touching the engine's internals. *)
+   iteration count, the classes still standing, and which engine is doing
+   the work — without touching the engine's internals. *)
 type progress = {
   p_round : int; (* retiming rounds completed *)
   p_iteration : int; (* refinement iterations completed, all rounds *)
   p_classes : int; (* classes currently in the partition *)
-  p_engine : string; (* rung label: "bdd", "sat-k1", "sat-k2", ... *)
+  p_engine : string; (* engine label: "bdd", "sat-k1", "sat-k2", ... *)
 }
 
 type options = {
@@ -52,8 +52,8 @@ type options = {
   use_analysis : bool;
       (* static-analysis steering: semantics-preserving pre-reduction (in
          {!portfolio}, when not resuming), the zero-cost PI-support
-         prefilter inside both engines, a level-seeded BDD variable order,
-         and the analysis-ordered portfolio ladder with its skip rules *)
+         prefilter inside both engines, and the portfolio's k = 1 engine
+         picked by the shape metrics *)
   use_fundep : bool;
   use_retime : bool;
   max_retime_rounds : int;
@@ -187,6 +187,7 @@ let verdict_stats = function
 (* --- engine dispatch -------------------------------------------------------- *)
 
 type engine_ops = {
+  label : unit -> string; (* rung label of the engine now doing the work *)
   refine_initial : Partition.t -> unit;
   refine_once : Partition.t -> bool;
   harvest : unit -> Counters.t; (* the engine's run counters so far *)
@@ -299,16 +300,53 @@ let latch_order_from_outputs ?levels product =
   order := List.rev_append (zip sp im) !order;
   Array.of_list (List.rev !order)
 
-let make_engine (options : options) deadline product pol =
-  let add_patterns pool ps =
-    List.iter
-      (fun (pi, latch) ->
-        Simpool.add pool ~pi:(fun i -> pi.(i)) ~latch:(fun i -> latch.(i)))
-      ps
+let add_patterns pool ps =
+  List.iter (fun (pi, latch) -> Simpool.add pool ~pi:(fun i -> pi.(i)) ~latch:(fun i -> latch.(i))) ps
+
+(* The SAT sweep at [effective_induction options].  Under speculation the
+   exact engine is always this sweep, with the BDD screen of
+   {!Specreduce} in front of every sweep: each iteration proves the
+   classes the screen settles at the partition's current version, and the
+   sweep (whose strict pass re-proves every class at the version it ends
+   on) takes the rest. *)
+let sat_engine (options : options) deadline product =
+  let ctx =
+    Engine_sat.make ~max_sat_calls:options.max_sat_calls ~k:(effective_induction options)
+      ~jobs:options.jobs ~deadline ~static_filter:options.use_analysis product
   in
+  let screen =
+    if not options.use_speculation then None
+    else
+      Some
+        (Specreduce.screen_create ~node_limit:options.node_limit
+           ~latch_order:(latch_order_from_outputs product) ~deadline)
+  in
+  let refine_once p =
+    Option.iter
+      (fun sc -> Engine_sat.mark_proved ctx p (Specreduce.screen sc product p))
+      screen;
+    Engine_sat.refine_once ctx p
+  in
+  let wrap f x =
+    try f x
+    with Engine_sat.Budget_exceeded msg | Specreduce.Budget_exceeded msg -> raise (Budget msg)
+  in
+  {
+    label = (fun () -> rung_label options);
+    refine_initial = wrap (Engine_sat.refine_initial ctx);
+    refine_once = wrap refine_once;
+    harvest =
+      (fun () ->
+        let c = Engine_sat.harvest ctx in
+        match screen with Some sc -> Counters.combine c sc.Specreduce.counters | None -> c);
+    pool_patterns = (fun () -> Simpool.snapshot ctx.Engine_sat.pool);
+    pool_add = (fun ps -> add_patterns ctx.Engine_sat.pool ps);
+    shutdown = (fun () -> Engine_sat.shutdown ctx);
+  }
+
+let make_engine (options : options) deadline product =
   match options.engine with
   | Bdd_engine when not options.use_speculation ->
-    ignore pol;
     (* The variable order stays the structural output-cone interleave even
        in analysis mode: keying each cone's latches by next-state level or
        cone size (the [?levels] variant below) was measured on the suite
@@ -333,63 +371,69 @@ let make_engine (options : options) deadline product pol =
               Bdd.rename m ub' perm
             | _ -> assert false)
     in
-    let ctx =
-      Engine_bdd.make ~use_fundep:options.use_fundep ~latch_order ?care_of
-        ~node_limit:options.node_limit ~deadline ~static_filter:options.use_analysis
-        product
+    let bdd =
+      match
+        Engine_bdd.make ~use_fundep:options.use_fundep ~latch_order ?care_of
+          ~node_limit:options.node_limit ~deadline ~static_filter:options.use_analysis
+          product
+      with
+      | ctx ->
+        {
+          label = (fun () -> "bdd");
+          refine_initial = Engine_bdd.refine_initial ctx;
+          refine_once = (fun p -> Engine_bdd.refine_once ctx p);
+          harvest = (fun () -> Engine_bdd.harvest ctx);
+          pool_patterns = (fun () -> Simpool.snapshot ctx.Engine_bdd.pool);
+          pool_add = (fun ps -> add_patterns ctx.Engine_bdd.pool ps);
+          shutdown = (fun () -> Engine_bdd.shutdown ctx);
+        }
+      | exception Engine_bdd.Build_exceeded { reason; live_nodes } ->
+        (* no context to step: the first step re-raises the abort *)
+        let abort _ = raise (Engine_bdd.Budget_exceeded reason) in
+        {
+          label = (fun () -> "bdd");
+          refine_initial = abort;
+          refine_once = abort;
+          harvest = (fun () -> { Counters.zero with peak_bdd_nodes = live_nodes });
+          pool_patterns = (fun () -> []);
+          pool_add = ignore;
+          shutdown = ignore;
+        }
     in
-    let wrap f x =
-      try f x with
-      | Engine_bdd.Budget_exceeded msg -> raise (Budget msg)
-      | Bdd.Limit_exceeded -> raise (Budget "bdd nodes")
+    (* The hand-off.  At depth 1 the greatest fixed point of Eq. (3) is a
+       property of the product machine, not of the engine, and every
+       split so far was a real counterexample under a Q coarser than it;
+       so when the node budget runs out, the partition reached is a sound
+       start for the SAT sweep at k = 1, exactly as a checkpoint resume
+       is.  The BDD counters and pending pattern lanes carry over and the
+       manager is dropped; the run still ends only on the SAT sweep's
+       strict pass.  [Partition.refine_class] and [refine_by_key] commit
+       whole classes, so an abort mid-sweep leaves a consistent
+       partition.  Other budgets end the run as before. *)
+    let current = ref bdd and handed = ref Counters.zero in
+    let step f ~after p =
+      try f !current p with
+      | Engine_bdd.Budget_exceeded "bdd nodes" | Bdd.Limit_exceeded ->
+        let bdd = !current in
+        handed := bdd.harvest ();
+        let patterns = bdd.pool_patterns () in
+        bdd.shutdown ();
+        current := sat_engine { options with engine = Sat_engine; sat_unroll = 1 } deadline product;
+        !current.pool_add patterns;
+        !current.refine_initial p;
+        after
+      | Engine_bdd.Budget_exceeded why -> raise (Budget why)
     in
     {
-      refine_initial = wrap (Engine_bdd.refine_initial ctx);
-      refine_once = (fun p -> wrap (Engine_bdd.refine_once ctx) p);
-      harvest = (fun () -> Engine_bdd.harvest ctx);
-      pool_patterns = (fun () -> Simpool.snapshot ctx.Engine_bdd.pool);
-      pool_add = (fun ps -> add_patterns ctx.Engine_bdd.pool ps);
-      shutdown = (fun () -> Engine_bdd.shutdown ctx);
+      label = (fun () -> !current.label ());
+      refine_initial = step (fun e -> e.refine_initial) ~after:();
+      refine_once = step (fun e -> e.refine_once) ~after:true;
+      harvest = (fun () -> Counters.combine !handed (!current.harvest ()));
+      pool_patterns = (fun () -> !current.pool_patterns ());
+      pool_add = (fun ps -> !current.pool_add ps);
+      shutdown = (fun () -> !current.shutdown ());
     }
-  | Bdd_engine | Sat_engine ->
-    (* Under speculation the exact engine is always the SAT sweep at the
-       run's induction depth, with the BDD screen of {!Specreduce} in
-       front of every sweep: each iteration proves the classes the
-       screen settles at the partition's current version, and the sweep
-       (whose strict pass re-proves every class at the version it ends
-       on) takes the rest. *)
-    let ctx =
-      Engine_sat.make ~max_sat_calls:options.max_sat_calls ~k:(effective_induction options)
-        ~jobs:options.jobs ~deadline ~static_filter:options.use_analysis product
-    in
-    let screen =
-      if not options.use_speculation then None
-      else
-        Some
-          (Specreduce.screen_create ~node_limit:options.node_limit
-             ~latch_order:(latch_order_from_outputs product) ~deadline)
-    in
-    let refine_once p =
-      Option.iter
-        (fun sc -> Engine_sat.mark_proved ctx p (Specreduce.screen sc product p))
-        screen;
-      Engine_sat.refine_once ctx p
-    in
-    let wrap f x =
-      try f x
-      with Engine_sat.Budget_exceeded msg | Specreduce.Budget_exceeded msg -> raise (Budget msg)
-    in
-    {
-      refine_initial = wrap (Engine_sat.refine_initial ctx);
-      refine_once = wrap refine_once;
-      harvest =
-        (fun () ->
-          let c = Engine_sat.harvest ctx in
-          match screen with Some sc -> Counters.combine c sc.Specreduce.counters | None -> c);
-      pool_patterns = (fun () -> Simpool.snapshot ctx.Engine_sat.pool);
-      pool_add = (fun ps -> add_patterns ctx.Engine_sat.pool ps);
-      shutdown = (fun () -> Engine_sat.shutdown ctx);
-    }
+  | Bdd_engine | Sat_engine -> sat_engine options deadline product
 
 (* --- candidate selection ------------------------------------------------------ *)
 
@@ -613,7 +657,7 @@ let run_with_relation ?(options = default_options) spec impl =
   (* pending counterexample lanes of the aborted engine, captured by the
      per-round finalizer so budget aborts can checkpoint them *)
   let pool_pending = ref [] in
-  let notify partition =
+  let notify engine partition =
     match options.progress with
     | None -> ()
     | Some f ->
@@ -622,7 +666,7 @@ let run_with_relation ?(options = default_options) spec impl =
           p_round = !acc.retime_rounds;
           p_iteration = !acc.iterations;
           p_classes = Partition.n_classes partition;
-          p_engine = rung_label options;
+          p_engine = engine.label ();
         }
   in
   let spec_digest = lazy (Checkpoint.fingerprint spec) in
@@ -730,12 +774,7 @@ let run_with_relation ?(options = default_options) spec impl =
       relation := Some partition;
       let outcome =
         try
-          let engine =
-            try make_engine options deadline product pol with
-            | Engine_bdd.Build_exceeded { reason; live_nodes } ->
-              count { Counters.zero with peak_bdd_nodes = live_nodes };
-              raise (Budget reason)
-          in
+          let engine = make_engine options deadline product in
           (* idempotent so the finalizer below can back-fill the counters
              on exceptional exits (budget aborts, node-limit overruns)
              without double-counting the normal paths — an engine's
@@ -755,7 +794,7 @@ let run_with_relation ?(options = default_options) spec impl =
               engine.shutdown ())
             (fun () ->
               phase "initial" (fun () -> engine.refine_initial partition);
-              notify partition;
+              notify engine partition;
               (* conclusive check: before any Eq.3 refinement, a split output
                  pair reflects a genuine difference at (or simulated from) the
                  initial state.  Only available when the outputs themselves are
@@ -796,7 +835,7 @@ let run_with_relation ?(options = default_options) spec impl =
                     poll ();
                     while engine.refine_once partition do
                       count { Counters.zero with iterations = 1 };
-                      notify partition;
+                      notify engine partition;
                       poll ();
                       if
                         options.checkpoint_every > 0
@@ -833,8 +872,8 @@ let run ?options spec impl =
   verdict
 
 (* Snapshot a finished (or aborted) run as an in-memory checkpoint, so a
-   later run — possibly a cheaper engine, see {!portfolio} — can pick the
-   refinement up where this one left off. *)
+   later run — the serve daemon's warm starts — can pick the refinement
+   up where this one left off. *)
 let checkpoint_of_run ~(options : options) ~spec ~impl (verdict, product, relation) =
   match relation with
   | None -> Error "the run produced no correspondence relation to checkpoint"
@@ -883,31 +922,26 @@ let pp_relation ppf (product, partition) =
         (String.concat ", " (List.map describe (Partition.members partition cls))))
     classes
 
-(* Portfolio mode: what a production deployment runs.  Strategies are
-   tried in increasing cost order until one returns a conclusive verdict;
-   every strategy is sound, so the first conclusive answer stands.  The
-   budget-limited BDD engine comes first (the paper), then the SAT engine,
-   then its k-inductive strengthenings.
+(* Portfolio mode: what a production deployment runs.  One rung per
+   induction depth k = 1 .. [max_unroll], in ascending k, until one
+   returns a conclusive verdict; every rung is sound, so the first
+   conclusive answer stands.  The k = 1 rung is [options.engine] — the
+   BDD engine hands its partition to the SAT sweep if its node budget
+   runs out (see {!make_engine}) — and the deeper rungs are the SAT
+   engine's k-inductive strengthenings.  [options.resume] seeds every
+   rung its depth allows (a depth-kc checkpoint seeds k <= kc).
 
-   With a deadline set, the portfolio degrades gracefully instead of
-   returning a bare Unknown: the remaining wall clock is split evenly over
-   the remaining rungs (one extra rung is held in reserve), each rung that
-   runs out of time leaves an in-memory checkpoint of its partition, later
-   rungs whose induction depth the checkpoint can soundly seed resume from
-   it, and the reserved final rung re-runs the paper's BDD engine from the
-   most refined partition any strategy reached.
+   With a deadline set, the remaining wall clock is split evenly over the
+   remaining rungs.
 
-   With [use_analysis] set, the ladder is steered statically and
-   dynamically (see {!Analysis.Steer}): both circuits are pre-reduced once
+   With [use_analysis] set, both circuits are pre-reduced once
    (semantics-preserving, so verdicts and traces carry back to the
    originals; skipped when resuming, because checkpoint fingerprints bind
-   to the circuits as given), the rung order follows the shape metrics,
-   rungs whose induction depth an already COMPLETED fixed point covers are
-   skipped (the gfp at a given depth is engine-independent), and once a
-   BDD rung blows its node budget no further BDD rung runs. *)
+   to the circuits as given), and the k = 1 engine is the one
+   {!Analysis.Steer.bdd_first} picks from the shape metrics. *)
 let portfolio ?(options = default_options) ?(max_unroll = 3) spec impl =
-  let spec, impl, plan =
-    if not options.use_analysis then (spec, impl, None)
+  let spec, impl, k1_engine =
+    if not options.use_analysis then (spec, impl, options.engine)
     else begin
       let spec, impl =
         match options.resume with
@@ -918,119 +952,34 @@ let portfolio ?(options = default_options) ?(max_unroll = 3) spec impl =
           (spec', impl')
       in
       let ms = Analysis.Metrics.summary spec and mi = Analysis.Metrics.summary impl in
-      let plan =
-        Analysis.Steer.plan ~max_unroll
+      let bdd_first =
+        Analysis.Steer.bdd_first
           ~product_latches:(ms.Analysis.Metrics.latches + mi.Analysis.Metrics.latches)
           ~levels:(max ms.Analysis.Metrics.levels mi.Analysis.Metrics.levels)
-          ()
       in
-      (spec, impl, Some plan)
+      (spec, impl, if bdd_first then Bdd_engine else Sat_engine)
     end
   in
-  let strategies =
-    match plan with
-    | None ->
-      { options with engine = Bdd_engine }
-      :: List.concat_map
-           (fun k -> [ { options with engine = Sat_engine; sat_unroll = k } ])
-           (List.init max_unroll (fun i -> i + 1))
-    | Some plan ->
-      List.map
-        (fun r ->
-          match r.Analysis.Steer.engine with
-          | Analysis.Steer.Bdd -> { options with engine = Bdd_engine; sat_unroll = 1 }
-          | Analysis.Steer.Sat ->
-            { options with engine = Sat_engine; sat_unroll = r.Analysis.Steer.induction })
-        plan.Analysis.Steer.rungs
+  let rungs = max 1 max_unroll in
+  let t0 = Clock.now () in
+  let remaining () = options.deadline_seconds -. Clock.since t0 in
+  let timed = options.deadline_seconds > 0.0 in
+  let rec rung k =
+    let opts =
+      {
+        options with
+        engine = (if k = 1 then k1_engine else Sat_engine);
+        sat_unroll = k;
+        resume =
+          (match options.resume with
+          | Some cp when cp.Checkpoint.induction >= k -> Some cp
+          | Some _ | None -> None);
+        deadline_seconds =
+          (if timed then max 0.001 (remaining () /. float_of_int (rungs - k + 1)) else 0.0);
+      }
+    in
+    match run ~options:opts spec impl with
+    | Unknown _ when k < rungs && ((not timed) || remaining () > 0.001) -> rung (k + 1)
+    | verdict -> verdict
   in
-  (* dynamic skip state (analysis mode only): every inconclusive rung so
-     far with the budget it exhausted, if any, judged by the two
-     {!Analysis.Steer} rules *)
-  let rung_of opts =
-    {
-      Analysis.Steer.engine =
-        (match opts.engine with Bdd_engine -> Analysis.Steer.Bdd | Sat_engine -> Analysis.Steer.Sat);
-      induction = effective_induction opts;
-    }
-  in
-  let finished = ref [] in
-  let note_unknown opts (stats : stats) = finished := (rung_of opts, stats.exhausted) :: !finished in
-  let skip_rung opts =
-    plan <> None
-    &&
-    let rung = rung_of opts in
-    List.exists
-      (fun (completed, reason) ->
-        (reason = None && Analysis.Steer.redundant_after ~completed rung)
-        || Analysis.Steer.drop_on_exhaustion ~reason rung)
-      !finished
-  in
-  if options.deadline_seconds <= 0.0 then
-    let rec try_all last = function
-      | [] -> (match last with Some v -> v | None -> assert false)
-      | opts :: rest ->
-        if skip_rung opts && last <> None then try_all last rest
-        else (
-          match run ~options:opts spec impl with
-          | (Equivalent _ | Not_equivalent _) as verdict -> verdict
-          | Unknown stats as verdict ->
-            note_unknown opts stats;
-            try_all (Some verdict) rest)
-    in
-    try_all None strategies
-  else begin
-    let t0 = Clock.now () in
-    let remaining () = options.deadline_seconds -. Clock.since t0 in
-    let ckpt = ref options.resume in
-    let budget_hit = ref false in
-    (* a checkpoint of induction depth kc soundly seeds runs of effective
-       depth k <= kc only (gfp(kc) is a subset of gfp(k)) *)
-    let seedable opts =
-      match !ckpt with
-      | Some cp when cp.Checkpoint.induction >= effective_induction opts -> Some cp
-      | Some _ | None -> None
-    in
-    let run_rung ~slice opts =
-      let opts = { opts with deadline_seconds = slice; resume = seedable opts } in
-      let ((verdict, _, _) as result) = run_with_relation ~options:opts spec impl in
-      (match verdict with
-      | Unknown stats ->
-        if stats.exhausted <> None then budget_hit := true;
-        note_unknown opts stats;
-        (match checkpoint_of_run ~options:opts ~spec ~impl result with
-        | Ok cp -> ckpt := Some cp
-        | Error _ -> ())
-      | Equivalent _ | Not_equivalent _ -> ());
-      verdict
-    in
-    let n = List.length strategies in
-    let rec try_all i last = function
-      | [] -> (
-        (* degradation rung: nothing was conclusive, so spend whatever
-           time is left re-running the BDD engine seeded from the most
-           refined partition instead of reporting a bare Unknown *)
-        let fallback = { options with engine = Bdd_engine; sat_unroll = 1 } in
-        let finished = match last with Some v -> v | None -> assert false in
-        if
-          (not !budget_hit) || remaining () <= 0.001 || seedable fallback = None
-          || skip_rung fallback
-        then finished
-        else
-          match run_rung ~slice:(remaining ()) fallback with
-          | (Equivalent _ | Not_equivalent _) as verdict -> verdict
-          | Unknown _ as verdict -> verdict)
-      | opts :: rest ->
-        let rem = remaining () in
-        if (i > 0 && rem <= 0.001) || (skip_rung opts && last <> None) then
-          try_all (i + 1) last rest
-        else begin
-          (* an equal share of what is left, keeping one share in reserve
-             for the degradation rung *)
-          let slice = max 0.001 (rem /. float_of_int (n + 1 - i)) in
-          match run_rung ~slice opts with
-          | (Equivalent _ | Not_equivalent _) as verdict -> verdict
-          | Unknown _ as verdict -> try_all (i + 1) (Some verdict) rest
-        end
-    in
-    try_all 0 None strategies
-  end
+  rung 1

@@ -175,8 +175,10 @@ let run_job d job =
         end)
   in
   if proceed then begin
-    (* warm start: the portfolio manages its own rung checkpoints, so the
-       cache probe only serves the direct methods *)
+    (* warm start: the cache probe only serves the direct methods — the
+       portfolio's rungs run at several depths on pre-reduced circuits,
+       while a stored checkpoint binds to one depth and to the circuits
+       as given *)
     let warm =
       if job.opts.meth = "auto" then None
       else

@@ -217,42 +217,20 @@ let prop_reduced_verdict_agrees =
 
 (* --- steering ---------------------------------------------------------------- *)
 
-let test_steer_plan () =
-  let small = Analysis.Steer.plan ~product_latches:24 ~levels:20 () in
-  Alcotest.(check bool) "small product goes bdd-first" true small.Analysis.Steer.bdd_first;
-  (match small.Analysis.Steer.rungs with
-  | { Analysis.Steer.engine = Analysis.Steer.Bdd; induction = 1 }
-    :: { Analysis.Steer.engine = Analysis.Steer.Sat; induction = 1 } :: deeper ->
-    Alcotest.(check (list int)) "deeper sat rungs" [ 2; 3 ]
-      (List.map (fun r -> r.Analysis.Steer.induction) deeper)
-  | _ -> Alcotest.fail "unexpected bdd-first ladder");
-  let big = Analysis.Steer.plan ~product_latches:128 ~levels:20 () in
-  Alcotest.(check bool) "many state vars go sat-first" false big.Analysis.Steer.bdd_first;
-  (match big.Analysis.Steer.rungs with
-  | { Analysis.Steer.engine = Analysis.Steer.Sat; induction = 1 } :: _ -> ()
-  | _ -> Alcotest.fail "expected a sat rung first");
-  let deep = Analysis.Steer.plan ~product_latches:24 ~levels:200 () in
-  Alcotest.(check bool) "deep logic goes sat-first" false deep.Analysis.Steer.bdd_first
-
-let test_steer_dynamic_rules () =
-  let rung engine induction = { Analysis.Steer.engine; induction } in
-  let completed = rung Analysis.Steer.Bdd 1 in
-  Alcotest.(check bool) "same depth redundant" true
-    (Analysis.Steer.redundant_after ~completed (rung Analysis.Steer.Sat 1));
-  Alcotest.(check bool) "deeper rung survives" false
-    (Analysis.Steer.redundant_after ~completed (rung Analysis.Steer.Sat 2));
-  Alcotest.(check bool) "bdd dropped after node blowup" true
-    (Analysis.Steer.drop_on_exhaustion ~reason:(Some "bdd nodes")
-       (rung Analysis.Steer.Bdd 1));
-  Alcotest.(check bool) "sat keeps running" false
-    (Analysis.Steer.drop_on_exhaustion ~reason:(Some "bdd nodes")
-       (rung Analysis.Steer.Sat 2));
-  Alcotest.(check bool) "other aborts drop nothing" false
-    (Analysis.Steer.drop_on_exhaustion ~reason:(Some "sat calls")
-       (rung Analysis.Steer.Bdd 1))
+let test_steer_bdd_first () =
+  let bdd_first = Analysis.Steer.bdd_first in
+  Alcotest.(check bool) "small product goes bdd-first" true
+    (bdd_first ~product_latches:24 ~levels:20);
+  Alcotest.(check bool) "at the thresholds still bdd-first" true
+    (bdd_first ~product_latches:Analysis.Steer.bdd_latch_limit
+       ~levels:Analysis.Steer.bdd_level_limit);
+  Alcotest.(check bool) "many state vars go sat-first" false
+    (bdd_first ~product_latches:128 ~levels:20);
+  Alcotest.(check bool) "deep logic goes sat-first" false
+    (bdd_first ~product_latches:24 ~levels:200)
 
 (* The analysis-steered portfolio stays sound and conclusive on suite
-   pairs (pre-reduction + plan + skip rules end to end). *)
+   pairs (pre-reduction + the steered k = 1 engine end to end). *)
 let test_steered_portfolio_proves_suite () =
   List.iter
     (fun name ->
@@ -330,8 +308,7 @@ let suite =
     prop_reduce_preserves_semantics;
     prop_reduce_idempotent;
     prop_reduced_verdict_agrees;
-    Alcotest.test_case "steering plan" `Quick test_steer_plan;
-    Alcotest.test_case "steering dynamic rules" `Quick test_steer_dynamic_rules;
+    Alcotest.test_case "steering bdd-first predicate" `Quick test_steer_bdd_first;
     Alcotest.test_case "steered portfolio proves suite" `Quick
       test_steered_portfolio_proves_suite;
     Alcotest.test_case "report json shape" `Quick test_report_json_shape;

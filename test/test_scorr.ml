@@ -248,12 +248,40 @@ let test_k_induction_on_suite () =
 
 let test_portfolio_closes_k1_gaps () =
   (* crc32 retime+opt is the documented k=1-incomplete case: the portfolio
-     must close it by escalating to k=2 *)
+     must close it by escalating to k=2.  It runs one rung per induction
+     depth, so the progress labels show the BDD rung's k = 1 fixed point
+     and then the SAT engine at k = 2 — no second k = 1 rung. *)
   let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find "crc32")) in
   let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed:11 spec in
   Alcotest.(check bool) "k=1 bdd does not prove" false
     (is_equiv (Scorr.check ~options:{ bdd_opts with Scorr.Verify.node_limit = 500_000 } spec impl));
-  Alcotest.(check bool) "portfolio proves" true (is_equiv (Scorr.portfolio spec impl))
+  let labels = ref [] in
+  let options =
+    { bdd_opts with
+      Scorr.Verify.progress =
+        Some
+          (fun p ->
+            if not (List.mem p.Scorr.Verify.p_engine !labels) then
+              labels := p.Scorr.Verify.p_engine :: !labels)
+    }
+  in
+  Alcotest.(check bool) "portfolio proves" true (is_equiv (Scorr.portfolio ~options spec impl));
+  Alcotest.(check (list string)) "rung labels" [ "bdd"; "sat-k2" ] (List.rev !labels)
+
+(* With the hand-off, the default BDD engine decides tx against its
+   retime+opt seed-2 implementation (its node budget runs out on the way)
+   and ends on the SAT engine's fixed point: the same classes and
+   equivalence percentage as the SAT engine alone. *)
+let test_default_decides_tx () =
+  let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find "tx")) in
+  let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed:2 spec in
+  let opts = { bdd_opts with Scorr.Verify.use_speculation = false } in
+  match (Scorr.check ~options:opts spec impl, Scorr.check ~options:sat_opts spec impl) with
+  | Scorr.Equivalent d, Scorr.Equivalent s ->
+    Alcotest.(check int) "classes" s.Scorr.Verify.classes d.Scorr.Verify.classes;
+    Alcotest.(check (float 0.0)) "eq%" s.Scorr.Verify.eq_pct d.Scorr.Verify.eq_pct;
+    Alcotest.(check bool) "handed off" true (d.Scorr.Verify.sat_calls > 0)
+  | _ -> Alcotest.fail "expected Equivalent from both engines"
 
 let prop_portfolio_sound =
   QCheck_alcotest.to_alcotest
@@ -357,7 +385,13 @@ let canonical_classes p =
              ids)
        (Scorr.Partition.multi_member_classes p))
 
-let mode_matrix_ok seed ~use_sat ~k ~use_speculation ~use_analysis ~jobs =
+(* [node_limit], when given, starves the BDD engine's node budget: the
+   engine must then hand its partition to the SAT sweep rather than end
+   on the budget, and still reach the oracle's fixed point.  [handed_off]
+   counts the runs that did. *)
+let handed_off = ref 0
+
+let mode_matrix_ok ?node_limit seed ~use_sat ~k ~use_speculation ~use_analysis ~jobs =
   let a, a' = matrix_pair seed in
   let options =
     {
@@ -370,30 +404,54 @@ let mode_matrix_ok seed ~use_sat ~k ~use_speculation ~use_analysis ~jobs =
       use_retime = false;
       use_sim_seed = false;
       use_ternary_seed = false;
+      node_limit = Option.value node_limit ~default:Scorr.default_options.Scorr.Verify.node_limit;
     }
   in
   let verdict, product, relation = Scorr.Verify.run_with_relation ~options a a' in
+  let stats = Scorr.Verify.verdict_stats verdict in
+  if (not use_sat) && (not use_speculation) && stats.Scorr.Verify.sat_calls > 0 then
+    incr handed_off;
   let fixpoint_ok =
     match (verdict, relation) with
     | (Scorr.Equivalent _ | Scorr.Unknown { Scorr.Verify.exhausted = None; _ }), Some p ->
       canonical_classes p = Test_util.scorr_gfp ~k:(if use_sat then k else 1) product
     | _ -> true
   in
+  let budget_ok = stats.Scorr.Verify.exhausted <> Some "bdd nodes" in
   let verdict_ok =
     match verdict with
     | Scorr.Equivalent _ -> Test_util.bounded_seq_equiv a a'
     | Scorr.Not_equivalent _ -> not (Test_util.bounded_seq_equiv a a')
     | Scorr.Unknown _ -> true
   in
-  fixpoint_ok && verdict_ok
+  fixpoint_ok && verdict_ok && budget_ok
 
 let prop_mode_matrix =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"all modes reach the oracle fixed point" ~count:120
        QCheck.(
-         pair (int_range 0 100_000) (quad bool (int_range 1 2) (pair bool bool) (int_range 1 2)))
-       (fun (seed, (use_sat, k, (use_speculation, use_analysis), jobs)) ->
-         mode_matrix_ok seed ~use_sat ~k ~use_speculation ~use_analysis ~jobs))
+         pair (int_range 0 100_000)
+           (quad bool (int_range 1 2) (pair bool bool)
+              (pair (int_range 1 2) (option (int_range 1 400)))))
+       (fun (seed, (use_sat, k, (use_speculation, use_analysis), (jobs, node_limit))) ->
+         mode_matrix_ok ?node_limit seed ~use_sat ~k ~use_speculation ~use_analysis ~jobs))
+
+(* The BDD half of the matrix under a starved node budget alone, so that
+   the hand-off to the SAT sweep is drawn often: every case must reach the
+   oracle's k = 1 fixed point, and a good share must actually reach the
+   SAT sweep (70 of these 400 draws do; many of the rest are refuted
+   before any engine runs). *)
+let test_starved_bdd_matrix () =
+  handed_off := 0;
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"starved bdd budget hands off to the oracle fixed point" ~count:400
+       QCheck.(pair (int_range 0 100_000) (triple bool (int_range 1 2) (int_range 1 400)))
+       (fun (seed, (use_analysis, jobs, node_limit)) ->
+         mode_matrix_ok ~node_limit seed ~use_sat:false ~k:1 ~use_speculation:false ~use_analysis
+           ~jobs));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 400 cases handed off (at least 50)" !handed_off)
+    true (!handed_off >= 50)
 
 let prop_incremental_sat_matrix =
   (* the SAT engine's persistent incremental lanes are its only path; this
@@ -597,6 +655,8 @@ let suite =
     prop_engines_compute_same_relation;
     prop_mode_matrix;
     prop_incremental_sat_matrix;
+    Alcotest.test_case "starved bdd budget hands off to the oracle fixed point" `Quick
+      test_starved_bdd_matrix;
     prop_parallel_matches_sequential;
     prop_speculation_matches_plain;
     prop_regcorr_sound;
@@ -604,6 +664,7 @@ let suite =
     prop_k2_extends_k1;
     Alcotest.test_case "k-induction on suite" `Quick test_k_induction_on_suite;
     Alcotest.test_case "portfolio closes k=1 gaps" `Quick test_portfolio_closes_k1_gaps;
+    Alcotest.test_case "default engine decides tx" `Quick test_default_decides_tx;
     prop_portfolio_sound;
   ]
 

@@ -174,31 +174,36 @@ let test_budget_unknown_keeps_sat_stats () =
     Alcotest.(check bool) "phase stats harvested" true (s.phase_seconds <> [])
   | _ -> Alcotest.fail "expected Unknown under a 3-call SAT budget"
 
+(* A 10k-node budget hands ctr16 to the SAT sweep (building the BDD
+   engine needs about 5k nodes, the sweep far more); a 3-call SAT budget
+   then ends the run.  The Unknown must still carry the BDD engine's
+   counters, harvested at the hand-off, next to the SAT engine's.
+   Speculation is pinned off: under it the SAT sweep is the engine from
+   the start. *)
 let test_budget_unknown_keeps_bdd_stats () =
   let spec, impl = budget_pair () in
   let options =
-    (* low enough that the refinement sweep blows the budget, high enough
-       that engine construction itself succeeds (it needs ~5k nodes);
-       speculation pinned off — under it the SAT sweep is the exact
-       engine and would prove the pair instead of going Unknown *)
     { Scorr.default_options with
       Scorr.Verify.node_limit = 10_000;
+      max_sat_calls = 3;
       use_retime = false;
       use_speculation = false
     }
   in
   match Scorr.check ~options spec impl with
   | Scorr.Unknown s ->
-    Alcotest.(check bool) "peak nodes harvested" true (s.Scorr.Verify.peak_bdd_nodes > 0);
+    Alcotest.(check (option string)) "exhausted" (Some "sat calls") s.Scorr.Verify.exhausted;
+    Alcotest.(check bool) "peak nodes harvested" true (s.peak_bdd_nodes > 0);
     Alcotest.(check bool) "phase stats harvested" true (s.phase_seconds <> [])
-  | _ -> Alcotest.fail "expected Unknown under a 2k-node BDD budget"
+  | _ -> Alcotest.fail "expected Unknown under a 3-call SAT budget after the hand-off"
 
 (* Two ways a node budget runs out: arb4 against its retimed twin under
    700 nodes outgrows the manager's hard limit inside one BDD operation,
    between two samples of the peak; ctr8 under 300 nodes runs out while
    the engine itself is built, before any context exists to harvest.
-   Either way the reported peak must exceed the budget. *)
-let test_node_limit_abort_reports_peak () =
+   Either way the BDD engine hands its partition to the SAT sweep, which
+   proves the pair, and the reported peak exceeds the budget. *)
+let test_node_limit_handoff_keeps_peak () =
   List.iter
     (fun (name, node_limit) ->
       let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find name)) in
@@ -213,15 +218,37 @@ let test_node_limit_abort_reports_peak () =
         }
       in
       match Scorr.check ~options spec impl with
-      | Scorr.Unknown s ->
-        Alcotest.(check (option string))
-          (name ^ " exhausted") (Some "bdd nodes") s.Scorr.Verify.exhausted;
+      | Scorr.Equivalent s ->
+        Alcotest.(check (option string)) (name ^ " exhausted") None s.Scorr.Verify.exhausted;
         Alcotest.(check bool)
           (Printf.sprintf "%s peak %d exceeds the budget %d" name s.peak_bdd_nodes node_limit)
           true
-          (s.peak_bdd_nodes > node_limit)
-      | _ -> Alcotest.failf "%s: expected Unknown under a %d-node BDD budget" name node_limit)
+          (s.peak_bdd_nodes > node_limit);
+        Alcotest.(check bool) (name ^ " reached the SAT sweep") true (s.sat_calls > 0)
+      | _ -> Alcotest.failf "%s: expected Equivalent after the hand-off at %d nodes" name node_limit)
     [ ("arb4", 700); ("ctr8", 300) ]
+
+(* Progress reports name the engine doing the work: arb4 under a 700-node
+   budget streams "bdd" until the hand-off and "sat-k1" after it. *)
+let test_progress_labels_follow_handoff () =
+  let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find "arb4")) in
+  let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_only ~seed:7 spec in
+  let labels = ref [] in
+  let options =
+    { Scorr.default_options with
+      Scorr.Verify.engine = Scorr.Verify.Bdd_engine;
+      node_limit = 700;
+      use_speculation = false;
+      progress = Some (fun p -> labels := p.Scorr.Verify.p_engine :: !labels)
+    }
+  in
+  ignore (Scorr.check ~options spec impl);
+  let rec runs = function
+    | a :: (b :: _ as rest) -> if a = b then runs rest else a :: runs rest
+    | l -> l
+  in
+  Alcotest.(check (list string)) "engine labels in order" [ "bdd"; "sat-k1" ]
+    (runs (List.rev !labels))
 
 (* --- the BDD engine's fixed-point work, pinned ---------------------------- *)
 
@@ -284,8 +311,10 @@ let suite =
       test_budget_unknown_keeps_sat_stats;
     Alcotest.test_case "budget Unknown keeps BDD stats" `Quick
       test_budget_unknown_keeps_bdd_stats;
-    Alcotest.test_case "node-limit abort reports its peak" `Quick
-      test_node_limit_abort_reports_peak;
+    Alcotest.test_case "node-limit hand-off keeps its peak" `Quick
+      test_node_limit_handoff_keeps_peak;
+    Alcotest.test_case "progress labels follow the hand-off" `Quick
+      test_progress_labels_follow_handoff;
     Alcotest.test_case "rejects retired and unbounded options" `Quick test_rejects_bad_options;
     Alcotest.test_case "bdd fixed-point work pinned" `Quick test_bdd_fixpoint_work_pinned;
     prop_order_is_permutation;
