@@ -776,7 +776,12 @@ module Verify : sig
             {!max_induction}: {!run_with_relation} raises
             [Invalid_argument] beyond it. *)
     presim_frames : int;
-    bmc_depth : int;  (** exhaustive refutation depth (0 disables) *)
+    bmc_depth : int;
+        (** Exhaustive refutation depth (0 disables).  The bounded model
+            check runs at most once per run, after a fixed point that did
+            not prove the outputs, or after a budget abort before one: a
+            proof by the first fixed point never pays for it.  The
+            initial-split disproof unrolls at least this deep too. *)
     seed : int;
     jobs : int;
         (** Worker domains for the SAT engine's Eq.(3) sweep rounds; the
@@ -832,9 +837,10 @@ module Verify : sig
         frame : int;
         trace : bool array array option;
             (** input vectors of a witnessing run.  Every refutation path
-                (presimulation, bounded refutation, and the initial-frame
-                class split) derives a concrete trace, so this is [Some]
-                in practice; [None] survives only as a defensive case. *)
+                (presimulation, the initial-frame class split, and the
+                bounded refutation after the fixed point) derives a
+                concrete trace, so this is [Some] in practice; [None]
+                survives only as a defensive case. *)
         stats : stats;
       }
     | Unknown of stats
@@ -885,7 +891,10 @@ module Verify : sig
       rung's verdict is returned otherwise.  The k = 1 rung runs
       [options.engine] (the BDD engine hands off to the SAT sweep when
       its node budget runs out); deeper rungs run the SAT engine.  All
-      rungs are sound.  [options.resume] seeds every rung whose depth
+      rungs are sound.  Only the k = 1 rung presimulates and runs the
+      bounded model check: the deeper rungs would repeat both on the same
+      product.  The verdict's stats cover every rung run: counters and
+      phase times summed, the relation figures of the last rung.  [options.resume] seeds every rung whose depth
       the checkpoint's allows.
 
       With [deadline_seconds] set, the remaining wall clock is split

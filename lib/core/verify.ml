@@ -11,8 +11,11 @@
         (Fig. 3) and, if it grew, recompute the fixed point.
 
    The method is sound but incomplete: "Unknown" is a possible answer.
-   Genuine counterexamples are still produced when the circuits differ on
-   a simulated run from the initial state or on the initial frame. *)
+   Genuine counterexamples, each with a concrete trace, come from random
+   simulation before step 1, from an initial refinement that splits an
+   output pair, and from a bounded model check that runs once, only when
+   the first fixed point leaves the outputs unproved or a budget aborts
+   it: a proof by the first fixed point never pays for the unrolling. *)
 
 type engine_kind = Bdd_engine | Sat_engine
 
@@ -65,7 +68,9 @@ type options = {
       (* induction depth k of the SAT engine; 1 = the paper, at most
          [max_induction] *)
   presim_frames : int;
-  bmc_depth : int; (* exhaustive refutation depth before the fixed point *)
+  bmc_depth : int;
+      (* exhaustive refutation depth, run after a fixed point that did
+         not prove the outputs (or a budget abort); 0 disables *)
   seed : int;
   jobs : int; (* worker domains for Eq.(3) sweeps (SAT engine) *)
   deadline_seconds : float; (* wall-clock budget; <= 0 means none *)
@@ -514,18 +519,25 @@ let simulate_difference ~seed ~n_frames spec impl =
 
 (* --- initial-frame disproofs -------------------------------------------------------- *)
 
-(* When the exact initial refinement separates an output pair, the
-   circuits differ within the first frames the refinement inspected (one
-   frame for the BDD engine, [sat_unroll] for the SAT engine).  Derive the
-   concrete witness with a bounded refutation over exactly that window so
-   the verdict never ships without a trace. *)
-let initial_disproof (options : options) product =
-  let k =
-    match options.engine with Bdd_engine -> 1 | Sat_engine -> max 1 options.sat_unroll
-  in
-  match Reach.Bmc.check ~max_depth:(k - 1) product.Product.aig with
+(* When the initial refinement separates an output pair, the circuits
+   differ within the first frames it inspected: the exact initial-state
+   condition covers one frame for the BDD engine and [sat_unroll] for the
+   SAT engine, and the simulation seed covers [sim_frames] random frames.
+   Derive the concrete witness with a bounded refutation over the exact
+   window (or [bmc_depth], if deeper: this is the run's one bounded
+   refutation, so it must find what a late one would), then by replaying
+   the seed's own frames, so the verdict never ships without a trace. *)
+let initial_disproof (options : options) product spec impl =
+  match
+    Reach.Bmc.check
+      ~max_depth:(max (effective_induction options - 1) options.bmc_depth)
+      product.Product.aig
+  with
   | Reach.Bmc.Counterexample cex -> (cex.Reach.Bmc.depth, Some cex.Reach.Bmc.inputs)
-  | Reach.Bmc.No_counterexample _ | Reach.Bmc.Budget _ -> (0, None)
+  | Reach.Bmc.No_counterexample _ | Reach.Bmc.Budget _ -> (
+    match simulate_difference ~seed:options.seed ~n_frames:options.sim_frames spec impl with
+    | Some (frame, trace) -> (frame, Some trace)
+    | None -> (0, None))
 
 (* --- outputs proved? (Theorem 1) --------------------------------------------------- *)
 
@@ -596,6 +608,12 @@ let outputs_proved (options : options) product partition =
 
 (* --- main entry --------------------------------------------------------------------- *)
 
+(* Add [dt] seconds to phase [name] of a per-phase wall-clock list. *)
+let add_phase phases (name, dt) =
+  match List.assoc_opt name phases with
+  | Some t -> (name, t +. dt) :: List.remove_assoc name phases
+  | None -> phases @ [ (name, dt) ]
+
 (* Full entry point: the verdict plus, when a fixed point was computed,
    the product machine and the final correspondence relation — the
    checker's certificate ("show your work"). *)
@@ -644,15 +662,7 @@ let run_with_relation ?(options = default_options) spec impl =
      exception-safe [Clock.measure] keeps the elapsed time of phases that
      abort on a blown budget *)
   let phases = ref [] in
-  let phase name f =
-    Clock.measure
-      ~record:(fun dt ->
-        phases :=
-          match List.assoc_opt name !phases with
-          | Some acc -> (name, acc +. dt) :: List.remove_assoc name !phases
-          | None -> !phases @ [ (name, dt) ])
-      f
-  in
+  let phase name f = Clock.measure ~record:(fun dt -> phases := add_phase !phases (name, dt)) f in
   let exhausted = ref None in
   (* pending counterexample lanes of the aborted engine, captured by the
      per-round finalizer so budget aborts can checkpoint them *)
@@ -711,21 +721,6 @@ let run_with_relation ?(options = default_options) spec impl =
   with
   | Some (frame, trace) -> Not_equivalent { frame; trace = Some trace; stats = mk_stats None }
   | None ->
-  (* exhaustive refutation up to a small depth: catches corner-case
-     differences random simulation misses and yields a concrete trace *)
-  match
-    phase "refute" (fun () ->
-        if options.bmc_depth <= 0 then Reach.Bmc.No_counterexample (-1)
-        else Reach.Bmc.check ~max_depth:options.bmc_depth product.Product.aig)
-  with
-  | Reach.Bmc.Counterexample cex ->
-    Not_equivalent
-      {
-        frame = cex.Reach.Bmc.depth;
-        trace = Some cex.Reach.Bmc.inputs;
-        stats = mk_stats None;
-      }
-  | Reach.Bmc.No_counterexample _ | Reach.Bmc.Budget _ ->
     let start_round =
       (* resume: replay the checkpointed retiming augmentations (they are
          deterministic functions of the product machine) and pick the
@@ -804,7 +799,9 @@ let run_with_relation ?(options = default_options) spec impl =
                 && not (outputs_in_same_class product partition)
               then begin
                 record_stats ();
-                let frame, trace = initial_disproof options product in
+                let frame, trace =
+                  phase "refute" (fun () -> initial_disproof options product spec impl)
+                in
                 `Done (Not_equivalent { frame; trace; stats = mk_stats (Some partition) })
               end
               else begin
@@ -847,23 +844,49 @@ let run_with_relation ?(options = default_options) spec impl =
                 record_stats ();
                 if phase "outputs" (fun () -> outputs_proved options product partition) then
                   `Done (Equivalent (mk_stats (Some partition)))
-                else if options.use_retime && n < options.max_retime_rounds then begin
-                  count { Counters.zero with retime_rounds = 1 };
-                  let added = Retime_aug.augment product in
-                  if added > 0 then `Retime
-                  else `Done (Unknown (mk_stats (Some partition)))
-                end
-                else `Done (Unknown (mk_stats (Some partition)))
+                else `Unproved
               end)
-        with Budget why ->
-          exhausted := Some why;
-          write_checkpoint ~round:n ~patterns:!pool_pending partition;
-          `Done (Unknown (mk_stats (Some partition)))
+        with Budget why -> `Aborted why
       in
-      (* the retiming extension restarts with a fresh engine; recursing
-         outside the finalizer keeps at most one engine's worker domains
-         alive at a time *)
-      match outcome with `Done verdict -> verdict | `Retime -> round (n + 1)
+      (* The bounded refutation (Theorem 1 needs none): exhaustive up to
+         [bmc_depth], it catches the corner-case differences random
+         simulation misses and yields a concrete trace.  It runs once per
+         run, when the first round would end or go on without a proof:
+         its fixed point left the outputs unproved, or a budget aborted
+         it.  A proof by the first round never pays for it.  It, the
+         retiming extension and its fresh engine all run after the
+         finalizer, so at most one engine (and no engine beside the BMC
+         solver) is alive at a time. *)
+      let late_refute () =
+        if n > start_round || options.bmc_depth <= 0 then Reach.Bmc.No_counterexample (-1)
+        else
+          phase "refute" (fun () ->
+              Reach.Bmc.check ~max_depth:options.bmc_depth product.Product.aig)
+      in
+      match outcome with
+      | `Done verdict -> verdict
+      | (`Aborted _ | `Unproved) as unproved -> (
+        match late_refute () with
+        | Reach.Bmc.Counterexample cex ->
+          Not_equivalent
+            {
+              frame = cex.Reach.Bmc.depth;
+              trace = Some cex.Reach.Bmc.inputs;
+              stats = mk_stats (Some partition);
+            }
+        | Reach.Bmc.No_counterexample _ | Reach.Bmc.Budget _ -> (
+          match unproved with
+          | `Aborted why ->
+            exhausted := Some why;
+            write_checkpoint ~round:n ~patterns:!pool_pending partition;
+            Unknown (mk_stats (Some partition))
+          | `Unproved ->
+            if options.use_retime && n < options.max_retime_rounds then begin
+              count { Counters.zero with retime_rounds = 1 };
+              if Retime_aug.augment product > 0 then round (n + 1)
+              else Unknown (mk_stats (Some partition))
+            end
+            else Unknown (mk_stats (Some partition))))
     in
     round start_round
 
@@ -964,12 +987,30 @@ let portfolio ?(options = default_options) ?(max_unroll = 3) spec impl =
   let t0 = Clock.now () in
   let remaining () = options.deadline_seconds -. Clock.since t0 in
   let timed = options.deadline_seconds > 0.0 in
-  let rec rung k =
+  (* the verdict reports the whole run: every rung's counters, phases
+     and time, with the final rung's relation figures *)
+  let add_rung (earlier : stats) (s : stats) =
+    {
+      (Counters.combine s earlier) with
+      seconds = earlier.seconds +. s.seconds;
+      phase_seconds = List.fold_left add_phase earlier.phase_seconds s.phase_seconds;
+    }
+  in
+  let with_stats s = function
+    | Equivalent _ -> Equivalent s
+    | Not_equivalent r -> Not_equivalent { r with stats = s }
+    | Unknown _ -> Unknown s
+  in
+  let rec rung k earlier =
     let opts =
       {
         options with
         engine = (if k = 1 then k1_engine else Sat_engine);
         sat_unroll = k;
+        (* the k = 1 rung has simulated and bounded-model-checked this
+           very product; repeating either cannot change the answer *)
+        presim_frames = (if k = 1 then options.presim_frames else 0);
+        bmc_depth = (if k = 1 then options.bmc_depth else 0);
         resume =
           (match options.resume with
           | Some cp when cp.Checkpoint.induction >= k -> Some cp
@@ -978,8 +1019,10 @@ let portfolio ?(options = default_options) ?(max_unroll = 3) spec impl =
           (if timed then max 0.001 (remaining () /. float_of_int (rungs - k + 1)) else 0.0);
       }
     in
-    match run ~options:opts spec impl with
-    | Unknown _ when k < rungs && ((not timed) || remaining () > 0.001) -> rung (k + 1)
-    | verdict -> verdict
+    let verdict = run ~options:opts spec impl in
+    let total = add_rung earlier (verdict_stats verdict) in
+    match verdict with
+    | Unknown _ when k < rungs && ((not timed) || remaining () > 0.001) -> rung (k + 1) total
+    | verdict -> with_stats total verdict
   in
-  rung 1
+  rung 1 Counters.zero

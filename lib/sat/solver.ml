@@ -21,6 +21,11 @@ type clause = {
   act_tag : int; (* activation variable guarding this clause, or -1 *)
 }
 
+(* The reason of a decision, an assumption or a level-0 unit.  Never
+   watched, bumped or written: sharing it between solvers shares no
+   state. *)
+let no_reason = { lits = [||]; learned = false; act = 0.0; lbd = 0; act_tag = -1 }
+
 type result = Sat | Unsat
 
 type proof_step = Step_add of int list | Step_delete of int list
@@ -36,10 +41,17 @@ type t = {
   mutable clauses : clause list;
   mutable learnts : clause list;
   mutable n_learnts : int;
-  mutable watches : clause list array; (* indexed by literal *)
+  mutable watches : clause array array;
+      (* indexed by literal: a stack whose top, at [watch_n.(l) - 1], is
+         visited first.  Arrays, so that propagation allocates nothing:
+         whatever these long-lived arrays hold outlives the minor heap,
+         so a list rebuilt per visit would be promoted only to be swept
+         later, and peak memory would follow the collector's pacing. *)
+  mutable watch_n : int array;
+  mutable watch_tmp : clause array; (* scratch for [propagate] *)
   mutable assign : int array; (* per var: lbool *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : clause array; (* [no_reason] for none *)
   mutable polarity : bool array; (* saved phase *)
   mutable activity : float array;
   mutable trail : int array; (* literals in assignment order *)
@@ -77,10 +89,12 @@ let create () =
     clauses = [];
     learnts = [];
     n_learnts = 0;
-    watches = Array.make 2 [];
+    watches = Array.make 2 [||];
+    watch_n = Array.make 2 0;
+    watch_tmp = [||];
     assign = Array.make 1 l_undef;
     level = Array.make 1 0;
-    reason = Array.make 1 None;
+    reason = Array.make 1 no_reason;
     polarity = Array.make 1 false;
     activity = Array.make 1 0.0;
     trail = Array.make 1 0;
@@ -172,17 +186,18 @@ let heap_pop s =
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
-  s.watches <- grow_array s.watches (2 * s.nvars) [];
+  s.watches <- grow_array s.watches (2 * s.nvars) [||];
+  s.watch_n <- grow_array s.watch_n (2 * s.nvars) 0;
   s.assign <- grow_array s.assign s.nvars l_undef;
   s.level <- grow_array s.level s.nvars 0;
-  s.reason <- grow_array s.reason s.nvars None;
+  s.reason <- grow_array s.reason s.nvars no_reason;
   s.polarity <- grow_array s.polarity s.nvars false;
   s.activity <- grow_array s.activity s.nvars 0.0;
   s.trail <- grow_array s.trail s.nvars 0;
   s.seen <- grow_array s.seen s.nvars false;
   s.heap_pos <- grow_array s.heap_pos s.nvars (-1);
   s.assign.(v) <- l_undef;
-  s.reason.(v) <- None;
+  s.reason.(v) <- no_reason;
   s.polarity.(v) <- false;
   s.activity.(v) <- 0.0;
   s.heap_pos.(v) <- -1;
@@ -245,7 +260,7 @@ let cancel_until s lvl =
     for i = s.trail_size - 1 downto s.trail_lim.(lvl) do
       let v = Lit.var s.trail.(i) in
       s.assign.(v) <- l_undef;
-      s.reason.(v) <- None;
+      s.reason.(v) <- no_reason;
       heap_insert s v
     done;
     s.trail_size <- s.trail_lim.(lvl);
@@ -255,64 +270,78 @@ let cancel_until s lvl =
 
 (* --- watched literals --------------------------------------------------- *)
 
+let push_watch s l c =
+  let n = s.watch_n.(l) in
+  s.watches.(l) <- grow_array s.watches.(l) (n + 1) no_reason;
+  s.watches.(l).(n) <- c;
+  s.watch_n.(l) <- n + 1
+
 let attach s c =
-  s.watches.(Lit.negate c.lits.(0)) <- c :: s.watches.(Lit.negate c.lits.(0));
-  s.watches.(Lit.negate c.lits.(1)) <- c :: s.watches.(Lit.negate c.lits.(1))
+  push_watch s (Lit.negate c.lits.(0)) c;
+  push_watch s (Lit.negate c.lits.(1)) c
 
 (* Propagate all enqueued facts; returns the conflicting clause if any.
-   The watch list of a true literal [p] contains clauses in which [~p] is
-   watched (we index watches by the literal whose truth triggers a visit). *)
+   The watches of a true literal [p] are the clauses in which [~p] is
+   watched (we index watches by the literal whose truth triggers a visit).
+   A visit pops [p]'s watches top first and pushes back the ones it keeps
+   in visiting order, so the next visit takes them in reverse; a moved
+   watch never lands on [p], whose negation is false. *)
 let propagate s =
   let conflict = ref None in
   while !conflict = None && s.qhead < s.trail_size do
     let p = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
-    let ws = s.watches.(p) in
-    s.watches.(p) <- [];
-    let rec visit = function
-      | [] -> ()
-      | c :: rest -> (
-        let false_lit = Lit.negate p in
+    let n_ws = s.watch_n.(p) in
+    s.watch_tmp <- grow_array s.watch_tmp n_ws no_reason;
+    let ws = s.watch_tmp in
+    Array.blit s.watches.(p) 0 ws 0 n_ws;
+    s.watch_n.(p) <- 0;
+    let false_lit = Lit.negate p in
+    let i = ref (n_ws - 1) in
+    while !i >= 0 do
+      let c = ws.(!i) in
+      decr i;
+      if !conflict <> None then
+        (* a conflict stopped the visit: keep the remaining watches *)
+        push_watch s p c
+      else begin
         if c.lits.(0) = false_lit then begin
           c.lits.(0) <- c.lits.(1);
           c.lits.(1) <- false_lit
         end;
-        if value_lit s c.lits.(0) = 1 then begin
+        if value_lit s c.lits.(0) = 1 then
           (* clause already satisfied: keep the watch *)
-          s.watches.(p) <- c :: s.watches.(p);
-          visit rest
-        end
+          push_watch s p c
         else begin
           (* look for a new literal to watch *)
           let n = Array.length c.lits in
           let rec find i =
             if i >= n then -1 else if value_lit s c.lits.(i) <> 0 then i else find (i + 1)
           in
-          let i = find 2 in
-          if i >= 0 then begin
-            c.lits.(1) <- c.lits.(i);
-            c.lits.(i) <- false_lit;
-            s.watches.(Lit.negate c.lits.(1)) <- c :: s.watches.(Lit.negate c.lits.(1));
-            visit rest
+          let j = find 2 in
+          if j >= 0 then begin
+            c.lits.(1) <- c.lits.(j);
+            c.lits.(j) <- false_lit;
+            push_watch s (Lit.negate c.lits.(1)) c
           end
           else begin
             (* unit or conflicting *)
-            s.watches.(p) <- c :: s.watches.(p);
+            push_watch s p c;
             if value_lit s c.lits.(0) = 0 then begin
-              (* conflict: restore remaining watches and stop *)
               s.qhead <- s.trail_size;
-              conflict := Some c;
-              List.iter (fun c -> s.watches.(p) <- c :: s.watches.(p)) rest
+              conflict := Some c
             end
-            else begin
-              enqueue s c.lits.(0) (Some c);
-              visit rest
-            end
+            else enqueue s c.lits.(0) c
           end
-        end)
-    in
-    visit ws
+        end
+      end
+    done;
+    (* drop the visited clauses' references from the scratch and from the
+       watch slots vacated by moved watches *)
+    Array.fill ws 0 n_ws no_reason;
+    let w = s.watches.(p) and kept = s.watch_n.(p) in
+    if kept < n_ws then Array.fill w kept (n_ws - kept) no_reason
   done;
   !conflict
 
@@ -345,7 +374,7 @@ let add_clause ?(act = -1) s lits =
       match lits with
       | [] -> s.ok <- false
       | [ l ] ->
-        enqueue s l None;
+        enqueue s l no_reason;
         if propagate s <> None then s.ok <- false
       | _ ->
         let c = { lits = Array.of_list lits; learned = false; act = 0.0; lbd = 0; act_tag = act } in
@@ -362,10 +391,11 @@ let analyze s confl =
   let path_c = ref 0 in
   let p = ref (-1) in
   let index = ref (s.trail_size - 1) in
-  let confl = ref (Some confl) in
+  let confl = ref confl in
   let continue = ref true in
   while !continue do
-    let c = match !confl with Some c -> c | None -> assert false in
+    let c = !confl in
+    assert (c != no_reason);
     if c.learned then bump_clause s c;
     let start = if !p = -1 then 0 else 1 in
     for i = start to Array.length c.lits - 1 do
@@ -417,7 +447,7 @@ let record_learnt s lits bt_level =
   log_proof s (Step_add (Array.to_list lits));
   cancel_until s bt_level;
   if Array.length lits = 1 then begin
-    enqueue s lits.(0) None
+    enqueue s lits.(0) no_reason
   end
   else begin
     (* ensure lits.(1) is at the backtrack level so watches stay valid *)
@@ -433,7 +463,7 @@ let record_learnt s lits bt_level =
     s.learnts <- c :: s.learnts;
     s.n_learnts <- s.n_learnts + 1;
     attach s c;
-    enqueue s lits.(0) (Some c)
+    enqueue s lits.(0) c
   end
 
 (* --- learned clause reduction ------------------------------------------- *)
@@ -442,12 +472,24 @@ let locked s c =
   Array.length c.lits > 0
   &&
   let v = Lit.var c.lits.(0) in
-  match s.reason.(v) with Some r -> r == c && s.assign.(v) <> l_undef | None -> false
+  s.reason.(v) == c && s.assign.(v) <> l_undef
+
+(* Remove [c] from the watches of [l], keeping the others' order. *)
+let remove_watch s l c =
+  let w = s.watches.(l) and n = s.watch_n.(l) in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if w.(i) != c then begin
+      w.(!k) <- w.(i);
+      incr k
+    end
+  done;
+  Array.fill w !k (n - !k) no_reason;
+  s.watch_n.(l) <- !k
 
 let detach s c =
-  let remove l = s.watches.(l) <- List.filter (fun c' -> c' != c) s.watches.(l) in
-  remove (Lit.negate c.lits.(0));
-  remove (Lit.negate c.lits.(1))
+  remove_watch s (Lit.negate c.lits.(0)) c;
+  remove_watch s (Lit.negate c.lits.(1)) c
 
 let reduce_db s =
   let sorted = List.sort (fun a b -> compare a.act b.act) s.learnts in
@@ -471,6 +513,24 @@ let reduce_db s =
 
 (* --- activation release -------------------------------------------------- *)
 
+(* [List.filter keep l], calling [keep] in order, that shares the suffix
+   after the last dropped element (all of [l] when nothing is dropped).
+   A release drops a clause or two from near the head of lists of
+   thousands, and a full copy per solve would be promoted and swept. *)
+let filter_shared keep l =
+  let rec go acc start = function
+    | [] -> List.rev_append acc start
+    | x :: rest as cell ->
+      if keep x then go acc start rest
+      else
+        (* move the kept run [start .. x) onto [acc] *)
+        let rec take acc p =
+          match p with y :: ys when p != cell -> take (y :: acc) ys | _ -> acc
+        in
+        go (take acc start) rest rest
+  in
+  go [] l l
+
 (* Retire activation variable [g]: the guarded problem clauses and every
    learnt mentioning [~g] are permanently satisfied once [~g] holds, so
    they are detached and dropped (activation-aware garbage collection)
@@ -486,11 +546,11 @@ let release s g =
          level-0 reasons are never dereferenced, but clear it anyway *)
       if Array.length c.lits > 0 then begin
         let v = Lit.var c.lits.(0) in
-        match s.reason.(v) with Some r when r == c -> s.reason.(v) <- None | _ -> ()
+        if s.reason.(v) == c then s.reason.(v) <- no_reason
       end
     in
     s.clauses <-
-      List.filter
+      filter_shared
         (fun c ->
           if c.act_tag = g then begin
             drop c;
@@ -500,7 +560,7 @@ let release s g =
           else true)
         s.clauses;
     s.learnts <-
-      List.filter
+      filter_shared
         (fun c ->
           if Array.exists (fun l -> l = ng) c.lits then begin
             drop c;
@@ -553,13 +613,13 @@ let analyze_final s a =
     for i = s.trail_size - 1 downto s.trail_lim.(0) do
       let v = Lit.var s.trail.(i) in
       if s.seen.(v) then begin
-        (match s.reason.(v) with
-        | None -> s.failed <- s.trail.(i) :: s.failed
-        | Some c ->
-          for j = 1 to Array.length c.lits - 1 do
-            let u = Lit.var c.lits.(j) in
-            if s.level.(u) > 0 then s.seen.(u) <- true
-          done);
+        (let c = s.reason.(v) in
+         if c == no_reason then s.failed <- s.trail.(i) :: s.failed
+         else
+           for j = 1 to Array.length c.lits - 1 do
+             let u = Lit.var c.lits.(j) in
+             if s.level.(u) > 0 then s.seen.(u) <- true
+           done);
         s.seen.(v) <- false
       end
     done;
@@ -605,7 +665,7 @@ let search s assumptions budget =
           | 1 -> new_decision_level s (* dummy level, already true *)
           | _ ->
             new_decision_level s;
-            enqueue s a None
+            enqueue s a no_reason
         end
         else begin
           let v = pick_branch_var s in
@@ -613,7 +673,7 @@ let search s assumptions budget =
           else begin
             s.decisions <- s.decisions + 1;
             new_decision_level s;
-            enqueue s (Lit.make v s.polarity.(v)) None
+            enqueue s (Lit.make v s.polarity.(v)) no_reason
           end
         end
     done;
@@ -709,7 +769,7 @@ let import_clause s lits =
       | [] -> s.ok <- false
       | [ l ] ->
         log_proof s (Step_add [ l ]);
-        enqueue s l None;
+        enqueue s l no_reason;
         if propagate s <> None then s.ok <- false
       | _ ->
         log_proof s (Step_add lits);

@@ -361,6 +361,43 @@ let test_solver_trace_replays () =
   | Error msg -> Alcotest.fail ("trace rejected: " ^ msg));
   Alcotest.(check bool) "empty clause derived" true (Sat.Dimacs.Rup.holds rup [])
 
+(* Staged solves on one persistent solver, as the sweep engines issue
+   them: each round guards a few extra clauses with a fresh activation
+   variable and solves under it.  Guards are released two rounds late, so
+   a release drops clauses from the middle of the clause list as well as
+   from its head, and learnt clauses outlive the guards they mention.
+   Every answer must match brute force on the base plus that round's
+   clauses, and once every guard is released only the base clauses
+   remain. *)
+let prop_staged_releases ((nvars, base), rounds) =
+  let s, _ = solve_clauses nvars base in
+  let n_base = Sat.num_clauses s in
+  let lit l = Sat.Lit.of_int l in
+  let pending = Queue.create () in
+  let answers =
+    List.for_all
+      (fun extra ->
+        let g = Sat.new_var s in
+        List.iter (fun c -> Sat.add_clause ~act:g s (List.map lit c)) extra;
+        let r = Sat.solve ~assumptions:[ Sat.Lit.pos g ] s in
+        Queue.add g pending;
+        if Queue.length pending > 2 then Sat.release s (Queue.pop pending);
+        (r = Sat.Sat) = brute_force nvars (extra @ base))
+      rounds
+  in
+  Queue.iter (Sat.release s) pending;
+  answers
+  && Sat.num_clauses s = n_base
+  && (Sat.solve s = Sat.Sat) = brute_force nvars base
+
+let arbitrary_staged =
+  let open QCheck.Gen in
+  let rounds (nvars, _) =
+    let lit = map2 (fun v s -> if s then v + 1 else -(v + 1)) (int_bound (nvars - 1)) bool in
+    list_size (int_range 1 8) (list_size (int_range 1 3) (list_size (int_range 1 3) lit))
+  in
+  QCheck.make (cnf_gen >>= fun cnf -> map (fun r -> (cnf, r)) (rounds cnf))
+
 let qprop name count arb p = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb p)
 
 let suite =
@@ -386,6 +423,7 @@ let suite =
     qprop "model satisfies" 500 arbitrary_cnf prop_model_satisfies;
     qprop "assumptions sound" 300 arbitrary_cnf prop_assumptions_sound;
     qprop "assumptions are temporary" 200 arbitrary_cnf prop_assumptions_dont_stick;
+    qprop "staged solves with late releases" 300 arbitrary_staged prop_staged_releases;
   ]
 
 let () = Alcotest.run "sat" [ ("sat", suite) ]

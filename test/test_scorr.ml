@@ -124,6 +124,44 @@ let prop_soundness_vs_exhaustive =
          | Scorr.Not_equivalent _ -> not ground_truth
          | Scorr.Unknown _ -> true))
 
+(* The bounded model check runs after the fixed point, and it finds what
+   it would find alone: whenever BMC at [bmc_depth] finds a counterexample on a
+   random pair or a mutant of it, both engines refute at its (shallowest)
+   frame.  Presimulation is off because it reports the first frame its
+   random stimuli reach, which may lie deeper. *)
+let prop_refutes_where_bmc_does =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"refutations match bmc at the same depth" ~count:40
+       QCheck.(int_range 0 100_000)
+       (fun seed ->
+         let a = small_aig seed in
+         let a' = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed a in
+         let pairs =
+           (a, a')
+           :: (match Transform.Mutate.observable_mutant ~seed a' with
+              | Some (m, _) -> [ (a, m) ]
+              | None -> [])
+         in
+         List.for_all
+           (fun (spec, impl) ->
+             let depth = bdd_opts.Scorr.Verify.bmc_depth in
+             match
+               Reach.Bmc.check ~max_depth:depth
+                 (Scorr.Product.make spec impl).Scorr.Product.aig
+             with
+             | Reach.Bmc.Counterexample cex ->
+               List.for_all
+                 (fun opts ->
+                   match
+                     Scorr.check ~options:{ opts with Scorr.Verify.presim_frames = 0 } spec impl
+                   with
+                   | Scorr.Not_equivalent { frame; trace = Some _; _ } ->
+                     frame = cex.Reach.Bmc.depth
+                   | _ -> false)
+                 [ bdd_opts; sat_opts ]
+             | Reach.Bmc.No_counterexample _ | Reach.Bmc.Budget _ -> true)
+           pairs))
+
 let test_latch_init_fault_detected () =
   (* a flipped initial value is invisible combinationally but changes the
      sequential behaviour of a counter *)
@@ -649,6 +687,7 @@ let suite =
     prop_full_pipeline_proved;
     prop_mutants_never_proved;
     prop_soundness_vs_exhaustive;
+    prop_refutes_where_bmc_does;
     prop_classes_monotone;
     prop_fixpoint_is_correspondence;
     prop_engines_agree;

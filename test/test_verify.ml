@@ -109,6 +109,102 @@ let test_initial_frame_split_has_witness () =
     Alcotest.fail "initial-frame refutation carried no trace"
   | _ -> Alcotest.fail "expected a frame-0 refutation"
 
+let test_seed_split_without_bmc_has_witness () =
+  (* the pair of "bmc catches post-sim fault" with no presimulation and
+     no bounded refutation: the 16-frame simulation seed splits the
+     outputs, and the disproof replays the seed's frames rather than
+     shipping the verdict without a trace *)
+  let mk init1 =
+    let a = Aig.create () in
+    let q0 = Aig.add_latch a ~init:false in
+    let q1 = Aig.add_latch a ~init:init1 in
+    Aig.set_latch_next a q0 ~next:(Aig.lit_not q0);
+    Aig.set_latch_next a q1 ~next:(Aig.mk_xor a q1 q0);
+    Aig.add_po a "eq3" (Aig.mk_and a q0 q1);
+    a
+  in
+  let spec = mk false and impl = mk true in
+  List.iter
+    (fun (name, engine) ->
+      let options =
+        { Scorr.default_options with Scorr.Verify.engine; presim_frames = 0; bmc_depth = 0 }
+      in
+      match Scorr.check ~options spec impl with
+      | Scorr.Not_equivalent { frame; trace = Some trace; _ } ->
+        Alcotest.(check int) (name ^ ": first difference at frame 1") 1 frame;
+        Alcotest.(check bool) (name ^ ": trace replays") true
+          (replay_outputs_differ spec impl trace)
+      | Scorr.Not_equivalent { trace = None; _ } ->
+        Alcotest.fail (name ^ ": seed-split refutation carried no trace")
+      | _ -> Alcotest.fail (name ^ ": expected a refutation"))
+    [ ("bdd", Scorr.Verify.Bdd_engine); ("sat", Scorr.Verify.Sat_engine) ]
+
+(* A free-running 5-bit counter.  The specification's output is
+   [q4 & q0] (counts 17, 19, ..., 31); the implementation's also needs
+   one of q1..q3, so the two differ only at count 17 (frame 17): past the
+   16 frames of the simulation seed, so only the bounded model check
+   finds it. *)
+let count17_pair () =
+  let mk fault =
+    let a = Aig.create () in
+    let q = Array.init 5 (fun _ -> Aig.add_latch a ~init:false) in
+    let carry = ref Aig.lit_true in
+    Array.iter
+      (fun qi ->
+        Aig.set_latch_next a qi ~next:(Aig.mk_xor a qi !carry);
+        carry := Aig.mk_and a !carry qi)
+      q;
+    let o = Aig.mk_and a q.(4) q.(0) in
+    let o = if fault then Aig.mk_and a o (Aig.mk_or a q.(1) (Aig.mk_or a q.(2) q.(3))) else o in
+    Aig.add_po a "o" o;
+    a
+  in
+  (mk false, mk true)
+
+let test_late_bmc_refutes_after_fixed_point () =
+  (* presimulation off: the fixed point runs first (iterations > 0),
+     leaves the outputs unproved, and the bounded model check then finds
+     the shallowest difference with a trace.  A budget abort of the fixed
+     point ends the same way. *)
+  let spec, impl = count17_pair () in
+  let d = { Scorr.default_options with Scorr.Verify.presim_frames = 0; bmc_depth = 20 } in
+  List.iter
+    (fun (name, options) ->
+      match Scorr.check ~options spec impl with
+      | Scorr.Not_equivalent { frame; trace = Some trace; stats } ->
+        Alcotest.(check int) (name ^ ": refuted at frame 17") 17 frame;
+        Alcotest.(check bool) (name ^ ": trace replays") true
+          (replay_outputs_differ spec impl trace);
+        Alcotest.(check bool) (name ^ ": fixed point ran first") true
+          (stats.Scorr.Verify.iterations > 0);
+        Alcotest.(check (option string)) (name ^ ": no budget reported") None
+          stats.Scorr.Verify.exhausted
+      | Scorr.Not_equivalent { trace = None; _ } -> Alcotest.fail (name ^ ": no trace")
+      | _ -> Alcotest.fail (name ^ ": expected a refutation"))
+    [ ("bdd", d);
+      ("sat", { d with Scorr.Verify.engine = Scorr.Verify.Sat_engine });
+      ("aborted", { d with Scorr.Verify.max_iterations = 1 }) ];
+  match Scorr.check ~options:{ d with Scorr.Verify.bmc_depth = 16 } spec impl with
+  | Scorr.Unknown _ -> ()
+  | _ -> Alcotest.fail "depth 16 cannot see the frame-17 difference: expected Unknown"
+
+let test_portfolio_reports_every_rung () =
+  (* every rung aborts after one iteration, so the run is Unknown after
+     three rungs and its verdict must count all three *)
+  let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find "ctr8")) in
+  let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed:1 spec in
+  let options = { Scorr.default_options with Scorr.Verify.max_iterations = 1 } in
+  match Scorr.portfolio ~options ~max_unroll:3 spec impl with
+  | Scorr.Unknown s ->
+    Alcotest.(check int) "iterations of all three rungs" 3 s.Scorr.Verify.iterations;
+    Alcotest.(check (option string)) "final rung's budget" (Some "iterations")
+      s.Scorr.Verify.exhausted;
+    let fixpoint =
+      Option.value ~default:0.0 (List.assoc_opt "fixpoint" s.Scorr.Verify.phase_seconds)
+    in
+    Alcotest.(check bool) "time covers the phases" true (s.Scorr.Verify.seconds >= fixpoint)
+  | _ -> Alcotest.fail "expected Unknown"
+
 (* --- relation certificate ----------------------------------------------------- *)
 
 let test_certificate_covers_outputs () =
@@ -306,6 +402,11 @@ let suite =
     Alcotest.test_case "bmc catches post-sim fault" `Quick test_bmc_catches_post_sim_difference;
     Alcotest.test_case "initial-frame split has a witness" `Quick
       test_initial_frame_split_has_witness;
+    Alcotest.test_case "seed split without bmc has a witness" `Quick
+      test_seed_split_without_bmc_has_witness;
+    Alcotest.test_case "late bmc refutes after the fixed point" `Quick
+      test_late_bmc_refutes_after_fixed_point;
+    Alcotest.test_case "portfolio reports every rung" `Quick test_portfolio_reports_every_rung;
     Alcotest.test_case "certificate covers outputs" `Quick test_certificate_covers_outputs;
     Alcotest.test_case "budget Unknown keeps SAT stats" `Quick
       test_budget_unknown_keeps_sat_stats;
