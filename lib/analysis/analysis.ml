@@ -1,7 +1,6 @@
 (* Public API of the static-analysis library; see analysis.mli. *)
 
 module Metrics = Metrics
-module Prefilter = Prefilter
 module Reduce = Reduce
 module Diag = Diag
 module Steer = Steer

@@ -1,8 +1,7 @@
 (** Static structural analysis over AIGs.
 
     Facts a solver never has to discover: per-node shape metrics,
-    SAT-discharged structural reduction, input-support prefiltering, and
-    static diagnostics — plus the policy that turns the metrics into the
+    SAT-discharged structural reduction and static diagnostics — plus the policy that turns the metrics into the
     engine of the verification portfolio's k = 1 rung.  Everything here
     is computed before (or between) fixed-point runs; nothing depends on
     the correspondence engines. *)
@@ -38,28 +37,6 @@ module Metrics : sig
 
   val summarize : Aig.t -> t -> summary
   val summary : Aig.t -> summary
-end
-
-(** Primary-input support closed through latch next-state functions; the
-    static candidate-equivalence prefilter is built on its disjointness
-    queries. *)
-module Prefilter : sig
-  type t
-
-  val make : Aig.t -> t
-  val empty : t -> int -> bool
-  (** No structural path from any PI (autonomous signal). *)
-
-  val intersects : t -> int -> int -> bool
-
-  val compatible : t -> int -> int -> bool
-  (** May the two nodes stay equivalence candidates?  [false] exactly when
-      both supports are non-empty and disjoint — splitting such a pair
-      from a candidate class costs zero solver calls, preserves verdict
-      soundness, and can only lose a proof that hinges on a semantically
-      input-free pair whose vacuity is not structural. *)
-
-  val support_size : t -> int -> int
 end
 
 (** Structural reduction: two-level AND rewriting, constant propagation

@@ -7,8 +7,6 @@
    reachable state space and compressed through functional-dependency
    substitution of state variables (Section 4). *)
 
-exception Budget_exceeded of string
-
 (* A budget ran out while [make] built the engine: no context exists to
    harvest, so the abort carries the manager's live node count. *)
 exception Build_exceeded of { reason : string; live_nodes : int }
@@ -23,7 +21,6 @@ type ctx = {
   x2 : int array; (* next-frame input variables *)
   cur : int -> Bdd.t; (* f_v over (x1, s), by literal *)
   delta : Bdd.t array; (* next-state function of each latch, over (x1, s) *)
-  nxt : int -> Bdd.t; (* nu_v over (s, x1, x2), by literal *)
   ini : int -> Bdd.t; (* f_v(s0, x1), by literal *)
   use_fundep : bool;
   fn_size : int array;
@@ -32,24 +29,14 @@ type ctx = {
   node_limit : int;
   deadline : Deadline.t; (* wall-clock budget, polled with every [note] *)
   mutable peak_nodes : int;
-  pool : Simpool.t; (* accumulated counterexample patterns *)
-  support : Support.t Lazy.t; (* structural cones for dirty scheduling *)
-  proved_at : (int, int) Hashtbl.t; (* class -> version proven stable *)
-  mutable n_batched : int; (* batched class scans performed *)
-  mutable n_cache_hits : int; (* classes skipped by the stability cache *)
-  static_filter : bool; (* split PI-support-incompatible candidates for free *)
-  mutable n_static : int; (* classes split by the static prefilter *)
-  sched : unit Parsweep.t;
-      (* single-lane scheduler: BDD hash-consing is shared-mutable, so
-         class scans stay serial, but the sweep runs through the same
-         snapshot/solve/merge protocol as the SAT engine *)
+  sweep : Sweep.t; (* pattern pool, stability cache and sweep counters *)
 }
 
 let note ctx =
-  if Deadline.expired ctx.deadline then raise (Budget_exceeded "deadline");
+  if Deadline.expired ctx.deadline then raise (Sweep.Budget_exceeded "deadline");
   let live = Bdd.live_nodes ctx.m in
   if live > ctx.peak_nodes then ctx.peak_nodes <- live;
-  if live > ctx.node_limit then raise (Budget_exceeded "bdd nodes")
+  if live > ctx.node_limit then raise (Sweep.Budget_exceeded "bdd nodes")
 
 (* [latch_order], when given, lists product latch indices in the order
    their state variables should be placed (correspondence candidates
@@ -81,83 +68,46 @@ let make ?(use_fundep = true) ?latch_order ?care_of ?(node_limit = max_int)
     let pi_var i = x1_vars.(i) in
     let cur = Engines.Aig_bdd.build m aig ~pi_var ~latch_var:(fun i -> s_vars.(i)) in
     let delta = Array.init n_latches (fun i -> cur (Aig.latch_next aig i)) in
-    (* nu and initial-state functions are only requested for signals that
-       share a class, and after simulation seeding most classes are small *)
-    let nxt =
-      Engines.Aig_bdd.build m aig
-        ~pi_var:(fun i -> Bdd.var m x2.(i))
-        ~latch_var:(fun i -> delta.(i))
-    in
+    (* initial-state functions are only requested for signals that share a
+       class, and after simulation seeding most classes are small *)
     let ini =
       Engines.Aig_bdd.build m aig ~pi_var
         ~latch_var:(fun i -> if Aig.latch_init aig i then Bdd.one else Bdd.zero)
     in
     let care = match care_of with Some f -> f m s | None -> Bdd.one in
     let ctx =
-      { p; m; n_pis; n_latches; x1; s; x2; cur; delta; nxt; ini; use_fundep;
+      { p; m; n_pis; n_latches; x1; s; x2; cur; delta; ini; use_fundep;
         fn_size = Array.make (Aig.num_nodes aig) (-1); care;
-        node_limit; deadline; peak_nodes = 0; pool = Simpool.create aig;
-        support = lazy (Support.make aig); proved_at = Hashtbl.create 256;
-        n_batched = 0; n_cache_hits = 0; static_filter; n_static = 0;
-        sched = Parsweep.create ~jobs:1 ~init:(fun _ -> ()) }
+        node_limit; deadline; peak_nodes = 0; sweep = Sweep.create ~static_filter aig }
     in
     note ctx;
     ctx
   in
   let aborted reason = raise (Build_exceeded { reason; live_nodes = Bdd.live_nodes m }) in
   try build () with
-  | Budget_exceeded reason -> aborted reason
+  | Sweep.Budget_exceeded reason -> aborted reason
   | Bdd.Limit_exceeded -> aborted "bdd nodes"
-
-let shutdown ctx = Parsweep.shutdown ctx.sched
 
 (* [note] samples the peak between operations; a run cut short by
    [Bdd.Limit_exceeded] inside one operation peaked at the live count it
    left behind. *)
 let harvest ctx =
   {
-    (Parsweep.harvest ctx.sched) with
+    (Sweep.harvest ctx.sweep) with
     Counters.peak_bdd_nodes = max ctx.peak_nodes (Bdd.live_nodes ctx.m);
-    pool_lanes = Simpool.total_lanes ctx.pool;
-    resim_splits = Simpool.resim_splits ctx.pool;
-    batched_solves = ctx.n_batched;
-    cache_hits = ctx.n_cache_hits;
-    static_splits = ctx.n_static;
   }
-
-(* Zero-cost static refinement: split candidates whose structural PI
-   supports are non-empty and disjoint — such pairs can only be equivalent
-   if semantically input-free, which their structure contradicts.  Runs
-   before each pass so pairs arising from earlier splits are caught;
-   [Partition.refine_class] bumps the version and records moves, so the
-   suspect/strict protocol covers these splits like any other. *)
-let static_prefilter ctx partition =
-  if not ctx.static_filter then 0
-  else begin
-    let support = Lazy.force ctx.support in
-    List.fold_left
-      (fun acc cls ->
-        if Support.prefilter_class support partition cls then begin
-          ctx.n_static <- ctx.n_static + 1;
-          acc + 1
-        end
-        else acc)
-      0
-      (Partition.multi_member_classes partition)
-  end
 
 let norm ctx f pol = if pol then Bdd.mk_not ctx.m f else f
 
 (* normalized functions of a node *)
 let norm_cur ctx partition id = norm ctx (ctx.cur (Aig.lit_of_node id)) (Partition.polarity partition id)
-let norm_nxt ctx partition id = norm ctx (ctx.nxt (Aig.lit_of_node id)) (Partition.polarity partition id)
 let norm_ini ctx partition id = norm ctx (ctx.ini (Aig.lit_of_node id)) (Partition.polarity partition id)
 
 (* Exact initial-state partition T0 (Equation 2): group by the canonical
    BDD of the normalized function at s0 — hash-consing makes equality a
    key comparison. *)
 let refine_initial ctx partition =
-  ignore (static_prefilter ctx partition);
+  ignore (Sweep.prefilter ctx.sweep partition);
   ignore (Partition.refine_by_key partition (fun id -> Bdd.id (norm_ini ctx partition id)));
   note ctx
 
@@ -169,6 +119,10 @@ let refine_initial ctx partition =
    variable being replaced.  Replacement functions are kept small:
    large ones make the later compositions of the nu functions explode. *)
 let fundep_max_size = 8
+
+(* The size beyond which an intermediate nu function is simplified
+   against Q while it is built (see [nu_builder]). *)
+let clamp_size = 2_000
 
 (* Size of a node's current-state function up to [fundep_max_size]
    ([max_int] beyond), probed with an early-abort bound.  It depends only
@@ -236,7 +190,8 @@ let rec balanced_and m = function
 (* The correspondence condition of the current partition (Definition 1),
    with substitution applied, conjoined with the reachable care set.
    Substituted functions are shared per node, not per pair. *)
-let correspondence_condition ?(memo = Hashtbl.create 256) ctx partition subst =
+let correspondence_condition ctx partition subst =
+  let memo = Hashtbl.create 256 in
   let apply f = match subst with Some s -> Bdd.vector_compose ctx.m f s | None -> f in
   let cur_of id =
     match Hashtbl.find_opt memo id with
@@ -265,7 +220,7 @@ let correspondence_condition ?(memo = Hashtbl.create 256) ctx partition subst =
    Coudert–Madre restrict against Q.  The simplified functions agree with
    the exact nu on every state satisfying Q, which is all the comparison
    needs. *)
-let nu_builder ~clamp_size ctx partition q subst =
+let nu_builder ctx partition q subst =
   let m = ctx.m in
   let apply f = match subst with Some s -> Bdd.vector_compose m f s | None -> f in
   let clamp f =
@@ -297,119 +252,75 @@ let nu_builder ~clamp_size ctx partition q subst =
    themselves mention substituted variables, which stay free there). *)
 let counterexample_valuation ctx subst q nu_a nu_b =
   let m = ctx.m in
-  let d = Bdd.mk_and m q (Bdd.mk_xor m nu_a nu_b) in
-  match Bdd.any_sat m d with
-  | None -> None
-  | Some assignment ->
-    let env = Hashtbl.create 16 in
-    List.iter (fun (v, b) -> Hashtbl.replace env v b) assignment;
-    let base v = match Hashtbl.find_opt env v with Some b -> b | None -> false in
-    let lookup v =
-      match subst with
-      | Some s when v < Array.length s -> (
-        match s.(v) with Some h -> Bdd.eval m h base | None -> base v)
-      | _ -> base v
-    in
-    Some
-      ( Array.init ctx.n_pis (fun i -> lookup ctx.x2.(i)),
-        Array.init ctx.n_latches (fun i -> Bdd.eval m ctx.delta.(i) lookup) )
+  (* satisfiable: the members disagree under Q *)
+  let assignment = Option.get (Bdd.any_sat m (Bdd.mk_and m q (Bdd.mk_xor m nu_a nu_b))) in
+  let env = Hashtbl.create 16 in
+  List.iter (fun (v, b) -> Hashtbl.replace env v b) assignment;
+  let base v = match Hashtbl.find_opt env v with Some b -> b | None -> false in
+  let lookup v =
+    match subst with
+    | Some s when v < Array.length s -> (
+      match s.(v) with Some h -> Bdd.eval m h base | None -> base v)
+    | _ -> base v
+  in
+  ( Array.init ctx.n_pis (fun i -> lookup ctx.x2.(i)),
+    Array.init ctx.n_latches (fun i -> Bdd.eval m ctx.delta.(i) lookup) )
 
-(* The per-class scan outcome, mirroring the SAT engine's round shape:
-   the sweep freezes the suspect classes, scans each through the
-   (single-lane) scheduler, and merges outcomes serially in ascending
-   class order. *)
-type outcome =
-  | O_stable
-  | O_split of (bool array * bool array) option
-      (* witness valuation for the pattern pool *)
-
-(* One batched sweep: each suspect class is scanned once.  Members a and b
-   agree when [Bdd.leq q (xnor nu_a nu_b)] — nu_a /\ Q = nu_b /\ Q,
+(* One batched sweep round: each suspect class is scanned once.  Members
+   a and b agree when [Bdd.leq q (xnor nu_a nu_b)] — nu_a /\ Q = nu_b /\ Q,
    Equation (3) — a test that makes no node, so no member's conjunction
    with Q (a copy of Q, often thousands of nodes) is ever built.  A scan
-   tests each member against the representative; the merge regroups a
-   split class by testing each member against one representative per
-   group ([Partition.refine_class]).  Split classes contribute one
-   counterexample pattern to the pool, flushed at the start of the next
-   sweep (and when full) so cheap bit-parallel simulation pre-splits
-   classes before any further BDD work.  [trust] enables the cone-based dirty skip; the
-   strict confirmation pass re-proves stale classes at the current
-   version. *)
-let sweep ~clamp_size ctx partition ~trust =
-  let splits = ref (Simpool.flush ctx.pool partition > 0) in
+   tests each member against the representative and yields the
+   counterexample of the first one that disagrees, or [None] when the
+   class is stable.  Every class is scanned against the partition frozen
+   at the round's start before any result is applied; the results are
+   then applied in ascending class order.  A stable class is proven at
+   the round's version.  A split class pools its counterexample (flushed
+   at the start of the next round, and when the buffer is full, so cheap
+   bit-parallel simulation pre-splits classes before any further BDD
+   work) and is regrouped by testing each member against one
+   representative per group ([Partition.refine_class]).  An empty Q ends
+   the round before any class is selected. *)
+let round ctx partition ~trust =
+  let sw = ctx.sweep in
+  let splits = ref (Simpool.flush sw.Sweep.pool partition > 0) in
   (* zero-cost splits first, so the frozen Q and the task list already see
      the statically refined partition *)
-  if static_prefilter ctx partition > 0 then splits := true;
+  if Sweep.prefilter sw partition > 0 then splits := true;
   let vq = Partition.version partition in
   let subst = if ctx.use_fundep then fundep_subst ctx partition else None in
   let q = correspondence_condition ctx partition subst in
   if Bdd.is_false q then !splits
   else begin
-    let nu_of = nu_builder ~clamp_size ctx partition q subst in
-    let tasks =
-      List.filter_map
-        (fun cls ->
-          let skip =
-            match Hashtbl.find_opt ctx.proved_at cls with
-            | Some v ->
-              v >= vq
-              || (trust
-                 && not
-                      (Support.suspect (Lazy.force ctx.support) partition cls
-                         ~proved_at:v))
-            | None -> false
-          in
-          if skip then begin
-            ctx.n_cache_hits <- ctx.n_cache_hits + 1;
-            None
-          end
-          else
-            match Partition.members partition cls with
-            | [] | [ _ ] -> None
-            | mems -> Some (cls, mems))
-        (Partition.multi_member_classes partition)
-      |> Array.of_list
-    in
-    (* the scan runs in the caller (single lane) — it mutates the shared
-       hash-consed manager and must never cross a domain boundary *)
+    let nu_of = nu_builder ctx partition q subst in
+    let tasks = Sweep.select sw partition ~trust Option.some in
     let agree f g =
       let same = Bdd.equal f g || Bdd.leq ctx.m q (Bdd.mk_xnor ctx.m f g) in
       note ctx;
       same
     in
-    let scan () (_cls, mems) =
+    let scan cls =
       note ctx;
-      ctx.n_batched <- ctx.n_batched + 1;
-      let rep = List.hd mems in
-      let nu_rep = nu_of rep in
+      sw.batched <- sw.batched + 1;
+      let mems = Partition.members partition cls in
+      let nu_rep = nu_of (List.hd mems) in
       match List.find_opt (fun id -> not (agree nu_rep (nu_of id))) mems with
-      | None -> O_stable
-      | Some other ->
-        O_split (counterexample_valuation ctx subst q nu_rep (nu_of other))
+      | None -> None
+      | Some other -> Some (counterexample_valuation ctx subst q nu_rep (nu_of other))
     in
-    let outcomes = Parsweep.map ctx.sched ~f:scan tasks in
+    let found = Array.map scan tasks in
     Array.iteri
-      (fun i outcome ->
-        let cls, _ = tasks.(i) in
-        match outcome with
-        | O_stable -> Hashtbl.replace ctx.proved_at cls vq
-        | O_split cex ->
-          (match cex with
-          | Some (pi, latch) ->
-            if Simpool.is_full ctx.pool then
-              splits := Simpool.flush ctx.pool partition > 0 || !splits;
-            Simpool.add ctx.pool ~pi:(fun i -> pi.(i)) ~latch:(fun i -> latch.(i))
-          | None -> ());
+      (fun i cex ->
+        let cls = tasks.(i) in
+        match cex with
+        | None -> Sweep.proved sw cls ~version:vq
+        | Some (pi, latch) ->
+          if Sweep.add_witness sw partition pi latch > 0 then splits := true;
           if Partition.refine_class partition cls ~equal:(fun a b -> agree (nu_of a) (nu_of b))
           then splits := true)
-      outcomes;
+      found;
     note ctx;
     !splits
   end
 
-(* One refinement iteration: a trusting sweep over suspect classes,
-   confirmed by a strict pass when quiescent so the reported fixed point
-   never rests on the cone heuristic. *)
-let refine_once ?(clamp_size = 2_000) ctx partition =
-  if sweep ~clamp_size ctx partition ~trust:true then true
-  else sweep ~clamp_size ctx partition ~trust:false
+let refine_once ctx partition = Sweep.refine_once (round ctx partition)

@@ -45,9 +45,12 @@
    order.  Every split is justified by a run conforming to the frozen
    (coarser-or-equal) partition's Q, so the greatest fixed point reached
    is the same for every worker count — only which lane found which
-   witness varies. *)
+   witness varies.
 
-exception Budget_exceeded of string
+   The pattern pool, the static prefilter, suspect selection and the
+   trusting-then-strict policy are the BDD engine's too: they live in
+   {!Sweep}, and this engine keeps its lanes, the staged-OR class solve,
+   the failed-core transfer and the clause exchange. *)
 
 (* Private per-lane solving state: a full copy of the k+1-frame
    unrolling with its own selector tables and Q-assumption cache.  Lane
@@ -78,16 +81,10 @@ type ctx = {
          solves already in flight *)
   max_sat_calls : int;
   deadline : Deadline.t; (* wall-clock budget, polled per class solve *)
-  pool : Simpool.t; (* accumulated counterexample patterns *)
+  sweep : Sweep.t; (* pattern pool, UNSAT cache and sweep counters *)
   pi_nodes : int array; (* PI node ids by input index *)
-  support : Support.t Lazy.t; (* structural cones for dirty scheduling *)
-  proved_at : (int, int) Hashtbl.t; (* class -> version proven stable *)
   init_clean : (int, int) Hashtbl.t; (* class -> frames proven clean from s0 *)
-  mutable n_batched : int; (* batched class solves issued *)
-  mutable n_cache_hits : int; (* classes skipped by the UNSAT cache *)
   sched : wstate Parsweep.t; (* persistent pool; lane 0 = primary solver *)
-  static_filter : bool; (* split support-disjoint members before solving *)
-  mutable n_static : int; (* classes split by the static prefilter *)
   base_vars : int;
       (* variables of the shared k+1-frame unrolling — identical in every
          lane by determinism, and the horizon below which learned clauses
@@ -147,17 +144,11 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
     sat_calls = Atomic.make 0;
     max_sat_calls;
     deadline;
-    pool = Simpool.create aig;
+    sweep = Sweep.create ~static_filter aig;
     pi_nodes = Array.of_list (Aig.pis aig);
-    support = lazy (Support.make aig);
-    proved_at = Hashtbl.create 256;
     init_clean = Hashtbl.create 256;
-    n_batched = 0;
-    n_cache_hits = 0;
     sched =
       Parsweep.create ~jobs ~init:(fun lane -> if lane = 0 then lane0 else unrolled_lane aig k);
-    static_filter;
-    n_static = 0;
     base_vars;
     reused_clauses = Atomic.make 0;
     shared_clauses = 0;
@@ -167,6 +158,7 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
   }
 
 let shutdown ctx = Parsweep.shutdown ctx.sched
+let sweep ctx = ctx.sweep
 
 (* The context's run counters, read live from the primary pair plus
    every initialized worker lane (lane 0 aliases the primary solver and
@@ -180,13 +172,8 @@ let harvest ctx =
   let solvers = ctx.solver :: ctx.solver0 :: lane_solvers in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 solvers in
   {
-    (Parsweep.harvest ctx.sched) with
+    (Counters.combine (Sweep.harvest ctx.sweep) (Parsweep.harvest ctx.sched)) with
     Counters.sat_calls = Atomic.get ctx.sat_calls;
-    pool_lanes = Simpool.total_lanes ctx.pool;
-    resim_splits = Simpool.resim_splits ctx.pool;
-    batched_solves = ctx.n_batched;
-    cache_hits = ctx.n_cache_hits;
-    static_splits = ctx.n_static;
     conflicts = sum Sat.num_conflicts;
     propagations = sum Sat.num_propagations;
     restarts = sum Sat.num_restarts;
@@ -228,39 +215,20 @@ let difference_selector solver table key a b =
    lane aborts at its next class solve.  A refused reservation is
    backed out so [sat_calls] keeps counting solves actually issued. *)
 let check_budget ctx =
-  if Deadline.expired ctx.deadline then raise (Budget_exceeded "deadline");
+  if Deadline.expired ctx.deadline then raise (Sweep.Budget_exceeded "deadline");
   if Atomic.fetch_and_add ctx.sat_calls 1 >= ctx.max_sat_calls then begin
     Atomic.decr ctx.sat_calls;
-    raise (Budget_exceeded "sat calls")
+    raise (Sweep.Budget_exceeded "sat calls")
   end
 
 (* Pack the model's valuation of one frame (its state and inputs) into the
    pattern pool; a later flush replays it against every class at once. *)
 let pool_model ctx solver lit_of =
   let aig = ctx.p.Product.aig in
-  Simpool.add ctx.pool
+  Simpool.add ctx.sweep.Sweep.pool
     ~pi:(fun i -> Sat.value_lit solver (lit_of (Aig.lit_of_node ctx.pi_nodes.(i))))
     ~latch:(fun i ->
       Sat.value_lit solver (lit_of (Aig.lit_of_node (Aig.latch_node aig i))))
-
-(* Static candidate prefilter: split each class into the connected
-   components of PI-support compatibility (see {!Support.prefilter_class})
-   — zero solver calls.  Run once per pass so splits by other means
-   expose new components. *)
-let static_prefilter ctx partition =
-  if not ctx.static_filter then 0
-  else begin
-    let support = Lazy.force ctx.support in
-    List.fold_left
-      (fun acc cls ->
-        if Support.prefilter_class support partition cls then begin
-          ctx.n_static <- ctx.n_static + 1;
-          acc + 1
-        end
-        else acc)
-      0
-      (Partition.multi_member_classes partition)
-  end
 
 (* --- batched sweeps ----------------------------------------------------------- *)
 
@@ -274,16 +242,17 @@ let static_prefilter ctx partition =
    initialized solver, and the guard is {!Sat.release}d after the
    answer. *)
 let refine_initial ctx partition =
+  let sw = ctx.sweep in
   let progress = ref true in
   while !progress do
     progress := false;
-    if static_prefilter ctx partition > 0 then progress := true;
+    if Sweep.prefilter sw partition > 0 then progress := true;
     List.iter
       (fun cls ->
         let clean =
           match Hashtbl.find_opt ctx.init_clean cls with Some f -> f | None -> 0
         in
-        if clean >= ctx.k then ctx.n_cache_hits <- ctx.n_cache_hits + 1
+        if clean >= ctx.k then sw.cache_hits <- sw.cache_hits + 1
         else begin
           let rec frames frame =
             if frame < ctx.k then begin
@@ -306,7 +275,7 @@ let refine_initial ctx partition =
                   frames (frame + 1)
                 | diffs ->
                   check_budget ctx;
-                  ctx.n_batched <- ctx.n_batched + 1;
+                  sw.batched <- sw.batched + 1;
                   ignore
                     (Atomic.fetch_and_add ctx.reused_clauses (Sat.num_clauses ctx.solver0));
                   let dsels =
@@ -335,14 +304,13 @@ let refine_initial ctx partition =
                        splits the witnessed pair, so the next pass makes
                        progress here *)
                     progress := true;
-                    if Simpool.is_full ctx.pool then
-                      ignore (Simpool.flush ctx.pool partition)))
+                    if Simpool.is_full sw.pool then ignore (Simpool.flush sw.pool partition)))
             end
           in
           frames clean
         end)
       (Partition.multi_member_classes partition);
-    if Simpool.flush ctx.pool partition > 0 then progress := true
+    if Simpool.flush sw.pool partition > 0 then progress := true
   done
 
 (* A sweep task: one suspect class, frozen at round start as its
@@ -479,9 +447,8 @@ let share_clauses ctx =
    serially in ascending class order: UNSAT marks the class proven at
    the round's version, a witness valuation joins the pattern pool and
    is replayed bit-parallel against every class.  [trust] enables the
-   cone-based dirty skip; a strict pass re-proves every class whose
-   certificate is older than the current partition version.  Returns
-   whether any class split.
+   cone-based dirty skip of {!Sweep.select}.  Returns whether any class
+   split.
 
    Soundness and schedule-independence: every pooled witness is a run
    conforming to the Q of a partition coarser than (or equal to) the one
@@ -497,16 +464,15 @@ let share_clauses ctx =
    exception of the smallest aborting task index is re-raised by the
    coordinator once the round's remaining tasks have drained — each of
    them aborts at its own first poll. *)
-let sweep ctx partition ~trust =
-  let splits = ref 0 in
-  let flush () = splits := !splits + Simpool.flush ctx.pool partition in
-  flush ();
-  if Deadline.expired ctx.deadline then raise (Budget_exceeded "deadline");
+let round ctx partition ~trust =
+  let sw = ctx.sweep in
+  let splits = ref (Simpool.flush sw.Sweep.pool partition) in
+  if Deadline.expired ctx.deadline then raise (Sweep.Budget_exceeded "deadline");
   if Atomic.get ctx.sat_calls >= ctx.max_sat_calls then
-    raise (Budget_exceeded "sat calls");
+    raise (Sweep.Budget_exceeded "sat calls");
   (* zero-cost splits first, so the frozen Q and the round's tasks see the
      statically refined partition *)
-  splits := !splits + static_prefilter ctx partition;
+  splits := !splits + Sweep.prefilter sw partition;
   let vq = Partition.version partition in
   let pairs =
     List.map
@@ -515,46 +481,29 @@ let sweep ctx partition ~trust =
       (Partition.constraint_pairs partition)
   in
   let tasks =
-    List.filter_map
-      (fun cls ->
-        let skip =
-          match Hashtbl.find_opt ctx.proved_at cls with
-          | Some v ->
-            v >= vq
-            || (trust
-               && not (Support.suspect (Lazy.force ctx.support) partition cls ~proved_at:v))
+    Sweep.select sw partition ~trust (fun cls ->
+        let lits =
+          Array.of_list (List.map (Partition.norm_lit partition) (Partition.members partition cls))
+        in
+        (* Failed-core transfer: an UNSAT proof recorded for exactly these
+           member literals whose core equalities all still hold in the
+           current partition refutes the obligation at this version too —
+           Q entails every equality between co-classed pairs — so the
+           class is re-proved without a solve.  A proof, not a heuristic:
+           valid in strict passes as well. *)
+        let pruned =
+          match Hashtbl.find_opt ctx.stable_cores cls with
+          | Some (old_lits, core) ->
+            old_lits = lits
+            && List.for_all (fun (la, lb) -> Partition.lits_equal partition la lb) core
           | None -> false
         in
-        if skip then begin
-          ctx.n_cache_hits <- ctx.n_cache_hits + 1;
+        if pruned then begin
+          ctx.core_prunes <- ctx.core_prunes + 1;
+          Sweep.proved sw cls ~version:vq;
           None
         end
-        else
-          match Partition.members partition cls with
-          | [] | [ _ ] -> None
-          | members ->
-            let lits = Array.of_list (List.map (Partition.norm_lit partition) members) in
-            (* Failed-core transfer: an UNSAT proof recorded for exactly
-               these member literals whose core equalities all still hold
-               in the current partition refutes the obligation at this
-               version too — Q entails every equality between co-classed
-               pairs — so the class is re-proved without a solve.  A
-               proof, not a heuristic: valid in strict passes as well. *)
-            let pruned =
-              match Hashtbl.find_opt ctx.stable_cores cls with
-              | Some (old_lits, core) ->
-                old_lits = lits
-                && List.for_all (fun (la, lb) -> Partition.lits_equal partition la lb) core
-              | None -> false
-            in
-            if pruned then begin
-              ctx.core_prunes <- ctx.core_prunes + 1;
-              Hashtbl.replace ctx.proved_at cls vq;
-              None
-            end
-            else Some { t_cls = cls; t_lits = lits })
-      (Partition.multi_member_classes partition)
-    |> Array.of_list
+        else Some { t_cls = cls; t_lits = lits })
   in
   let outcomes = Parsweep.map ctx.sched ~f:(fun w -> solve_class ctx w ~version:vq ~pairs) tasks in
   share_clauses ctx;
@@ -562,30 +511,16 @@ let sweep ctx partition ~trust =
     (fun i outcome ->
       let cls = tasks.(i).t_cls in
       match outcome with
-      | O_trivial -> Hashtbl.replace ctx.proved_at cls vq
+      | O_trivial -> Sweep.proved sw cls ~version:vq
       | O_stable core ->
-        ctx.n_batched <- ctx.n_batched + 1;
-        Hashtbl.replace ctx.proved_at cls vq;
+        sw.batched <- sw.batched + 1;
+        Sweep.proved sw cls ~version:vq;
         Hashtbl.replace ctx.stable_cores cls (tasks.(i).t_lits, core)
       | O_witness (pi, latch) ->
-        ctx.n_batched <- ctx.n_batched + 1;
-        if Simpool.is_full ctx.pool then flush ();
-        Simpool.add ctx.pool ~pi:(fun i -> pi.(i)) ~latch:(fun i -> latch.(i)))
+        sw.batched <- sw.batched + 1;
+        splits := !splits + Sweep.add_witness sw partition pi latch)
     outcomes;
-  flush ();
+  splits := !splits + Simpool.flush sw.pool partition;
   !splits > 0
 
-(* Record classes another prover (the speculative BDD screen) proved
-   stable at the partition's current version: the sweep skips them while
-   the version stands, exactly as it skips its own UNSAT answers, and the
-   strict pass re-proves them once the partition moves on. *)
-let mark_proved ctx partition classes =
-  let v = Partition.version partition in
-  List.iter (fun cls -> Hashtbl.replace ctx.proved_at cls v) classes
-
-(* One refinement iteration: a trusting sweep over suspect classes; when
-   it is quiescent, a strict confirmation sweep that re-examines every
-   class not proven at the current version, so the reported fixed point
-   never rests on the cone heuristic. *)
-let refine_once ctx partition =
-  if sweep ctx partition ~trust:true then true else sweep ctx partition ~trust:false
+let refine_once ctx partition = Sweep.refine_once (round ctx partition)

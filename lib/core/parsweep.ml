@@ -1,6 +1,6 @@
 (* Work-stealing domain pool for sweep scheduling.
 
-   The refinement engines face an embarrassingly parallel inner loop —
+   The SAT refinement engine faces an embarrassingly parallel inner loop —
    one independent combinational check per equivalence class and round —
    but each worker needs expensive private state (a SAT solver holding
    the unrolled product CNF) that must be built once and reused across
@@ -27,8 +27,8 @@
      the pool stays usable;
 
    - at [jobs = 1] everything runs inline in the caller with no domains,
-     locks or atomics — the degenerate pool is the engines' sequential
-     code path (and the only one the shared-mutable BDD engine uses).
+     locks or atomics — the degenerate pool is the SAT engine's
+     sequential code path.
 
    Synchronization is a single mutex + two condition variables
    (work-ready, work-done).  Workers only ever read the frozen snapshot

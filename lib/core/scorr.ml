@@ -8,6 +8,7 @@ module Deadline = Deadline
 module Parsweep = Parsweep
 module Simpool = Simpool
 module Support = Support
+module Sweep = Sweep
 module Simseed = Simseed
 module Ternseed = Ternseed
 module Specreduce = Specreduce

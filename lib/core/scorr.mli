@@ -226,7 +226,7 @@ end
     cancellation flag, so the first worker lane that observes expiry
     cancels every other lane's next poll without further clock reads.
     Expiry never raises here — engines test {!Deadline.expired} and raise
-    their own budget exception, keeping the abort path uniform with the
+    {!Sweep.Budget_exceeded}, keeping the abort path uniform with the
     call-count and node-count budgets. *)
 module Deadline : sig
   type t
@@ -263,7 +263,7 @@ module Deadline : sig
   (** Seconds left ([infinity] for {!none}, clamped at 0). *)
 end
 
-(** Work-stealing domain pool scheduling the engines' sweep rounds.
+(** Work-stealing domain pool scheduling the SAT engine's sweep rounds.
 
     A pool of [jobs] lanes: lane 0 is the calling domain (the
     coordinator participates in its own batches), lanes 1.. are
@@ -364,6 +364,44 @@ module Support : sig
       point is reported. *)
 end
 
+(** The engine-independent half of the Eq. (3) fixed point, shared by
+    both refinement engines: the counterexample pattern pool, the static
+    prefilter, the stability cache behind suspect selection, the sweep
+    counters and the trusting-then-strict policy.  Each engine keeps only
+    its class check and its Eq. (2) refinement. *)
+module Sweep : sig
+  exception Budget_exceeded of string
+  (** The one budget abort of a run, raised by both engines, the
+      speculation screen and Verify's own poll; it names the budget
+      (["deadline"], ["sat calls"], ["bdd nodes"], ["iterations"]). *)
+
+  type t
+
+  val create : ?static_filter:bool -> Aig.t -> t
+  (** Fresh sweep state over a product AIG; [static_filter] (default
+      false) enables the PI-support prefilter before every pass. *)
+
+  val harvest : t -> Counters.t
+  (** Pool lanes, replay splits, batched solves, cache hits and static
+      splits so far. *)
+
+  val proved : t -> int -> version:int -> unit
+  (** Record a class an engine proved stable at a partition version. *)
+
+  val mark_proved : t -> Partition.t -> int list -> unit
+  (** Record classes another prover (the speculative BDD screen) proved
+      stable at the partition's current version; the sweep treats them
+      like its own proofs at that version. *)
+
+  val select : t -> Partition.t -> trust:bool -> (int -> 'a option) -> 'a array
+  (** A round's tasks in ascending class order: every multi-member class
+      not skipped by the stability cache, mapped through the engine's
+      task function ([None] drops it).  A class proven at the current
+      version is skipped; one proven earlier is skipped only when
+      [trust] holds and no node moved since is in its cone
+      ({!Support.suspect}).  Every skip counts one cache hit. *)
+end
+
 (** Random sequential simulation seeding (Section 4). *)
 module Simseed : sig
   val signatures : ?seed:int -> ?n_frames:int -> Product.t -> bool array -> int64 list array
@@ -411,9 +449,6 @@ module Specreduce : sig
   val tr : t -> int -> int
   (** Reduced image of an original-product literal. *)
 
-  exception Budget_exceeded of string
-  (** Raised by {!screen} when the deadline expires. *)
-
   (** The BDD screen of a speculative run: per-round manager and node
       budget, plus the classes banned after a blowup. *)
   type screen = {
@@ -436,52 +471,18 @@ module Specreduce : sig
       structurally trivial or valid: they hold at the partition's
       current version (which the screen does not change) for every
       induction depth, provided every other class is proven at that
-      same version (the argument in specreduce.ml).  Never refutes. *)
+      same version (the argument in specreduce.ml).  Never refutes.
+      @raise Sweep.Budget_exceeded when the deadline expires. *)
 end
 
 (** BDD refinement engine (the paper's own implementation style). *)
 module Engine_bdd : sig
-  exception Budget_exceeded of string
-
   exception Build_exceeded of { reason : string; live_nodes : int }
   (** A budget ran out inside {!make}; [live_nodes] is the manager's
       live node count at the abort.  {!Verify.run} hands a node-budget
       abort, here or in a refinement step, to the SAT engine at k = 1. *)
 
-  type ctx = {
-    p : Product.t;
-    m : Bdd.manager;
-    n_pis : int;
-    n_latches : int;
-    x1 : int array;
-    s : int array;
-    x2 : int array;
-    cur : int -> Bdd.t;
-    delta : Bdd.t array;
-    nxt : int -> Bdd.t;
-    ini : int -> Bdd.t;
-    use_fundep : bool;
-    fn_size : int array;
-        (** by node: size of [cur] up to the substitution bound, [-1]
-            until probed (see {!fundep_subst}) *)
-    care : Bdd.t;
-    node_limit : int;
-    deadline : Deadline.t;  (** wall-clock budget, polled per class scan *)
-    mutable peak_nodes : int;
-    pool : Simpool.t;
-    support : Support.t Lazy.t;
-    proved_at : (int, int) Hashtbl.t;
-    mutable n_batched : int;  (** batched class scans performed *)
-    mutable n_cache_hits : int;  (** classes skipped by the stability cache *)
-    static_filter : bool;
-        (** split PI-support-incompatible candidates for free before every
-            pass (see {!Support.prefilter_class}) *)
-    mutable n_static : int;  (** classes split by the static prefilter *)
-    sched : unit Parsweep.t;
-        (** single-lane scheduler: hash-consing is shared-mutable, so
-            class scans stay serial but follow the same
-            snapshot/solve/merge protocol as the SAT engine *)
-  }
+  type ctx
 
   val make :
     ?use_fundep:bool ->
@@ -495,79 +496,26 @@ module Engine_bdd : sig
   (** @raise Build_exceeded when the node budget or the deadline runs
       out while the engine is built. *)
 
-  val shutdown : ctx -> unit
-
   val harvest : ctx -> Counters.t
-  (** Peak nodes, pool and sweep counters, and the scheduler's. *)
+  (** Peak nodes and the sweep's counters. *)
 
   val refine_initial : ctx -> Partition.t -> unit
   (** Equation (2): exact initial-state partition. *)
 
-  val refine_once : ?clamp_size:int -> ctx -> Partition.t -> bool
-  (** Equation (3): one refinement iteration with batched class scans,
-      pooled counterexamples and dirty-class scheduling; [true] when a
-      class split.  [clamp_size] bounds intermediate nu sizes before the
-      complement of Q is applied as a don't-care set (Section 4). *)
+  val refine_once : ctx -> Partition.t -> bool
+  (** Equation (3): one refinement iteration ({!Sweep}'s protocol) with
+      one node-free scan per suspect class; [true] when a class split.
+      @raise Sweep.Budget_exceeded when the node budget or the deadline
+      runs out. *)
 
-  val correspondence_condition :
-    ?memo:(int, Bdd.t) Hashtbl.t -> ctx -> Partition.t -> Bdd.t option array option -> Bdd.t
-  val fundep_subst : ctx -> Partition.t -> Bdd.t option array option
-
-  val norm_cur : ctx -> Partition.t -> int -> Bdd.t
-  (** Normalized current-state function of a candidate node. *)
-
-  val norm_nxt : ctx -> Partition.t -> int -> Bdd.t
   val norm_ini : ctx -> Partition.t -> int -> Bdd.t
+  (** Normalized initial-state function of a candidate node. *)
 end
 
 (** SAT refinement engine with counterexample-driven bulk splitting and an
     optional k-inductive unrolling (the paper's future-work direction). *)
 module Engine_sat : sig
-  exception Budget_exceeded of string
-
-  type wstate
-  (** Private per-lane solving state: a copy of the unrolled product CNF
-      with its own selector tables and Q cache.  Lane 0's solver is the
-      context's primary solver. *)
-
-  type ctx = {
-    p : Product.t;
-    k : int;  (** induction depth; 1 = the paper's Equation (3) *)
-    solver : Sat.t;  (** lane 0's k+1-frame unrolling *)
-    solver0 : Sat.t;  (** frames 0..k-1 from the initial state *)
-    init_frames : (int -> Sat.Lit.t) array;
-    diff_sel0 : (int * int * int, int) Hashtbl.t;
-    sat_calls : int Atomic.t;
-        (** shared across worker lanes; every solve reserves a slot before
-            it is issued (see {!refine_once}) *)
-    max_sat_calls : int;
-    deadline : Deadline.t;  (** wall-clock budget, polled per class solve *)
-    pool : Simpool.t;
-    pi_nodes : int array;
-    support : Support.t Lazy.t;
-    proved_at : (int, int) Hashtbl.t;
-    init_clean : (int, int) Hashtbl.t;
-    mutable n_batched : int;  (** batched class solves issued *)
-    mutable n_cache_hits : int;  (** classes skipped by the UNSAT cache *)
-    sched : wstate Parsweep.t;  (** the sweep's lanes ({!Parsweep.jobs}) *)
-    static_filter : bool;
-        (** split PI-support-incompatible candidates for free before every
-            pass (see {!Support.prefilter_class}) *)
-    mutable n_static : int;  (** classes split by the static prefilter *)
-    base_vars : int;
-        (** variables of the shared k+1-frame unrolling — identical in
-            every lane by determinism, and the horizon below which learned
-            clauses are sound to exchange *)
-    reused_clauses : int Atomic.t;
-    mutable shared_clauses : int;
-    mutable core_prunes : int;
-    shared_seen : (Sat.Lit.t list, unit) Hashtbl.t;
-        (** canonical forms of clauses already broadcast between lanes *)
-    stable_cores : (int, int array * (int * int) list) Hashtbl.t;
-        (** class -> (member literals at proof time, failed-core pairs):
-            an UNSAT proof transfers to any later version in which the
-            member list is unchanged and every core equality still holds *)
-  }
+  type ctx
 
   val make :
     ?max_sat_calls:int ->
@@ -585,6 +533,10 @@ module Engine_sat : sig
   val shutdown : ctx -> unit
   (** Join the sweep pool's worker domains; idempotent. *)
 
+  val sweep : ctx -> Sweep.t
+  (** The engine's sweep state, where the speculative screen marks the
+      classes it proves ({!Sweep.mark_proved}). *)
+
   val harvest : ctx -> Counters.t
   (** SAT calls, pool and sweep counters, solver work (read live from
       every solver) and the scheduler's counters accumulated so far.
@@ -593,11 +545,6 @@ module Engine_sat : sig
   val refine_initial : ctx -> Partition.t -> unit
   (** Equation (2) batched: one staged disjunctive solve per (class,
       frame), counterexamples pooled and replayed bit-parallel. *)
-
-  val mark_proved : ctx -> Partition.t -> int list -> unit
-  (** Record classes proven stable at the partition's current version by
-      another prover (the speculative BDD screen); the sweep treats them
-      like its own UNSAT answers at that version. *)
 
   val refine_once : ctx -> Partition.t -> bool
   (** Equation (3) batched: the suspect classes of a round are frozen
@@ -848,11 +795,9 @@ module Verify : sig
   val verdict_stats : verdict -> stats
   val run : ?options:options -> Aig.t -> Aig.t -> verdict
 
-  val latch_order_from_outputs : ?levels:int array -> Product.t -> int array
+  val latch_order_from_outputs : Product.t -> int array
   (** Structural state-variable order interleaving the two sides along the
-      output-pair cones (exposed for instrumentation and tests).
-      [levels], when given (per-node combinational depths of the product),
-      sorts each cone's latches by the depth of their next-state logic. *)
+      output-pair cones (exposed for instrumentation and tests). *)
 
   val prereduces : options -> bool
   (** Will this run verify the FRAIG-reduced pair instead of the circuits

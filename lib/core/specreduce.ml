@@ -132,8 +132,6 @@ let build product partition =
    class whose check blows the budget is banned from the screen for the
    rest of the run, and the manager is abandoned for the round. *)
 
-exception Budget_exceeded of string
-
 type screen = {
   node_limit : int;  (* per-round BDD manager budget *)
   latch_pos : int array;  (* latch index -> BDD variable position *)
@@ -195,7 +193,7 @@ let screen sc product partition =
         && (not (Hashtbl.mem left cls))
         && (not (Hashtbl.mem sc.banned cls))
         &&
-        (if Deadline.expired sc.deadline then raise (Budget_exceeded "deadline");
+        (if Deadline.expired sc.deadline then raise (Sweep.Budget_exceeded "deadline");
          match
            let man, nxt = Lazy.force nxt in
            let diff = Bdd.mk_xor man (nxt ob.ob_mem_lit) (nxt ob.ob_rep_lit) in

@@ -193,74 +193,25 @@ let verdict_stats = function
 
 type engine_ops = {
   label : unit -> string; (* rung label of the engine now doing the work *)
+  sweep : unit -> Sweep.t;
+      (* the engine's sweep state: the pattern pool a checkpoint saves and
+         a resume re-seeds *)
   refine_initial : Partition.t -> unit;
   refine_once : Partition.t -> bool;
   harvest : unit -> Counters.t; (* the engine's run counters so far *)
-  pool_patterns : unit -> (bool array * bool array) list;
-      (* pending counterexample lanes, for checkpointing *)
-  pool_add : (bool array * bool array) list -> unit;
-      (* re-seed checkpointed counterexample lanes on resume *)
   shutdown : unit -> unit; (* join the engine's worker domains *)
 }
 
-exception Budget of string
-
-(* A state-variable order placing correspondence candidates adjacently,
-   derived from simulation signatures of the latch outputs. *)
-let latch_order_from_sim ~seed product pol =
-  let aig = product.Product.aig in
-  let n = Aig.num_latches aig in
-  let n_spec = product.Product.spec.Product.n_latches in
-  let sigs = Simseed.signatures ~seed ~n_frames:8 product pol in
-  let key i = sigs.(Aig.latch_node aig i) in
-  (* keep the creation order (which respects each circuit's natural
-     bit-ordering), but pull likely-corresponding latches — those with
-     equal simulation signatures — next to the first member of their
-     group.  Within a group, specification and implementation members are
-     interleaved: groups of many indistinguishable latches (e.g. the high
-     bits of wide counters under short simulation) otherwise place one
-     whole side before the other, which makes the cross-side equalities of
-     the output miter and of Q exponential. *)
-  let placed = Array.make n false in
-  let order = ref [] in
-  for i = 0 to n - 1 do
-    if not placed.(i) then begin
-      let ki = key i in
-      let group = List.filter (fun j -> (not placed.(j)) && key j = ki) (List.init n Fun.id) in
-      List.iter (fun j -> placed.(j) <- true) group;
-      let spec_side = List.filter (fun j -> j < n_spec) group in
-      let impl_side = List.filter (fun j -> j >= n_spec) group in
-      let rec zip a b =
-        match (a, b) with
-        | [], rest | rest, [] -> rest
-        | x :: a, y :: b -> x :: y :: zip a b
-      in
-      order := List.rev_append (zip spec_side impl_side) !order
-    end
-  done;
-  Array.of_list (List.rev !order)
-
 (* Structural state-variable order: walk the output pairs and interleave
    the specification latches of each output's cone with the implementation
-   latches of its partner's cone.  Latch-to-latch signature matching (the
-   simulation order above) fails when corresponding state lives in a GATE
-   of the other circuit — e.g. after backward retiming — while the output
-   miters always connect both sides. *)
-let latch_order_from_outputs ?levels product =
+   latches of its partner's cone.  Matching latches by simulation
+   signature fails when corresponding state lives in a GATE of the other
+   circuit — e.g. after backward retiming — while the output miters always
+   connect both sides. *)
+let latch_order_from_outputs product =
   let aig = product.Product.aig in
   let n = Aig.num_latches aig in
   let n_spec = product.Product.spec.Product.n_latches in
-  (* [levels], when given (static analysis on), sorts each cone's latches
-     by the combinational depth of their next-state functions: latches fed
-     by shallow logic sit earlier in the order, which groups the "close to
-     the inputs" state bits both circuits agree on before the deep ones *)
-  let sort_latches ls =
-    match levels with
-    | None -> List.sort compare ls
-    | Some lv ->
-      let key i = (lv.(Aig.node_of_lit (Aig.latch_next aig i)), i) in
-      List.sort (fun a b -> compare (key a) (key b)) ls
-  in
   let cone_latches lit =
     let seen = Hashtbl.create 64 in
     let acc = ref [] in
@@ -278,7 +229,7 @@ let latch_order_from_outputs ?levels product =
       end
     in
     go (Aig.node_of_lit lit);
-    sort_latches !acc
+    List.sort compare !acc
   in
   let placed = Array.make n false in
   let order = ref [] in
@@ -305,9 +256,6 @@ let latch_order_from_outputs ?levels product =
   order := List.rev_append (zip sp im) !order;
   Array.of_list (List.rev !order)
 
-let add_patterns pool ps =
-  List.iter (fun (pi, latch) -> Simpool.add pool ~pi:(fun i -> pi.(i)) ~latch:(fun i -> latch.(i))) ps
-
 (* The SAT sweep at [effective_induction options].  Under speculation the
    exact engine is always this sweep, with the BDD screen of
    {!Specreduce} in front of every sweep: each iteration proves the
@@ -328,37 +276,33 @@ let sat_engine (options : options) deadline product =
   in
   let refine_once p =
     Option.iter
-      (fun sc -> Engine_sat.mark_proved ctx p (Specreduce.screen sc product p))
+      (fun sc -> Sweep.mark_proved ctx.Engine_sat.sweep p (Specreduce.screen sc product p))
       screen;
     Engine_sat.refine_once ctx p
   in
-  let wrap f x =
-    try f x
-    with Engine_sat.Budget_exceeded msg | Specreduce.Budget_exceeded msg -> raise (Budget msg)
-  in
   {
     label = (fun () -> rung_label options);
-    refine_initial = wrap (Engine_sat.refine_initial ctx);
-    refine_once = wrap refine_once;
+    sweep = (fun () -> ctx.Engine_sat.sweep);
+    refine_initial = Engine_sat.refine_initial ctx;
+    refine_once;
     harvest =
       (fun () ->
         let c = Engine_sat.harvest ctx in
         match screen with Some sc -> Counters.combine c sc.Specreduce.counters | None -> c);
-    pool_patterns = (fun () -> Simpool.snapshot ctx.Engine_sat.pool);
-    pool_add = (fun ps -> add_patterns ctx.Engine_sat.pool ps);
     shutdown = (fun () -> Engine_sat.shutdown ctx);
   }
 
-let make_engine (options : options) deadline product =
+(* [count] folds counters into the run's accumulator: the BDD engine's,
+   when it hands its partition over to the SAT sweep. *)
+let make_engine ~count (options : options) deadline product =
   match options.engine with
   | Bdd_engine when not options.use_speculation ->
     (* The variable order stays the structural output-cone interleave even
        in analysis mode: keying each cone's latches by next-state level or
-       cone size (the [?levels] variant below) was measured on the suite
-       and blows the lfsr16 peak up 10x — depth-sorted sides lose the
-       cross-side adjacency the interleave provides.  Analysis still
-       shapes the BDD run through the pre-reduced circuits and the static
-       prefilter. *)
+       cone size was measured on the suite and blows the lfsr16 peak up
+       10x — depth-sorted sides lose the cross-side adjacency the
+       interleave provides.  Analysis still shapes the BDD run through the
+       pre-reduced circuits and the static prefilter. *)
     let latch_order = latch_order_from_outputs product in
     let care_of =
       if not options.use_reach_dontcare then None
@@ -376,35 +320,6 @@ let make_engine (options : options) deadline product =
               Bdd.rename m ub' perm
             | _ -> assert false)
     in
-    let bdd =
-      match
-        Engine_bdd.make ~use_fundep:options.use_fundep ~latch_order ?care_of
-          ~node_limit:options.node_limit ~deadline ~static_filter:options.use_analysis
-          product
-      with
-      | ctx ->
-        {
-          label = (fun () -> "bdd");
-          refine_initial = Engine_bdd.refine_initial ctx;
-          refine_once = (fun p -> Engine_bdd.refine_once ctx p);
-          harvest = (fun () -> Engine_bdd.harvest ctx);
-          pool_patterns = (fun () -> Simpool.snapshot ctx.Engine_bdd.pool);
-          pool_add = (fun ps -> add_patterns ctx.Engine_bdd.pool ps);
-          shutdown = (fun () -> Engine_bdd.shutdown ctx);
-        }
-      | exception Engine_bdd.Build_exceeded { reason; live_nodes } ->
-        (* no context to step: the first step re-raises the abort *)
-        let abort _ = raise (Engine_bdd.Budget_exceeded reason) in
-        {
-          label = (fun () -> "bdd");
-          refine_initial = abort;
-          refine_once = abort;
-          harvest = (fun () -> { Counters.zero with peak_bdd_nodes = live_nodes });
-          pool_patterns = (fun () -> []);
-          pool_add = ignore;
-          shutdown = ignore;
-        }
-    in
     (* The hand-off.  At depth 1 the greatest fixed point of Eq. (3) is a
        property of the product machine, not of the engine, and every
        split so far was a real counterexample under a Q coarser than it;
@@ -414,28 +329,46 @@ let make_engine (options : options) deadline product =
        manager is dropped; the run still ends only on the SAT sweep's
        strict pass.  [Partition.refine_class] and [refine_by_key] commit
        whole classes, so an abort mid-sweep leaves a consistent
-       partition.  Other budgets end the run as before. *)
-    let current = ref bdd and handed = ref Counters.zero in
+       partition.  A node budget that runs out while the engine is built
+       hands over before the first step, with the peak the build reached.
+       Other budgets end the run as before. *)
+    let sat () = sat_engine { options with engine = Sat_engine; sat_unroll = 1 } deadline product in
+    let current =
+      ref
+        (match
+           Engine_bdd.make ~use_fundep:options.use_fundep ~latch_order ?care_of
+             ~node_limit:options.node_limit ~deadline ~static_filter:options.use_analysis
+             product
+         with
+        | ctx ->
+          {
+            label = (fun () -> "bdd");
+            sweep = (fun () -> ctx.Engine_bdd.sweep);
+            refine_initial = Engine_bdd.refine_initial ctx;
+            refine_once = Engine_bdd.refine_once ctx;
+            harvest = (fun () -> Engine_bdd.harvest ctx);
+            shutdown = ignore;
+          }
+        | exception Engine_bdd.Build_exceeded { reason; live_nodes } ->
+          count { Counters.zero with peak_bdd_nodes = live_nodes };
+          if reason = "bdd nodes" then sat () else raise (Sweep.Budget_exceeded reason))
+    in
     let step f ~after p =
       try f !current p with
-      | Engine_bdd.Budget_exceeded "bdd nodes" | Bdd.Limit_exceeded ->
+      | Sweep.Budget_exceeded "bdd nodes" | Bdd.Limit_exceeded ->
         let bdd = !current in
-        handed := bdd.harvest ();
-        let patterns = bdd.pool_patterns () in
-        bdd.shutdown ();
-        current := sat_engine { options with engine = Sat_engine; sat_unroll = 1 } deadline product;
-        !current.pool_add patterns;
+        count (bdd.harvest ());
+        current := sat ();
+        Sweep.reseed (!current.sweep ()) p (Sweep.pending (bdd.sweep ()));
         !current.refine_initial p;
         after
-      | Engine_bdd.Budget_exceeded why -> raise (Budget why)
     in
     {
       label = (fun () -> !current.label ());
+      sweep = (fun () -> !current.sweep ());
       refine_initial = step (fun e -> e.refine_initial) ~after:();
       refine_once = step (fun e -> e.refine_once) ~after:true;
-      harvest = (fun () -> Counters.combine !handed (!current.harvest ()));
-      pool_patterns = (fun () -> !current.pool_patterns ());
-      pool_add = (fun ps -> !current.pool_add ps);
+      harvest = (fun () -> !current.harvest ());
       shutdown = (fun () -> !current.shutdown ());
     }
   | Bdd_engine | Sat_engine -> sat_engine options deadline product
@@ -769,7 +702,7 @@ let run_with_relation ?(options = default_options) spec impl =
       relation := Some partition;
       let outcome =
         try
-          let engine = make_engine options deadline product in
+          let engine = make_engine ~count options deadline product in
           (* idempotent so the finalizer below can back-fill the counters
              on exceptional exits (budget aborts, node-limit overruns)
              without double-counting the normal paths — an engine's
@@ -780,7 +713,7 @@ let run_with_relation ?(options = default_options) spec impl =
             if not !recorded then begin
               recorded := true;
               count (engine.harvest ());
-              pool_pending := engine.pool_patterns ()
+              pool_pending := Sweep.pending (engine.sweep ())
             end
           in
           Fun.protect
@@ -821,12 +754,12 @@ let run_with_relation ?(options = default_options) spec impl =
                 | Some cp when n = start_round ->
                   phase "seed" (fun () ->
                       ignore (Checkpoint.seed_partition cp partition);
-                      engine.pool_add cp.Checkpoint.patterns)
+                      Sweep.reseed (engine.sweep ()) partition cp.Checkpoint.patterns)
                 | Some _ | None -> ());
                 let poll () =
-                  if Deadline.expired deadline then raise (Budget "deadline");
+                  if Deadline.expired deadline then raise (Sweep.Budget_exceeded "deadline");
                   if options.max_iterations > 0 && !acc.iterations >= options.max_iterations
-                  then raise (Budget "iterations")
+                  then raise (Sweep.Budget_exceeded "iterations")
                 in
                 phase "fixpoint" (fun () ->
                     poll ();
@@ -838,7 +771,8 @@ let run_with_relation ?(options = default_options) spec impl =
                         options.checkpoint_every > 0
                         && !acc.iterations mod options.checkpoint_every = 0
                       then
-                        write_checkpoint ~round:n ~patterns:(engine.pool_patterns ()) partition
+                        write_checkpoint ~round:n ~patterns:(Sweep.pending (engine.sweep ()))
+                          partition
                     done);
                 count { Counters.zero with iterations = 1 };
                 record_stats ();
@@ -846,7 +780,7 @@ let run_with_relation ?(options = default_options) spec impl =
                   `Done (Equivalent (mk_stats (Some partition)))
                 else `Unproved
               end)
-        with Budget why -> `Aborted why
+        with Sweep.Budget_exceeded why -> `Aborted why
       in
       (* The bounded refutation (Theorem 1 needs none): exhaustive up to
          [bmc_depth], it catches the corner-case differences random

@@ -16,8 +16,18 @@
 # It prints, for every end-to-end metric of BENCHMARK.json, each side's
 # median and quartiles over the N runs, the change/parent ratio of the
 # medians, how many pairs the change won, and whether the change is
-# worse than the parent by more than the metric's bound.  BENCHMARK.json
-# is only read.  Exit status 1 when some metric is outside its bound.
+# worse than the parent by more than the metric's bound.
+#
+# Then each side runs one traced pass (--trace 1, one second: the work
+# counters are read from the first pass over every pair, whatever the
+# length).  Every per-layer metric with unit "count" whose value differs
+# between the sides is printed with both values, so a "same work" claim
+# is checked by the same command as the no-regression check.  Metrics on
+# the workload's own "exempt" line (timing-steered counters) and
+# gc.major_collections (collector pacing, which perfbench does not
+# require to repeat either) are printed but do not fail the check.
+# BENCHMARK.json is only read.  Exit status 1 when some end-to-end metric
+# is outside its bound or a work counter differs.
 #
 # Environment: AB_SEED (default 1), AB_SECONDS (default 30), AB_KEEP=1
 # keeps the temporary directory (its results/ holds every run's JSON).
@@ -65,6 +75,15 @@ for i in $(seq 1 "$N"); do
   fi
 done
 
+for side in parent change; do
+  echo "traced pass: $side" >&2
+  if ! (cd "$TMP/$side" && python3 perfbench/run.py --workload "$WORKLOAD" --seed "$SEED" \
+      --seconds 1 --trace 1) > "$TMP/results/$side.trace.txt"; then
+    echo "the traced pass of $side failed" >&2
+    exit 1
+  fi
+done
+
 python3 - "$ROOT/BENCHMARK.json" "$TMP/results" "$N" "$WORKLOAD" <<'EOF'
 import json, sys
 
@@ -109,5 +128,26 @@ for m in bench["end_to_end"]:
     fmt = lambda xs, med: f"{med:.4g} [{quantile(xs, 0.25):.4g}, {quantile(xs, 0.75):.4g}]"
     print(f"{name:<20}{fmt(p, pm):>34}{fmt(c, cm):>34}{ratio:>8.3f}{won:>4}/{n}"
           f"{bound:>7.2f}  {'WORSE than bound' if worse else 'within bound'}")
-sys.exit(1 if outside else 0)
+
+def traced(side):
+    counts, exempt = {}, {"gc.major_collections"}
+    with open(f"{results}/{side}.trace.txt") as f:
+        lines = f.read().splitlines()
+    for line in lines:
+        if line.startswith("exempt "):
+            exempt.update(line.split(": ", 1)[1].split())
+    for name, m in json.loads(lines[-1])["metrics"].items():
+        if m["unit"] == "count":
+            counts[name] = m["value"]
+    return counts, exempt
+
+(pc, pe), (cc, ce) = traced("parent"), traced("change")
+exempt = pe | ce
+moved = sorted(k for k in pc.keys() | cc.keys() if pc.get(k) != cc.get(k))
+print(f"work counters (one traced pass per side): {len(moved)} differ")
+for k in moved:
+    note = "exempt, not checked" if k in exempt else "DIFFERS"
+    print(f"  {k:<26}{pc.get(k)!s:>14}{cc.get(k)!s:>14}  {note}")
+differs = any(k not in exempt for k in moved)
+sys.exit(1 if outside or differs else 0)
 EOF

@@ -69,15 +69,14 @@ let test_diag_findings () =
 
 let test_prefilter_supports () =
   let t, nx, ny, nq, ng = mk_small () in
-  let p = Analysis.Prefilter.make t in
-  Alcotest.(check bool) "x vs y disjoint" false (Analysis.Prefilter.compatible p nx ny);
-  Alcotest.(check bool) "x vs g share x" true (Analysis.Prefilter.compatible p nx ng);
+  let s = Scorr.Support.make t in
+  Alcotest.(check bool) "x vs y disjoint" false (Scorr.Support.pi_compatible s nx ny);
+  Alcotest.(check bool) "x vs g share x" true (Scorr.Support.pi_compatible s nx ng);
   (* q's support closes through its next-state function g *)
-  Alcotest.(check bool) "q vs x share x" true (Analysis.Prefilter.compatible p nq nx);
-  Alcotest.(check bool) "const is empty" true (Analysis.Prefilter.empty p 0);
-  (* empty vs non-empty stays compatible: constants can equal anything *)
-  Alcotest.(check bool) "const vs x compatible" true (Analysis.Prefilter.compatible p 0 nx);
-  Alcotest.(check int) "support size of g" 2 (Analysis.Prefilter.support_size p ng)
+  Alcotest.(check bool) "q vs x share x" true (Scorr.Support.pi_compatible s nq nx);
+  (* an empty support stays compatible: constants can equal anything *)
+  Alcotest.(check bool) "const vs x compatible" true (Scorr.Support.pi_compatible s 0 nx);
+  Alcotest.(check bool) "const vs y compatible" true (Scorr.Support.pi_compatible s 0 ny)
 
 (* The engine-side prefilter splits a class whose members have disjoint
    non-empty PI supports — zero solver calls. *)

@@ -159,6 +159,22 @@ let test_resume_refuses_mutant () =
   | Scorr.Equivalent _, _, _ -> ()
   | _ -> Alcotest.fail "expected Equivalent on resume"
 
+(* More pending patterns than one 64-lane buffer holds (a checkpoint may
+   carry any number) are replayed with a flush on the way.  Each one is
+   the initial state, reachable, so the resumed run still proves the
+   pair. *)
+let test_resume_replays_many_patterns () =
+  let spec, impl, options, cp = interrupted_checkpoint () in
+  let aig = (Scorr.Product.make spec impl).Scorr.Product.aig in
+  let initial =
+    (Array.make (Aig.num_pis aig) false, Array.init (Aig.num_latches aig) (Aig.latch_init aig))
+  in
+  let cp = { cp with Scorr.Checkpoint.patterns = List.init 100 (fun _ -> initial) } in
+  let options = { options with Scorr.Verify.resume = Some cp; max_iterations = 0 } in
+  match Scorr.Verify.run_with_relation ~options spec impl with
+  | Scorr.Equivalent _, _, _ -> ()
+  | _ -> Alcotest.fail "expected Equivalent on resume"
+
 (* --- deadline aborts ------------------------------------------------------------ *)
 
 let test_deadline_abort_checkpoints () =
@@ -285,6 +301,8 @@ let suite =
     Alcotest.test_case "validation rejects mismatches" `Quick
       test_validate_rejects_mismatches;
     Alcotest.test_case "resume refuses a mutated circuit" `Quick test_resume_refuses_mutant;
+    Alcotest.test_case "resume replays more patterns than a buffer" `Quick
+      test_resume_replays_many_patterns;
     Alcotest.test_case "deadline abort writes a resumable checkpoint" `Quick
       test_deadline_abort_checkpoints;
     Alcotest.test_case "periodic checkpoints are well-formed" `Quick

@@ -57,9 +57,10 @@ let test_ban_falls_back_to_sat () =
   Alcotest.(check bool) "a banned class is not screened again" false (List.mem cls proven);
   (* the sweep proves it: the screened fixed point is the oracle's, and
      the banned class's members stay together *)
-  Scorr.Engine_sat.mark_proved ctx partition proven;
+  let sweep = Scorr.Engine_sat.sweep ctx in
+  Scorr.Sweep.mark_proved sweep partition proven;
   while Scorr.Engine_sat.refine_once ctx partition do
-    Scorr.Engine_sat.mark_proved ctx partition
+    Scorr.Sweep.mark_proved sweep partition
       (Scorr.Specreduce.screen relieved product partition)
   done;
   Alcotest.(check (list (list int)))

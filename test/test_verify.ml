@@ -379,6 +379,41 @@ let test_bdd_fixpoint_work_pinned () =
       | _ -> Alcotest.failf "%s: expected Equivalent" name)
     [ ("ctr16", 67, 3722, 110, 238_421); ("lfsr16", 3, 207, 75, 357_384) ]
 
+(* --- the SAT engine's fixed-point work, pinned ---------------------------- *)
+
+(* The same pairs under the SAT sweep: at k = 1, and at k = 2 with the
+   analysis layer and the speculation screen (which also pre-reduces the
+   pair).  Jobs and speculation are pinned, so the CI legs that override
+   them through the environment run the same fixed point.  The counts
+   were recorded before the sweep protocol (pool, prefilter, suspect
+   selection, trusting-then-strict policy) moved out of the engines into
+   [Sweep]; the move must leave every figure of the work unchanged. *)
+let test_sat_fixpoint_work_pinned () =
+  let sat = { Scorr.default_options with Scorr.Verify.engine = Scorr.Verify.Sat_engine; jobs = 1 } in
+  List.iter
+    (fun (name, config, options, (iterations, batched, cache_hits, static, prunes, calls)) ->
+      let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find name)) in
+      let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed:1 spec in
+      let label what = Printf.sprintf "%s %s %s" name config what in
+      match Scorr.check ~options spec impl with
+      | Scorr.Equivalent s ->
+        Alcotest.(check int) (label "iterations") iterations s.Scorr.Verify.iterations;
+        Alcotest.(check int) (label "batched solves") batched s.batched_solves;
+        Alcotest.(check int) (label "cache hits") cache_hits s.cache_hits;
+        Alcotest.(check int) (label "static splits") static s.static_splits;
+        Alcotest.(check int) (label "core prunes") prunes s.core_prunes;
+        Alcotest.(check int) (label "sat calls") calls s.sat_calls
+      | _ -> Alcotest.failf "%s %s: expected Equivalent" name config)
+    (List.concat_map
+       (fun (name, k1, k2) ->
+         [ (name, "k1", { sat with use_speculation = false }, k1);
+           ( name,
+             "k2 analysis speculate",
+             { sat with sat_unroll = 2; use_analysis = true; use_speculation = true },
+             k2 ) ])
+       [ ("ctr16", (73, 531, 114, 0, 3592, 531), (94, 362, 4087, 0, 265, 362));
+         ("lfsr16", (5, 180, 75, 0, 236, 180), (6, 158, 445, 0, 1, 158)) ])
+
 (* The retired baselines and an induction depth past the bound are
    refused up front, before any circuit work. *)
 let test_rejects_bad_options () =
@@ -418,6 +453,7 @@ let suite =
       test_progress_labels_follow_handoff;
     Alcotest.test_case "rejects retired and unbounded options" `Quick test_rejects_bad_options;
     Alcotest.test_case "bdd fixed-point work pinned" `Quick test_bdd_fixpoint_work_pinned;
+    Alcotest.test_case "sat fixed-point work pinned" `Quick test_sat_fixpoint_work_pinned;
     prop_order_is_permutation;
     prop_traces_replay;
     prop_certificate_relation_is_inductive;
