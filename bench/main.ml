@@ -25,7 +25,10 @@
                     regardless)
    --seed N         PRNG seed for simulation seeding (Scorr options.seed)
    -j N             run ablation-engine circuit jobs across N worker domains
-   --sweep-jobs N   worker domains inside each SAT sweep (Scorr options.jobs)
+   --sweep-jobs N   worker domains inside each SAT sweep (Scorr options.jobs);
+                    above 1 the SAT rows' counters (iterations, SAT calls,
+                    conflicts) vary from run to run with the lane schedule,
+                    while verdicts, classes and eq% do not
    --deadline S     wall-clock budget per measured run (Scorr deadline;
                     0 = none); timed-out rows report verdict "unknown" and
                     the exhausted reason

@@ -36,14 +36,12 @@ module Record = struct
     spec_by_sat : int; (* obligations the screen left to the SAT sweep *)
     domains : int; (* worker lanes of the sweep scheduler *)
     lane_solves : int list; (* sweep tasks completed per lane *)
-    steals : int; (* tasks claimed from another lane's segment *)
     sched_wait_seconds : float; (* coordinator idle time awaiting workers *)
     conflicts : int; (* SAT conflicts, summed over every solver of the run *)
     propagations : int; (* SAT propagations, likewise *)
     restarts : int; (* SAT restarts, likewise *)
     encoded_vars : int; (* SAT variables created, across every solver *)
     reused_clauses : int; (* clauses in place when a solve was issued: work not redone *)
-    shared_clauses : int; (* learned clauses imported across sweep lanes *)
     core_prunes : int; (* class re-solves skipped by failed-core transfer *)
     eq_pct : float; (* % of spec signals with an impl correspondence *)
     seconds : float;
@@ -63,8 +61,8 @@ let zero =
     sat_calls = 0; pool_lanes = 0; resim_splits = 0; batched_solves = 0; cache_hits = 0;
     static_splits = 0; spec_rounds = 0; spec_merges = 0; refuted_assumptions = 0;
     spec_by_sim = 0; spec_by_bdd = 0; spec_by_sat = 0; domains = 1; lane_solves = [];
-    steals = 0; sched_wait_seconds = 0.0; conflicts = 0; propagations = 0; restarts = 0;
-    encoded_vars = 0; reused_clauses = 0; shared_clauses = 0; core_prunes = 0; eq_pct = 0.0;
+    sched_wait_seconds = 0.0; conflicts = 0; propagations = 0; restarts = 0;
+    encoded_vars = 0; reused_clauses = 0; core_prunes = 0; eq_pct = 0.0;
     seconds = 0.0; phase_seconds = []; exhausted = None }
 
 (* --- the table ---------------------------------------------------------------- *)
@@ -143,8 +141,6 @@ let fields =
         { t with encoded_vars });
     int Solver "reused_clauses" "reused clauses" (fun t -> t.reused_clauses)
       (fun t reused_clauses -> { t with reused_clauses });
-    int Solver "shared_clauses" "shared clauses" (fun t -> t.shared_clauses)
-      (fun t shared_clauses -> { t with shared_clauses });
     int Solver "core_prunes" "core prunes" (fun t -> t.core_prunes) (fun t core_prunes ->
         { t with core_prunes });
     int Speculation "spec_rounds" "spec rounds" (fun t -> t.spec_rounds) (fun t spec_rounds ->
@@ -163,7 +159,6 @@ let fields =
         { t with domains });
     ints Scheduler "lane_solves" "lane solves" (fun t -> t.lane_solves) (fun t lane_solves ->
         { t with lane_solves });
-    int Scheduler "steals" "steals" (fun t -> t.steals) (fun t steals -> { t with steals });
     float ~unit:"s" Scheduler "sched_wait" "sched wait" (fun t -> t.sched_wait_seconds)
       (fun t sched_wait_seconds -> { t with sched_wait_seconds });
   ]

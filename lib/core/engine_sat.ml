@@ -37,9 +37,8 @@
    Eq.(3) sweeps are scheduled through a {!Parsweep} pool: the class
    checks of one round are independent given a frozen partition
    snapshot, so they are sharded across worker domains, each owning a
-   private copy of the unrolled product CNF (deterministic construction
-   gives every lane identical variable numbering) plus private selector
-   tables and Q cache.  Workers never touch the partition: tasks carry
+   private copy of the unrolled product CNF plus private selector tables
+   and Q cache.  Workers never touch the partition: tasks carry
    the frozen normalized member literals, and the coordinator applies
    verdicts and pools witness valuations serially in ascending class
    order.  Every split is justified by a run conforming to the frozen
@@ -49,8 +48,9 @@
 
    The pattern pool, the static prefilter, suspect selection and the
    trusting-then-strict policy are the BDD engine's too: they live in
-   {!Sweep}, and this engine keeps its lanes, the staged-OR class solve,
-   the failed-core transfer and the clause exchange. *)
+   {!Sweep}, and this engine keeps its lanes, the staged-OR class solve
+   and the failed-core transfer.  Lanes share no solver state: each
+   learns only from its own solves. *)
 
 (* Private per-lane solving state: a full copy of the k+1-frame
    unrolling with its own selector tables and Q-assumption cache.  Lane
@@ -85,24 +85,15 @@ type ctx = {
   pi_nodes : int array; (* PI node ids by input index *)
   init_clean : (int, int) Hashtbl.t; (* class -> frames proven clean from s0 *)
   sched : wstate Parsweep.t; (* persistent pool; lane 0 = primary solver *)
-  base_vars : int;
-      (* variables of the shared k+1-frame unrolling — identical in every
-         lane by determinism, and the horizon below which learned clauses
-         are sound to exchange *)
   reused_clauses : int Atomic.t;
-  mutable shared_clauses : int;
   mutable core_prunes : int;
-  shared_seen : (Sat.Lit.t list, unit) Hashtbl.t;
-      (* canonical forms of clauses already broadcast between lanes *)
   stable_cores : (int, int array * (int * int) list) Hashtbl.t;
       (* class -> (member literals at proof time, failed-core pairs): an
          UNSAT proof transfers to any later version in which the member
          list is unchanged and every core equality still holds *)
 }
 
-(* One lane's private k+1-frame unrolling.  [Aig.Cnf.unroll] is
-   deterministic, so every lane's frame maps use identical variable
-   numbering. *)
+(* One lane's private k+1-frame unrolling. *)
 let unrolled_lane aig k =
   let s = Sat.create () in
   let vars = Array.init (Aig.num_latches aig) (fun _ -> Sat.new_var s) in
@@ -123,7 +114,6 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
   (* Lane 0 is built here and run by the coordinator inside its own pool;
      other lanes build their copy inside their own domain. *)
   let lane0 = unrolled_lane aig k in
-  let base_vars = Sat.num_vars lane0.w_solver in
   let solver0 = Sat.create () in
   let s0_vars =
     Array.init (Aig.num_latches aig) (fun i ->
@@ -149,11 +139,8 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
     init_clean = Hashtbl.create 256;
     sched =
       Parsweep.create ~jobs ~init:(fun lane -> if lane = 0 then lane0 else unrolled_lane aig k);
-    base_vars;
     reused_clauses = Atomic.make 0;
-    shared_clauses = 0;
     core_prunes = 0;
-    shared_seen = Hashtbl.create 256;
     stable_cores = Hashtbl.create 256;
   }
 
@@ -179,7 +166,6 @@ let harvest ctx =
     restarts = sum Sat.num_restarts;
     encoded_vars = sum Sat.num_vars;
     reused_clauses = Atomic.get ctx.reused_clauses;
-    shared_clauses = ctx.shared_clauses;
     core_prunes = ctx.core_prunes;
   }
 
@@ -412,36 +398,6 @@ let solve_class ctx w ~version ~pairs task =
     Sat.release w.w_solver g;
     out
 
-(* Cross-lane learned-clause exchange, run by the coordinator at the
-   sweep merge point (no batch in flight).  Each lane exports its short,
-   low-LBD learned clauses over the shared base encoding — selector and
-   activation variables occur only negatively in problem clauses, so a
-   learned clause confined to base variables was derived from the base
-   encoding alone and holds in every lane — deduplicated against
-   everything already broadcast, and imported into every other lane. *)
-let share_clauses ctx =
-  match Parsweep.initialized_states ctx.sched with
-  | [] | [ _ ] -> ()
-  | lanes ->
-    List.iter
-      (fun src ->
-        List.iter
-          (fun c ->
-            let key = List.sort compare c in
-            if not (Hashtbl.mem ctx.shared_seen key) then begin
-              Hashtbl.replace ctx.shared_seen key ();
-              List.iter
-                (fun dst ->
-                  if dst != src then begin
-                    Sat.import_clause dst.w_solver c;
-                    ctx.shared_clauses <- ctx.shared_clauses + 1
-                  end)
-                lanes
-            end)
-          (Sat.export_learnts src.w_solver ~limit_var:ctx.base_vars ~max_size:8
-             ~max_lbd:4))
-      lanes
-
 (* One batched sweep round of Equation (3).  The partition is frozen
    into tasks, solved across the pool's lanes, and the outcomes applied
    serially in ascending class order: UNSAT marks the class proven at
@@ -506,7 +462,6 @@ let round ctx partition ~trust =
         else Some { t_cls = cls; t_lits = lits })
   in
   let outcomes = Parsweep.map ctx.sched ~f:(fun w -> solve_class ctx w ~version:vq ~pairs) tasks in
-  share_clauses ctx;
   Array.iteri
     (fun i outcome ->
       let cls = tasks.(i).t_cls in

@@ -1,4 +1,4 @@
-(* Work-stealing domain pool for sweep scheduling.
+(* Domain pool for sweep scheduling.
 
    The SAT refinement engine faces an embarrassingly parallel inner loop —
    one independent combinational check per equivalence class and round —
@@ -12,10 +12,10 @@
      solver construction itself is parallel and no state ever crosses a
      domain boundary;
 
-   - [map pool ~f tasks] shards the task array into contiguous
-     per-lane segments claimed by atomic cursors; a lane that drains its
-     segment steals from the most loaded victim, so an unlucky shard of
-     hard classes cannot serialize the round;
+   - [map pool ~f tasks] publishes the task array with one shared atomic
+     cursor; every lane claims the next unclaimed index until the cursor
+     passes the end, so a lane stuck on a hard class never holds back
+     work another lane could take;
 
    - results are written into per-task slots and returned in task order
      — the caller observes a deterministic, sequential-looking result
@@ -39,8 +39,8 @@
 
 type 'w batch = {
   run : 'w -> int -> unit;  (* execute one task slot with a lane's state *)
-  next : int Atomic.t array;  (* per-lane segment cursors *)
-  hi : int array;  (* per-lane segment ends (exclusive) *)
+  next : int Atomic.t;  (* the next unclaimed task index, shared by every lane *)
+  n : int;  (* task count *)
 }
 
 type 'w t = {
@@ -56,7 +56,6 @@ type 'w t = {
   mutable stop : bool;
   mutable failure : (int * exn * Printexc.raw_backtrace) option;
   lane_tasks : int array;
-  steals : int Atomic.t;
   mutable wait_seconds : float;
   mutable domains : unit Domain.t array;
   mutable shut : bool;
@@ -78,35 +77,18 @@ let record_failure t idx e bt =
   | _ -> t.failure <- Some (idx, e, bt));
   Mutex.unlock t.lock
 
-(* Drain the lane's own segment, then steal from the most loaded victim
-   until no segment has work left. *)
+(* Claim and run tasks until the shared cursor passes the end. *)
 let run_lane t b state lane =
-  let run_task victim =
-    let idx = Atomic.fetch_and_add b.next.(victim) 1 in
-    if idx >= b.hi.(victim) then false
-    else begin
-      if victim <> lane then Atomic.incr t.steals;
+  let rec claim () =
+    let idx = Atomic.fetch_and_add b.next 1 in
+    if idx < b.n then begin
       (try b.run state idx
        with e -> record_failure t idx e (Printexc.get_raw_backtrace ()));
       t.lane_tasks.(lane) <- t.lane_tasks.(lane) + 1;
-      true
+      claim ()
     end
   in
-  while run_task lane do () done;
-  let lanes = Array.length b.hi in
-  let exhausted = ref false in
-  while not !exhausted do
-    let victim = ref (-1) and best = ref 0 in
-    for j = 0 to lanes - 1 do
-      let remaining = b.hi.(j) - Atomic.get b.next.(j) in
-      if remaining > !best then begin
-        victim := j;
-        best := remaining
-      end
-    done;
-    if !victim < 0 then exhausted := true
-    else ignore (run_task !victim) (* a lost claim race just rescans *)
-  done
+  claim ()
 
 let run_lane_safely t b state_of lane =
   match (try Ok (state_of ()) with e -> Error (e, Printexc.get_raw_backtrace ())) with
@@ -162,7 +144,6 @@ let create ~jobs ~init =
       stop = false;
       failure = None;
       lane_tasks = Array.make jobs 0;
-      steals = Atomic.make 0;
       wait_seconds = 0.0;
       domains = [||];
       shut = false;
@@ -207,19 +188,12 @@ let map t ~f tasks =
   else begin
     let results = Array.make n None in
     let run state idx = results.(idx) <- Some (f state tasks.(idx)) in
-    let lanes = t.jobs in
-    let b =
-      {
-        run;
-        next = Array.init lanes (fun j -> Atomic.make (j * n / lanes));
-        hi = Array.init lanes (fun j -> (j + 1) * n / lanes);
-      }
-    in
+    let b = { run; next = Atomic.make 0; n } in
     Mutex.lock t.lock;
     t.failure <- None;
     t.batch <- Some b;
     t.generation <- t.generation + 1;
-    t.outstanding <- lanes - 1;
+    t.outstanding <- t.jobs - 1;
     Condition.broadcast t.work_ready;
     Mutex.unlock t.lock;
     run_lane_safely t b (fun () -> state0 t) 0;
@@ -240,14 +214,13 @@ let map t ~f tasks =
   end
 
 (* The scheduler's share of the run counters: lanes (the coordinator's
-   lane 0 included), tasks completed per lane, tasks claimed from another
-   lane's segment, and the coordinator's idle time awaiting stragglers. *)
+   lane 0 included), tasks completed per lane, and the coordinator's idle
+   time awaiting stragglers. *)
 let harvest t =
   {
     Counters.zero with
     Counters.domains = t.jobs;
     lane_solves = Array.to_list t.lane_tasks;
-    steals = Atomic.get t.steals;
     sched_wait_seconds = t.wait_seconds;
   }
 

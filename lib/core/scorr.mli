@@ -52,7 +52,6 @@ module Counters : sig
       spec_by_sat : int;  (** obligations the screen left to the SAT sweep *)
       domains : int;  (** worker lanes of the sweep scheduler *)
       lane_solves : int list;  (** sweep tasks completed per lane *)
-      steals : int;  (** tasks claimed from another lane's segment *)
       sched_wait_seconds : float;
           (** coordinator idle time awaiting worker lanes *)
       conflicts : int;  (** SAT conflicts, summed over every solver of the run *)
@@ -62,7 +61,6 @@ module Counters : sig
       reused_clauses : int;
           (** clauses already in place when a solve was issued — the work
               the persistent solvers did not redo *)
-      shared_clauses : int;  (** learned clauses imported across sweep lanes *)
       core_prunes : int;
           (** class re-solves skipped by failed-assumption-core transfer *)
       eq_pct : float;
@@ -263,7 +261,7 @@ module Deadline : sig
   (** Seconds left ([infinity] for {!none}, clamped at 0). *)
 end
 
-(** Work-stealing domain pool scheduling the SAT engine's sweep rounds.
+(** Domain pool scheduling the SAT engine's sweep rounds.
 
     A pool of [jobs] lanes: lane 0 is the calling domain (the
     coordinator participates in its own batches), lanes 1.. are
@@ -282,8 +280,8 @@ module Parsweep : sig
 
   val map : 'w t -> f:('w -> 'a -> 'b) -> 'a array -> 'b array
   (** Run [f] over every task and return the results in task order,
-      whatever lane computed them.  Tasks are sharded into contiguous
-      per-lane segments; a drained lane steals from the most loaded one.
+      whatever lane computed them.  Every lane claims the next unclaimed
+      task from one shared atomic cursor until none is left.
       A task that raises does not kill its lane: the exception of the
       smallest failing task index is re-raised here after the batch
       completes, and the pool remains usable. *)
@@ -292,14 +290,12 @@ module Parsweep : sig
   (** The lane states built so far, in lane order.  Coordinator-only,
       and only between batches: the batch hand-off is what makes the
       workers' lazily built states visible.  The SAT engine walks these
-      at merge points to exchange learned clauses and harvest solver
-      counters. *)
+      to harvest solver counters. *)
 
   val harvest : _ t -> Counters.t
   (** The scheduler's run counters: [domains] (lanes, the coordinator's
       lane 0 included), [lane_solves] (tasks completed per lane,
-      lifetime), [steals] (tasks claimed from another lane's segment)
-      and [sched_wait_seconds] (coordinator idle time awaiting
+      lifetime) and [sched_wait_seconds] (coordinator idle time awaiting
       stragglers). *)
 
   val shutdown : _ t -> unit

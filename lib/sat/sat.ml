@@ -14,8 +14,6 @@ let solve = Solver.solve
 let solve_under_assumptions = Solver.solve_under_assumptions
 let failed_assumptions = Solver.failed_assumptions
 let release = Solver.release
-let export_learnts = Solver.export_learnts
-let import_clause = Solver.import_clause
 let set_proof_logger = Solver.set_proof_logger
 let set_input_logger = Solver.set_input_logger
 let value = Solver.model_value

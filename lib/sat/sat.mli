@@ -89,20 +89,6 @@ val release : t -> int -> unit
     mentioning [~g] (activation-aware garbage collection — the retired
     selector's clauses do not keep burdening propagation). *)
 
-val export_learnts : t -> limit_var:int -> max_size:int -> max_lbd:int -> Lit.t list list
-(** Learned clauses suitable for sharing with a solver holding an
-    identical copy of the encoding over variables [0 .. limit_var - 1]:
-    every literal's variable is below [limit_var] (selector and activation
-    variables occur only negatively in problem clauses, so any derivation
-    that used a guarded clause keeps its guard literal — clauses passing
-    the filter were derived from the shared base encoding alone), at most
-    [max_size] literals, literal block distance at most [max_lbd]. *)
-
-val import_clause : t -> Lit.t list -> unit
-(** Install a clause known to be entailed (an {!export_learnts} result
-    from a sibling solver).  Stored as a learned clause, so the regular
-    reduction may drop it again. *)
-
 val set_proof_logger : t -> (proof_step -> unit) option -> unit
 (** Stream DRAT trace events ({!proof_step}) to the callback: learned
     clauses as they are recorded, deletions as clauses are dropped, and on

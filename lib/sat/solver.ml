@@ -17,14 +17,13 @@ type clause = {
   mutable lits : int array;
   learned : bool;
   mutable act : float;
-  mutable lbd : int; (* literal block distance at learn time; 0 for problem clauses *)
   act_tag : int; (* activation variable guarding this clause, or -1 *)
 }
 
 (* The reason of a decision, an assumption or a level-0 unit.  Never
    watched, bumped or written: sharing it between solvers shares no
    state. *)
-let no_reason = { lits = [||]; learned = false; act = 0.0; lbd = 0; act_tag = -1 }
+let no_reason = { lits = [||]; learned = false; act = 0.0; act_tag = -1 }
 
 type result = Sat | Unsat
 
@@ -377,7 +376,7 @@ let add_clause ?(act = -1) s lits =
         enqueue s l no_reason;
         if propagate s <> None then s.ok <- false
       | _ ->
-        let c = { lits = Array.of_list lits; learned = false; act = 0.0; lbd = 0; act_tag = act } in
+        let c = { lits = Array.of_list lits; learned = false; act = 0.0; act_tag = act } in
         s.clauses <- c :: s.clauses;
         s.n_clauses <- s.n_clauses + 1;
         attach s c
@@ -431,19 +430,7 @@ let analyze s confl =
   in
   (Array.of_list learnt, bt_level)
 
-(* Distinct decision levels among the literals — measured before
-   backtracking, while the levels that produced the clause are current. *)
-let compute_lbd s lits =
-  let levels = ref [] in
-  Array.iter
-    (fun q ->
-      let lv = s.level.(Lit.var q) in
-      if lv > 0 && not (List.mem lv !levels) then levels := lv :: !levels)
-    lits;
-  List.length !levels
-
 let record_learnt s lits bt_level =
-  let lbd = compute_lbd s lits in
   log_proof s (Step_add (Array.to_list lits));
   cancel_until s bt_level;
   if Array.length lits = 1 then begin
@@ -458,7 +445,7 @@ let record_learnt s lits bt_level =
     let tmp = lits.(1) in
     lits.(1) <- lits.(!hi);
     lits.(!hi) <- tmp;
-    let c = { lits; learned = true; act = 0.0; lbd; act_tag = -1 } in
+    let c = { lits; learned = true; act = 0.0; act_tag = -1 } in
     bump_clause s c;
     s.learnts <- c :: s.learnts;
     s.n_learnts <- s.n_learnts + 1;
@@ -726,59 +713,6 @@ let model_value s v =
 let model s = Array.init s.nvars (fun v -> model_value s v)
 
 let after_solve_cleanup s = cancel_until s 0
-
-(* --- learned-clause exchange --------------------------------------------- *)
-
-(* Learnt clauses confined to variables below [limit_var] were derived from
-   clauses over those variables alone: selector and activation variables
-   occur only negatively in the problem clauses, so resolution can never
-   eliminate them — any derivation that touches a guarded clause leaves its
-   guard literal in the resolvent.  Such clauses are consequences of the
-   shared base encoding and are sound to import into any solver holding an
-   identical copy of it. *)
-let export_learnts s ~limit_var ~max_size ~max_lbd =
-  List.filter_map
-    (fun c ->
-      if
-        Array.length c.lits <= max_size
-        && c.lbd <= max_lbd
-        && Array.for_all (fun l -> Lit.var l < limit_var) c.lits
-      then Some (Array.to_list c.lits)
-      else None)
-    s.learnts
-
-(* Install a clause known to be entailed (an import from a sibling solver):
-   stored as a learnt so reduction can drop it again. *)
-let import_clause s lits =
-  if s.ok then begin
-    if decision_level s > 0 then cancel_until s 0;
-    List.iter (fun l -> if Lit.var l >= s.nvars then ensure_vars s (Lit.var l + 1)) lits;
-    let lits = List.sort_uniq compare lits in
-    try
-      let lits =
-        List.filter
-          (fun l ->
-            if List.mem (Lit.negate l) lits then raise Trivially_sat;
-            match value_lit s l with
-            | 1 -> raise Trivially_sat
-            | 0 -> false
-            | _ -> true)
-          lits
-      in
-      match lits with
-      | [] -> s.ok <- false
-      | [ l ] ->
-        log_proof s (Step_add [ l ]);
-        enqueue s l no_reason;
-        if propagate s <> None then s.ok <- false
-      | _ ->
-        log_proof s (Step_add lits);
-        let c = { lits = Array.of_list lits; learned = true; act = 0.0; lbd = List.length lits; act_tag = -1 } in
-        s.learnts <- c :: s.learnts;
-        s.n_learnts <- s.n_learnts + 1;
-        attach s c
-    with Trivially_sat -> ()
-  end
 
 let num_vars s = s.nvars
 let num_clauses s = s.n_clauses

@@ -1,4 +1,4 @@
-(* Unit tests of the work-stealing domain pool behind the parallel sweep
+(* Unit tests of the shared-cursor domain pool behind the parallel sweep
    scheduler: result ordering, failure propagation, stats accounting and
    lifecycle, at one lane (inline path) and several (worker domains). *)
 
@@ -58,8 +58,37 @@ let test_stats_accounting () =
   Alcotest.(check int) "lane count" 4 (List.length s.lane_solves);
   Alcotest.(check int) "every task counted exactly once" n
     (List.fold_left ( + ) 0 s.lane_solves);
-  Alcotest.(check bool) "steal count non-negative" true (s.steals >= 0);
   Alcotest.(check bool) "wait time non-negative" true (s.sched_wait_seconds >= 0.0)
+
+(* Uneven task costs keep three lanes racing on the shared cursor: a busy
+   loop whose length varies by two orders of magnitude with the index. *)
+let busy i =
+  let acc = ref i in
+  for j = 1 to (i * 7919 mod 97 + 1) * 400 do
+    acc := (!acc * 31 + j) land 0xffff
+  done;
+  Sys.opaque_identity !acc
+
+let test_contended_cursor () =
+  let pool = Scorr.Parsweep.create ~jobs:3 ~init:(fun _ -> ()) in
+  let sizes = [ 150; 7; 301; 64; 2 ] in
+  List.iter
+    (fun n ->
+      let r = Scorr.Parsweep.map pool ~f:(fun () i -> ignore (busy i); i * i) (Array.init n Fun.id) in
+      Alcotest.(check (array int)) (Printf.sprintf "batch of %d in task order" n) (squares n) r)
+    sizes;
+  (* failures among uneven tasks: the smallest failing index still wins *)
+  (match
+     Scorr.Parsweep.map pool
+       ~f:(fun () i -> if busy i >= 0 && i >= 40 && i mod 13 = 5 then raise (Boom i) else i)
+       (Array.init 200 Fun.id)
+   with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom i -> Alcotest.(check int) "smallest failing index" 44 i);
+  let s = Scorr.Parsweep.harvest pool in
+  Scorr.Parsweep.shutdown pool;
+  Alcotest.(check int) "every task run counted once" (List.fold_left ( + ) 200 sizes)
+    (List.fold_left ( + ) 0 s.Scorr.Counters.lane_solves)
 
 let test_jobs_clamped () =
   let pool = Scorr.Parsweep.create ~jobs:(-3) ~init:(fun _ -> ()) in
@@ -85,6 +114,7 @@ let suite =
       (test_exception_propagation 3);
     Alcotest.test_case "init failure propagates" `Quick test_init_failure_propagates;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
+    Alcotest.test_case "shared cursor under uneven tasks" `Quick test_contended_cursor;
     Alcotest.test_case "jobs clamped to one" `Quick test_jobs_clamped;
     Alcotest.test_case "shutdown lifecycle" `Quick test_shutdown_lifecycle;
   ]

@@ -241,50 +241,6 @@ let test_restarts_counted () =
   Alcotest.(check bool) "unsat" true (r = Sat.Unsat);
   Alcotest.(check bool) "restarts happened" true (Sat.num_restarts s > 0)
 
-(* Base encoding: an inconsistent-parity xor chain, split so that the
-   contradiction is only reachable through an activation-guarded clause.
-   Learned clauses exported under [limit_var = base] must be entailed by
-   the base clauses alone. *)
-let test_export_import_soundness () =
-  let n = 10 in
-  let xor_clauses a b value =
-    if value then
-      [ [ Sat.Lit.pos a; Sat.Lit.pos b ]; [ Sat.Lit.neg a; Sat.Lit.neg b ] ]
-    else [ [ Sat.Lit.pos a; Sat.Lit.neg b ]; [ Sat.Lit.neg a; Sat.Lit.pos b ] ]
-  in
-  let base_clauses =
-    List.concat (List.init n (fun i -> xor_clauses i (i + 1) true))
-  in
-  let s = Sat.create () in
-  Sat.ensure_vars s (n + 1);
-  List.iter (Sat.add_clause s) base_clauses;
-  let base = Sat.num_vars s in
-  let g = Sat.new_var s in
-  (* guarded wrong-parity closure makes the instance unsat under g *)
-  List.iter (Sat.add_clause ~act:g s) (xor_clauses 0 n (n mod 2 = 0));
-  Alcotest.(check bool) "unsat under g" true (Sat.solve ~assumptions:[ Sat.Lit.pos g ] s = Sat.Unsat);
-  let shared = Sat.export_learnts s ~limit_var:base ~max_size:8 ~max_lbd:6 in
-  Alcotest.(check bool)
-    "exports stay below limit_var" true
-    (List.for_all (List.for_all (fun l -> Sat.Lit.var l < base)) shared);
-  Alcotest.(check bool)
-    "exports respect max_size" true
-    (List.for_all (fun c -> List.length c <= 8) shared);
-  (* every exported clause is entailed by the base encoding alone *)
-  let entailed c =
-    let fresh = Sat.create () in
-    Sat.ensure_vars fresh (n + 1);
-    List.iter (Sat.add_clause fresh) base_clauses;
-    Sat.solve ~assumptions:(List.map Sat.Lit.negate c) fresh = Sat.Unsat
-  in
-  Alcotest.(check bool) "exports entailed by base" true (List.for_all entailed shared);
-  (* importing them into a sibling must not change its verdicts *)
-  let sibling = Sat.create () in
-  Sat.ensure_vars sibling (n + 1);
-  List.iter (Sat.add_clause sibling) base_clauses;
-  List.iter (Sat.import_clause sibling) shared;
-  Alcotest.(check bool) "sibling still sat" true (Sat.solve sibling = Sat.Sat)
-
 let test_drat_text_roundtrip () =
   let open Sat.Dimacs in
   let trace =
@@ -414,7 +370,6 @@ let suite =
     Alcotest.test_case "failed-assumption core" `Quick test_failed_assumption_core;
     Alcotest.test_case "activation release" `Quick test_activation_release;
     Alcotest.test_case "restarts counted" `Quick test_restarts_counted;
-    Alcotest.test_case "export/import soundness" `Quick test_export_import_soundness;
     Alcotest.test_case "drat text roundtrip" `Quick test_drat_text_roundtrip;
     Alcotest.test_case "rup checker" `Quick test_rup_checker;
     Alcotest.test_case "rup rejects non-rup" `Quick test_rup_rejects_non_rup;

@@ -166,7 +166,6 @@ let sample_outcome =
           propagations = 19_000;
           restarts = 2;
           reused_clauses = 23;
-          shared_clauses = 5;
           spec_rounds = 2;
           spec_merges = 29;
           refuted_assumptions = 3;

@@ -414,6 +414,38 @@ let test_sat_fixpoint_work_pinned () =
        [ ("ctr16", (73, 531, 114, 0, 3592, 531), (94, 362, 4087, 0, 265, 362));
          ("lfsr16", (5, 180, 75, 0, 236, 180), (6, 158, 445, 0, 1, 158)) ])
 
+(* The parallel sweep on real circuits: ctr16 and gray12 put hundreds of
+   class checks through every round, so lanes race on the shared task
+   cursor throughout.  Which lane finds which witness varies from run to
+   run, but the greatest fixed point does not: verdict, final classes and
+   eq% must match the one-job run at two and four jobs.  Speculation is
+   pinned off so the CI legs that enable it run the same sweep. *)
+let test_sat_fixed_point_independent_of_jobs () =
+  let sat =
+    { Scorr.default_options with Scorr.Verify.engine = Scorr.Verify.Sat_engine;
+      use_speculation = false }
+  in
+  List.iter
+    (fun name ->
+      let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find name)) in
+      let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed:1 spec in
+      let run jobs =
+        match Scorr.check ~options:{ sat with jobs } spec impl with
+        | Scorr.Equivalent s -> ("equivalent", s.Scorr.Verify.classes, s.eq_pct)
+        | Scorr.Not_equivalent { stats = s; _ } -> ("not equivalent", s.classes, s.eq_pct)
+        | Scorr.Unknown s -> ("unknown", s.classes, s.eq_pct)
+      in
+      let verdict, classes, eq_pct = run 1 in
+      List.iter
+        (fun jobs ->
+          let v, c, e = run jobs in
+          let label what = Printf.sprintf "%s -j %d %s" name jobs what in
+          Alcotest.(check string) (label "verdict") verdict v;
+          Alcotest.(check int) (label "classes") classes c;
+          Alcotest.(check (float 0.0)) (label "eq_pct") eq_pct e)
+        [ 2; 4 ])
+    [ "ctr16"; "gray12" ]
+
 (* The retired baselines and an induction depth past the bound are
    refused up front, before any circuit work. *)
 let test_rejects_bad_options () =
@@ -454,6 +486,8 @@ let suite =
     Alcotest.test_case "rejects retired and unbounded options" `Quick test_rejects_bad_options;
     Alcotest.test_case "bdd fixed-point work pinned" `Quick test_bdd_fixpoint_work_pinned;
     Alcotest.test_case "sat fixed-point work pinned" `Quick test_sat_fixpoint_work_pinned;
+    Alcotest.test_case "sat fixed point independent of jobs" `Quick
+      test_sat_fixed_point_independent_of_jobs;
     prop_order_is_permutation;
     prop_traces_replay;
     prop_certificate_relation_is_inductive;
