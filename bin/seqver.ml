@@ -20,8 +20,6 @@ let read_circuit path =
     prerr_endline (Lint.Intake.explain e);
     exit 2
 
-(* Checkpoints, certificates and witnesses: a malformed file is named
-   with its parse error, an unreadable one with the command; both exit 2. *)
 (* -k past the induction bound is a usage error: every SAT lane would
    encode k + 1 copies of the product before any budget is polled. *)
 let check_induction cmd k =
@@ -31,17 +29,20 @@ let check_induction cmd k =
     exit 2
   end
 
+(* Checkpoints, certificates and witnesses: a malformed file is named
+   with its parse error, an unreadable one with the command, a resume
+   point no run can take with the refusal; all exit 2. *)
 let read_or_exit cmd parse_file path =
   match parse_file path with
   | v -> v
-  | exception
-      ( Scorr.Checkpoint.Parse_error msg
-      | Cert.Certificate.Parse_error msg
-      | Cert.Witness.Parse_error msg ) ->
+  | exception (Scorr.Relation.Parse_error msg | Cert.Witness.Parse_error msg) ->
     Printf.eprintf "%s: %s\n" path msg;
     exit 2
   | exception Sys_error msg ->
     Printf.eprintf "seqver %s: %s\n" cmd msg;
+    exit 2
+  | exception Scorr.Checkpoint.Incompatible msg ->
+    Printf.eprintf "seqver %s: checkpoint rejected: %s\n" cmd msg;
     exit 2
 
 let write_circuit path aig =
@@ -146,7 +147,12 @@ let run_verify spec_path impl_path meth engine no_sim_seed no_fundep no_retime s
     exit 2
   end;
   let spec = read_circuit spec_path and impl = read_circuit impl_path in
-  let resume = Option.map (read_or_exit "verify" Scorr.Checkpoint.parse_file) resume in
+  let resume =
+    Option.map
+      (read_or_exit "verify"
+         (Cert.Certificate.resume_of_file ~seed:Scorr.default_options.Scorr.Verify.seed))
+      resume
+  in
   let options =
     {
       Scorr.default_options with
@@ -240,8 +246,8 @@ let run_verify spec_path impl_path meth engine no_sim_seed no_fundep no_retime s
             Cert.Certificate.to_file path cert;
             if not quiet then
               Printf.printf "certificate: %s (%d classes, %d constraints%s)\n" path
-                (Cert.Certificate.n_classes cert)
-                (Cert.Certificate.n_constraints cert)
+                (Scorr.Relation.n_classes cert.Cert.Certificate.relation)
+                (Scorr.Relation.n_constraints cert.Cert.Certificate.relation)
                 (match cert.Cert.Certificate.proof with
                 | Some segs -> Printf.sprintf ", %d proof segments" (List.length segs)
                 | None -> ""))
@@ -311,6 +317,7 @@ let run_verify spec_path impl_path meth engine no_sim_seed no_fundep no_retime s
    naming both MD5s. *)
 let run_checkpoint path spec_path impl_path =
   let cp = read_or_exit "checkpoint" Scorr.Checkpoint.parse_file path in
+  let r = cp.Scorr.Checkpoint.relation in
   Printf.printf
     "checkpoint: %s\n\
     \  spec md5:        %s\n\
@@ -324,13 +331,9 @@ let run_checkpoint path spec_path impl_path =
     \  iterations:      %d\n\
     \  classes:         %d (%d constraints)\n\
     \  pool patterns:   %d\n"
-    path cp.Scorr.Checkpoint.spec_digest cp.Scorr.Checkpoint.impl_digest
-    cp.Scorr.Checkpoint.engine cp.Scorr.Checkpoint.candidates
-    cp.Scorr.Checkpoint.induction cp.Scorr.Checkpoint.seed
-    cp.Scorr.Checkpoint.retime_rounds cp.Scorr.Checkpoint.product_nodes
-    cp.Scorr.Checkpoint.iterations
-    (Scorr.Checkpoint.n_classes cp)
-    (Scorr.Checkpoint.n_constraints cp)
+    path r.spec_digest r.impl_digest r.engine r.candidates r.induction cp.Scorr.Checkpoint.seed
+    r.retime_rounds r.product_nodes cp.Scorr.Checkpoint.iterations
+    (Scorr.Relation.n_classes r) (Scorr.Relation.n_constraints r)
     (Scorr.Checkpoint.n_patterns cp);
   match (spec_path, impl_path) with
   | None, None -> 0
@@ -340,10 +343,9 @@ let run_checkpoint path spec_path impl_path =
        thing that can mismatch here is the circuits themselves *)
     match
       Scorr.Checkpoint.compatible
-        ~spec_digest:(Scorr.Checkpoint.fingerprint spec)
-        ~impl_digest:(Scorr.Checkpoint.fingerprint impl)
-        ~candidates:cp.Scorr.Checkpoint.candidates ~induction:cp.Scorr.Checkpoint.induction
-        ~seed:cp.Scorr.Checkpoint.seed cp
+        ~spec_digest:(Scorr.Relation.fingerprint spec)
+        ~impl_digest:(Scorr.Relation.fingerprint impl)
+        ~candidates:r.candidates ~induction:r.induction ~seed:cp.Scorr.Checkpoint.seed cp
     with
     | Ok () ->
       Printf.printf "  compatible:      yes (fingerprints match %s %s)\n" spec_path impl_path;
@@ -477,7 +479,7 @@ let run_check_cert cert_path spec_path impl_path suite proof quiet =
                  exercises the parser *)
               let cert = Cert.Certificate.parse_string (Cert.Certificate.to_string cert) in
               match Cert.Certificate.check ~use_proof:proof ~spec ~impl cert with
-              | Ok () -> Ok (Cert.Certificate.n_constraints cert)
+              | Ok () -> Ok (Scorr.Relation.n_constraints cert.Cert.Certificate.relation)
               | Error e -> Error (Cert.Certificate.explain_check_error e)))
         in
         match status with
@@ -494,14 +496,13 @@ let run_check_cert cert_path spec_path impl_path suite proof quiet =
     match (cert_path, spec_path, impl_path) with
     | Some cert_path, Some spec_path, Some impl_path -> (
       let cert = read_or_exit "check-cert" Cert.Certificate.parse_file cert_path in
+      let r = cert.Cert.Certificate.relation in
       let spec = read_circuit spec_path and impl = read_circuit impl_path in
       match Cert.Certificate.check ~use_proof:proof ~spec ~impl cert with
       | Ok () ->
         if not quiet then
           Printf.printf "certificate valid: %d classes, %d constraints (induction %d%s)\n"
-            (Cert.Certificate.n_classes cert)
-            (Cert.Certificate.n_constraints cert)
-            cert.Cert.Certificate.induction
+            (Scorr.Relation.n_classes r) (Scorr.Relation.n_constraints r) r.induction
             (if proof then ", proof replayed" else "");
         0
       | Error e ->

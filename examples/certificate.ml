@@ -33,8 +33,8 @@ let () =
     | Error e -> Format.printf "emission failed: %s@." (Cert.Certificate.explain_emit_error e)
     | Ok cert ->
       Format.printf "exported certificate (%d classes, %d constraints):@.@.%s@."
-        (Cert.Certificate.n_classes cert)
-        (Cert.Certificate.n_constraints cert)
+        (Scorr.Relation.n_classes cert.Cert.Certificate.relation)
+        (Scorr.Relation.n_constraints cert.Cert.Certificate.relation)
         (Cert.Certificate.to_string cert);
       (match Cert.Certificate.check ~spec ~impl cert with
       | Ok () ->

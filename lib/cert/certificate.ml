@@ -23,18 +23,11 @@
    register-correspondence tying check of [5]/[9]). *)
 
 type t = {
-  spec_digest : string; (* MD5 of the canonical AIGER text *)
-  impl_digest : string;
-  engine : string; (* informational: which engine computed the relation *)
-  candidates : string; (* "all" | "registers" *)
-  induction : int; (* k: 1 = the paper's Equation (3) *)
-  retime_rounds : int; (* augmentation rounds to replay on the product *)
+  relation : Scorr.Relation.t; (* fingerprints, options, shape, classes *)
   prereduce : int option;
       (* reduction seed when the relation is over the FRAIG-reduced pair:
          checking replays the (deterministic) reduction on the originals,
          re-proving its merge obligations, before rebuilding the product *)
-  product_nodes : int; (* product size after augmentation (shape check) *)
-  classes : int list list; (* normalized literals, each class sorted *)
   proof : Sat.Dimacs.drat_step list list option;
       (* optional DRAT trace: one segment per non-trivial checker
          obligation, in the checker's deterministic traversal order, so
@@ -42,20 +35,12 @@ type t = {
          propagation instead of trusting a SAT solver *)
 }
 
-exception Parse_error of string
-
-let fingerprint aig = Digest.to_hex (Digest.string (Aig.Aiger.to_string aig))
-
 (* Digest-only identity test, for callers (the serve result cache) that
    hold fingerprints but not the circuits; [check] remains the soundness
    gate for anything beyond identity. *)
 let matches_digests ~spec_digest ~impl_digest cert =
-  String.equal cert.spec_digest spec_digest && String.equal cert.impl_digest impl_digest
-
-let n_classes cert = List.length cert.classes
-
-let n_constraints cert =
-  List.fold_left (fun acc cls -> acc + max 0 (List.length cls - 1)) 0 cert.classes
+  String.equal cert.relation.spec_digest spec_digest
+  && String.equal cert.relation.impl_digest impl_digest
 
 (* --- emission ----------------------------------------------------------------- *)
 
@@ -71,7 +56,7 @@ let explain_emit_error = function
    under the options that produced it. *)
 let of_run ~(options : Scorr.Verify.options) ~spec ~impl (verdict, product, relation) =
   match (verdict, relation) with
-  | Scorr.Equivalent stats, Some partition ->
+  | Scorr.Equivalent _, Some partition ->
     if options.Scorr.Verify.use_reach_dontcare then
       (* with reachability don't-cares the class equalities may hold only
          inside the reachable care set, so Q alone need not be inductive *)
@@ -79,33 +64,11 @@ let of_run ~(options : Scorr.Verify.options) ~spec ~impl (verdict, product, rela
     else
       Ok
         {
-          spec_digest = fingerprint spec;
-          impl_digest = fingerprint impl;
-          engine =
-            (match options.Scorr.Verify.engine with
-            | Scorr.Verify.Bdd_engine -> "bdd"
-            | Scorr.Verify.Sat_engine -> "sat");
-          candidates =
-            (match options.Scorr.Verify.candidates with
-            | Scorr.Verify.All_signals -> "all"
-            | Scorr.Verify.Registers_only -> "registers");
-          induction =
-            (match options.Scorr.Verify.engine with
-            | Scorr.Verify.Bdd_engine -> 1
-            | Scorr.Verify.Sat_engine -> options.Scorr.Verify.sat_unroll);
-          retime_rounds = stats.Scorr.Verify.retime_rounds;
+          relation =
+            Scorr.Verify.relation_of_run ~options ~spec ~impl (verdict, product, partition);
           prereduce =
             (if Scorr.Verify.prereduces options then Some options.Scorr.Verify.seed
              else None);
-          product_nodes = Aig.num_nodes product.Scorr.Product.aig;
-          classes =
-            List.map
-              (fun cls ->
-                List.sort compare
-                  (List.map
-                     (Scorr.Partition.norm_lit partition)
-                     (Scorr.Partition.members partition cls)))
-              (Scorr.Partition.multi_member_classes partition);
           proof = None;
         }
   | Scorr.Not_equivalent _, _ -> Error (Not_proved "Not_equivalent")
@@ -183,7 +146,7 @@ let unroll solver aig ~n ~first_latch_var =
 let constraint_pairs cert =
   List.concat_map
     (function [] | [ _ ] -> [] | rep :: rest -> List.map (fun l -> (rep, l)) rest)
-    cert.classes
+    cert.relation.classes
 
 (* The checker's obligation walk, shared by all three discharge modes.
    [on_solver] sees each of the two fresh solvers as it is created (to
@@ -194,19 +157,22 @@ let constraint_pairs cert =
    a proof produced by one run is replayable by any later run over the
    same certificate and circuits, obligation by obligation. *)
 let run_check ~spec ~impl ~on_solver ~discharge cert =
+  let r = cert.relation in
   try
     let expect subject expected aig =
-      let got = fingerprint aig in
+      let got = Scorr.Relation.fingerprint aig in
       if got <> expected then
         raise (Check_failed (Fingerprint_mismatch { subject; expected; got }))
     in
-    expect "specification" cert.spec_digest spec;
-    expect "implementation" cert.impl_digest impl;
-    if cert.induction < 1 || cert.induction > Scorr.Verify.max_induction then
-      raise (Check_failed (Bad_header (Printf.sprintf "induction depth %d" cert.induction)));
-    if cert.retime_rounds < 0 || cert.retime_rounds > 64 then
-      raise
-        (Check_failed (Bad_header (Printf.sprintf "retime rounds %d" cert.retime_rounds)));
+    expect "specification" r.spec_digest spec;
+    expect "implementation" r.impl_digest impl;
+    if r.induction < 1 || r.induction > Scorr.Verify.max_induction then
+      raise (Check_failed (Bad_header (Printf.sprintf "induction depth %d" r.induction)));
+    (match Scorr.Relation.flaw r with
+    | None -> ()
+    | Some (Scorr.Relation.Retime_rounds n) ->
+      raise (Check_failed (Bad_header (Printf.sprintf "retime rounds %d" n)))
+    | Some (Scorr.Relation.Literal l) -> raise (Check_failed (Bad_literal l)));
     (* pre-reduced relations: replay the deterministic reduction on the
        originals, but do not trust it — every merge it performed is
        re-proved on the original circuit with a fresh solver *)
@@ -227,22 +193,12 @@ let run_check ~spec ~impl ~on_solver ~discharge cert =
         in
         (reduce "specification" spec, reduce "implementation" impl)
     in
-    (* rebuild the product the relation was computed on: the construction
-       and the augmentation are both deterministic *)
+    (* rebuild the product the relation was computed on *)
     let product = Scorr.Product.make spec impl in
-    for _ = 1 to cert.retime_rounds do
-      ignore (Scorr.Retime_aug.augment product)
-    done;
+    (match Scorr.Relation.replay r product with
+    | Ok () -> ()
+    | Error got -> raise (Check_failed (Shape_mismatch { expected = r.product_nodes; got })));
     let aig = product.Scorr.Product.aig in
-    if Aig.num_nodes aig <> cert.product_nodes then
-      raise
-        (Check_failed
-           (Shape_mismatch { expected = cert.product_nodes; got = Aig.num_nodes aig }));
-    List.iter
-      (fun l ->
-        if l < 0 || Aig.node_of_lit l >= Aig.num_nodes aig then
-          raise (Check_failed (Bad_literal l)))
-      (List.concat cert.classes);
     (* Is [a <-> b] valid under the solver's clauses?  One staged
        obligation; the selector is retired afterwards so the clause set
        stays clean. *)
@@ -257,7 +213,7 @@ let run_check ~spec ~impl ~on_solver ~discharge cert =
       Sat.add_clause solver [ ns ];
       r
     in
-    let k = cert.induction in
+    let k = r.induction in
     let pairs = constraint_pairs cert in
     (* (a) base case: every equality holds in the first k frames from the
        initial state, for all input sequences *)
@@ -388,26 +344,10 @@ let prove ~spec ~impl cert =
 
 (* --- serialization -------------------------------------------------------------- *)
 
-(* Text format:
-
-     seqver-cert 1
-     spec-md5 <32 hex chars>
-     impl-md5 <32 hex chars>
-     engine bdd
-     candidates all
-     induction 1
-     retime-rounds 0
-     prereduced 42        (optional: FRAIG pre-reduction seed)
-     product-nodes 420
-     classes 2
-     class 4 6 12
-     class 9 13
-     end
-
-   A trace-backed certificate inserts, between the class lines and the
-   end marker, a proof section — one [segment] per checker obligation,
-   each followed by its DRAT lines (DIMACS literals, "d"-prefixed
-   deletions):
+(* The relation file with an optional [prereduced] seed after
+   [retime-rounds] and an optional proof section as its tail: one
+   [segment] per checker obligation, each followed by its DRAT lines
+   (DIMACS literals, "d"-prefixed deletions):
 
      proof 2
      segment 3
@@ -415,156 +355,72 @@ let prove ~spec ~impl cert =
      d 5 -2 0
      -9 0
      segment 1
-     -12 0
-     end                                                                 *)
-
-let to_string cert =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "seqver-cert 1\n";
-  Buffer.add_string buf (Printf.sprintf "spec-md5 %s\n" cert.spec_digest);
-  Buffer.add_string buf (Printf.sprintf "impl-md5 %s\n" cert.impl_digest);
-  Buffer.add_string buf (Printf.sprintf "engine %s\n" cert.engine);
-  Buffer.add_string buf (Printf.sprintf "candidates %s\n" cert.candidates);
-  Buffer.add_string buf (Printf.sprintf "induction %d\n" cert.induction);
-  Buffer.add_string buf (Printf.sprintf "retime-rounds %d\n" cert.retime_rounds);
-  (match cert.prereduce with
-  | None -> ()
-  | Some seed -> Buffer.add_string buf (Printf.sprintf "prereduced %d\n" seed));
-  Buffer.add_string buf (Printf.sprintf "product-nodes %d\n" cert.product_nodes);
-  Buffer.add_string buf (Printf.sprintf "classes %d\n" (List.length cert.classes));
-  List.iter
-    (fun cls ->
-      Buffer.add_string buf "class";
-      List.iter (fun l -> Buffer.add_string buf (Printf.sprintf " %d" l)) cls;
-      Buffer.add_char buf '\n')
-    cert.classes;
-  (match cert.proof with
-  | None -> ()
-  | Some segments ->
-    Buffer.add_string buf (Printf.sprintf "proof %d\n" (List.length segments));
-    List.iter
-      (fun seg ->
-        Buffer.add_string buf (Printf.sprintf "segment %d\n" (List.length seg));
-        Buffer.add_string buf (Sat.Dimacs.drat_to_string seg))
-      segments);
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
-
-let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
-
-let parse_string text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
-  in
-  let field key = function
-    | [] -> fail "unexpected end of certificate (expected %s)" key
-    | line :: rest -> (
-      match String.index_opt line ' ' with
-      | Some sp when String.sub line 0 sp = key ->
-        (String.sub line (sp + 1) (String.length line - sp - 1), rest)
-      | _ -> fail "expected field %s, got %S" key line)
-  in
-  let int_field key lines =
-    let v, lines = field key lines in
-    match int_of_string_opt (String.trim v) with
-    | Some n -> (n, lines)
-    | None -> fail "field %s: expected an integer, got %S" key v
-  in
-  let version, lines = int_field "seqver-cert" lines in
-  if version <> 1 then fail "unsupported certificate version %d" version;
-  let spec_digest, lines = field "spec-md5" lines in
-  let impl_digest, lines = field "impl-md5" lines in
-  let engine, lines = field "engine" lines in
-  let candidates, lines = field "candidates" lines in
-  let induction, lines = int_field "induction" lines in
-  let retime_rounds, lines = int_field "retime-rounds" lines in
-  let prereduce, lines =
-    match lines with
-    | line :: _ when String.length line > 11 && String.sub line 0 11 = "prereduced " ->
-      let seed, lines = int_field "prereduced" lines in
-      (Some seed, lines)
-    | _ -> (None, lines)
-  in
-  let product_nodes, lines = int_field "product-nodes" lines in
-  let n, lines = int_field "classes" lines in
-  if n < 0 then fail "negative class count %d" n;
-  let parse_class line =
-    String.split_on_char ' ' line
-    |> List.filter (fun s -> s <> "")
-    |> List.map (fun s ->
-           match int_of_string_opt s with
-           | Some l -> l
-           | None -> fail "class member: expected a literal, got %S" s)
-  in
-  let rec read_classes i acc lines =
-    if i = n then (List.rev acc, lines)
-    else
-      match lines with
-      | [] -> fail "unexpected end of certificate (expected %d more class(es))" (n - i)
-      | line :: rest ->
-        if line = "class" then read_classes (i + 1) ([] :: acc) rest
-        else if String.length line > 6 && String.sub line 0 6 = "class " then
-          read_classes (i + 1)
-            (parse_class (String.sub line 6 (String.length line - 6)) :: acc)
-            rest
-        else fail "expected a class line, got %S" line
-  in
-  let classes, lines = read_classes 0 [] lines in
-  (* optional proof section (certificates without one parse as before) *)
-  let proof, lines =
-    match lines with
-    | line :: _ when String.length line >= 6 && String.sub line 0 6 = "proof " ->
-      let nseg, lines = int_field "proof" lines in
-      if nseg < 0 then fail "negative proof segment count %d" nseg;
-      let rec read_steps j acc lines =
-        if j = 0 then (List.rev acc, lines)
-        else
-          match lines with
-          | [] -> fail "unexpected end of certificate (expected %d more proof line(s))" j
-          | line :: rest -> (
-            match Sat.Dimacs.drat_parse_string line with
-            | [ step ] -> read_steps (j - 1) (step :: acc) rest
-            | _ -> fail "expected one DRAT step per line, got %S" line
-            | exception Failure msg -> fail "bad DRAT line %S: %s" line msg)
-      in
-      let rec read_segments i acc lines =
-        if i = 0 then (List.rev acc, lines)
-        else
-          match lines with
-          | [] -> fail "unexpected end of certificate (expected %d more segment(s))" i
-          | _ ->
-            let nsteps, lines = int_field "segment" lines in
-            if nsteps < 0 then fail "negative proof step count %d" nsteps;
-            let steps, lines = read_steps nsteps [] lines in
-            read_segments (i - 1) (steps :: acc) lines
-      in
-      let segments, lines = read_segments nseg [] lines in
-      (Some segments, lines)
-    | _ -> (None, lines)
-  in
-  (match lines with
-  | [ "end" ] -> ()
-  | [] -> fail "missing end marker"
-  | line :: _ -> fail "trailing content after classes: %S" line);
+     -12 0                                                               *)
+let kind =
   {
-    spec_digest;
-    impl_digest;
-    engine;
-    candidates;
-    induction;
-    retime_rounds;
-    prereduce;
-    product_nodes;
-    classes;
-    proof;
+    Scorr.Relation.name = "certificate";
+    magic = "seqver-cert";
+    own = [ ("prereduced", "retime-rounds", false) ];
+    last = "classes";
   }
 
+let to_string cert =
+  Scorr.Relation.to_string kind
+    ~own:(Option.fold ~none:[] ~some:(fun seed -> [ ("prereduced", seed) ]) cert.prereduce)
+    cert.relation
+    (fun buf ->
+      Option.iter
+        (fun segments ->
+          Printf.bprintf buf "proof %d\n" (List.length segments);
+          List.iter
+            (fun seg ->
+              Printf.bprintf buf "segment %d\n" (List.length seg);
+              Buffer.add_string buf (Sat.Dimacs.drat_to_string seg))
+            segments)
+        cert.proof)
+
+let drat_line line rest =
+  match Sat.Dimacs.drat_parse_string line with
+  | [ step ] -> (step, rest)
+  | _ -> Scorr.Relation.fail "expected one DRAT step per line, got %S" line
+  | exception Failure msg -> Scorr.Relation.fail "bad DRAT line %S: %s" line msg
+
+(* the proof section is optional: certificates without one parse as before *)
+let proof_section = function
+  | line :: _ as lines when String.starts_with ~prefix:"proof " line ->
+    let segment line rest =
+      Scorr.Relation.section kind ~key:"segment" ~noun:"proof step" ~items:"proof line(s)"
+        drat_line (line :: rest)
+    in
+    let segments, lines =
+      Scorr.Relation.section kind ~key:"proof" ~noun:"proof segment" ~items:"segment(s)"
+        segment lines
+    in
+    (Some segments, lines)
+  | lines -> (None, lines)
+
+let parse_string text =
+  let relation, own, proof = Scorr.Relation.parse kind ~tail:proof_section text in
+  { relation; prereduce = List.assoc_opt "prereduced" own; proof }
+
 let to_file path cert =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string cert))
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_string cert))
 
 let parse_file path = parse_string (In_channel.with_open_bin path In_channel.input_all)
+
+(* --- resuming from a certificate ------------------------------------------------ *)
+
+(* Either relation file as a resume point (see the interface): a
+   certificate seeds a run like a checkpoint taken after zero iterations,
+   under the resuming run's seed. *)
+let resume_of_file ~seed path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  if not (Scorr.Relation.has_header kind text) then Scorr.Checkpoint.parse_string text
+  else
+    let cert = parse_string text in
+    if cert.prereduce <> None then
+      raise
+        (Scorr.Checkpoint.Incompatible
+           "the certificate's relation is over the pre-reduced circuits, and a resumed \
+            run verifies them as given");
+    { Scorr.Checkpoint.relation = cert.relation; seed; iterations = 0; patterns = [] }

@@ -12,38 +12,24 @@
     the engine that found the relation. *)
 
 type t = {
-  spec_digest : string;  (** MD5 of the canonical AIGER text *)
-  impl_digest : string;
-  engine : string;  (** informational: "bdd" or "sat" *)
-  candidates : string;  (** "all" or "registers" *)
-  induction : int;  (** k: 1 = the paper's Equation (3) *)
-  retime_rounds : int;  (** augmentation rounds to replay on the product *)
+  relation : Scorr.Relation.t;
+      (** the relation, the fingerprints of the two circuits and the
+          options needed to rebuild the product *)
   prereduce : int option;
       (** when the relation was computed on the FRAIG-reduced pair
           (speculative runs with the analysis layer on), the reduction
           seed: checking replays {!Analysis.Reduce.run} on the original
           circuits — re-proving every merge obligation with a fresh
           solver — before rebuilding the product *)
-  product_nodes : int;  (** product size after augmentation (shape check) *)
-  classes : int list list;  (** normalized literals, each class sorted *)
   proof : Sat.Dimacs.drat_step list list option;
       (** optional DRAT trace: one segment per non-trivial checker
           obligation, in the checker's deterministic traversal order —
           produced by {!prove}, consumed by {!check} in proof mode *)
 }
 
-exception Parse_error of string
-
-val fingerprint : Aig.t -> string
-(** MD5 hex digest of the circuit's canonical AIGER text. *)
-
 val matches_digests : spec_digest:string -> impl_digest:string -> t -> bool
 (** Was this certificate emitted for exactly these circuit fingerprints?
     Identity only — {!check} remains the independent soundness gate. *)
-
-val n_classes : t -> int
-val n_constraints : t -> int
-(** Number of pairwise equalities in Q (class sizes minus class count). *)
 
 (** {1 Emission} *)
 
@@ -83,8 +69,10 @@ val explain_check_error : check_error -> string
 
 val check : ?use_proof:bool -> spec:Aig.t -> impl:Aig.t -> t -> (unit, check_error) result
 (** Re-validate the certificate against the two circuits without trusting
-    the fixed-point loop: fingerprints, product shape, the base case in
-    the first [induction] frames from the initial state, the k-step
+    the fixed-point loop: fingerprints, the claims every relation is held
+    to ({!Scorr.Relation.flaw}: [Bad_header] for the retiming rounds,
+    [Bad_literal] for a literal outside the product), product shape, the
+    base case in the first [induction] frames from the initial state, the k-step
     induction from a free state, and coverage of every output pair.
 
     With [use_proof] (default [false]), no SAT solving happens at all:
@@ -101,11 +89,25 @@ val prove : spec:Aig.t -> impl:Aig.t -> t -> (t, check_error) result
     refutation; on success, returns the certificate with [proof] filled
     (one segment per obligation, in traversal order). *)
 
-(** {1 Serialization (text format)} *)
+(** {1 Serialization}
+
+    A certificate is a {!Scorr.Relation} file with header [seqver-cert 1],
+    an optional [prereduced] seed after [retime-rounds], and an optional
+    proof section as its tail. *)
 
 val to_string : t -> string
 val parse_string : string -> t
-(** @raise Parse_error on malformed input. *)
+(** @raise Scorr.Relation.Parse_error on malformed input. *)
 
 val to_file : string -> t -> unit
 val parse_file : string -> t
+
+val resume_of_file : seed:int -> string -> Scorr.Checkpoint.t
+(** Read a resume point from either kind of relation file.  A checkpoint
+    is returned as written; a certificate's relation seeds a run like a
+    checkpoint taken after zero iterations, under the resuming run's
+    [seed] (a certificate records none, so a normalization that differs
+    is refused by {!Scorr.Checkpoint.seed_partition}).
+    @raise Scorr.Relation.Parse_error on a malformed file.
+    @raise Scorr.Checkpoint.Incompatible on a pre-reduced certificate:
+    resumed runs verify the circuits as given. *)

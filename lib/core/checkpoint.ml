@@ -9,83 +9,29 @@
    iteration from it converges to exactly the same fixed point as an
    uninterrupted run — a checkpoint is a sound, lossless resume point.
 
-   A checkpoint records what that argument needs to hold on re-entry:
-
-   - MD5 fingerprints of both circuits (the partition is meaningless on
-     any other pair — a resume against a mutated AIG must be refused);
-   - the options that shape the iteration's semantics: candidate set,
-     induction depth k, and the polarity-normalization seed (class
-     members are stored as normalized literals, so the reference
-     valuation must be reproducible);
-   - the deterministic product-machine state: retiming augmentation
-     rounds to replay and the resulting node count (shape check);
-   - the partition itself, as one line of sorted normalized literals
-     per multi-member class (singleton classes are implied);
-   - the counterexample patterns still buffered in the {!Simpool} when
-     the run was interrupted, so no witnessed split is lost.
+   A checkpoint is a {!Relation} file (fingerprints, options, product
+   shape, classes) plus what re-entry needs beyond it: the seed (class
+   members are normalized literals, so the reference valuation must be
+   reproducible), the iterations done, and the counterexample patterns
+   still buffered in the {!Simpool}, so no witnessed split is lost.
 
    A checkpoint with induction depth [kc] may seed any run with
    effective depth [k <= kc]: the k-inductive fixed points grow with k
    (gfp(k) is contained in gfp(kc)), so every recorded split separates
    signals unequal in gfp(kc) and a fortiori in gfp(k) — the seeded run
-   still converges to its own gfp exactly.
-
-   The text format follows {!Cert.Certificate}: line-oriented,
-   versioned header, [end] marker. *)
+   still converges to its own gfp exactly. *)
 
 type t = {
-  spec_digest : string; (* MD5 of the canonical AIGER text *)
-  impl_digest : string;
-  engine : string; (* informational: which engine was interrupted *)
-  candidates : string; (* "all" | "registers" *)
-  induction : int; (* k of the interrupted run; 1 = the paper *)
+  relation : Relation.t; (* fingerprints, options, shape, classes *)
   seed : int; (* polarity-normalization / simulation seed *)
-  retime_rounds : int; (* augmentation rounds to replay on the product *)
-  product_nodes : int; (* product size after replay (shape check) *)
   iterations : int; (* refinement iterations completed before the cut *)
-  classes : int list list; (* normalized literals, each class sorted *)
   patterns : (bool array * bool array) list; (* pending pool lanes: (pis, latches) *)
 }
-
-exception Parse_error of string
 
 exception Incompatible of string
 (** Raised by resume validation: fingerprint/shape/option mismatch. *)
 
-let fingerprint aig = Digest.to_hex (Digest.string (Aig.Aiger.to_string aig))
-
-let n_classes cp = List.length cp.classes
-
-let n_constraints cp =
-  List.fold_left (fun acc cls -> acc + max 0 (List.length cls - 1)) 0 cp.classes
-
 let n_patterns cp = List.length cp.patterns
-
-(* --- construction ------------------------------------------------------------- *)
-
-(* Snapshot a partition (and the engine's pending pool lanes) mid-run.
-   [product_aig] is the product machine *after* [retime_rounds]
-   augmentations — the machine the normalized literals live on. *)
-let of_partition ~spec_digest ~impl_digest ~engine ~candidates ~induction ~seed
-    ~retime_rounds ~iterations ~patterns product_aig partition =
-  {
-    spec_digest;
-    impl_digest;
-    engine;
-    candidates;
-    induction;
-    seed;
-    retime_rounds;
-    product_nodes = Aig.num_nodes product_aig;
-    iterations;
-    classes =
-      List.map
-        (fun cls ->
-          List.sort compare
-            (List.map (Partition.norm_lit partition) (Partition.members partition cls)))
-        (Partition.multi_member_classes partition);
-    patterns;
-  }
 
 (* --- resume ------------------------------------------------------------------- *)
 
@@ -97,6 +43,7 @@ let of_partition ~spec_digest ~impl_digest ~engine ~candidates ~induction ~seed
    the module comment), a shallower one is not — its splits need not hold
    at the deeper fixed point. *)
 let compatible ~spec_digest ~impl_digest ~candidates ~induction ~seed cp =
+  let r = cp.relation in
   let refuse fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
   let expect subject expected got k =
     if got <> expected then
@@ -104,26 +51,28 @@ let compatible ~spec_digest ~impl_digest ~candidates ~induction ~seed cp =
         got
     else k ()
   in
-  expect "specification" cp.spec_digest spec_digest @@ fun () ->
-  expect "implementation" cp.impl_digest impl_digest @@ fun () ->
-  if cp.candidates <> candidates then
-    refuse "candidate-set mismatch: checkpoint has %s, run uses %s" cp.candidates
+  expect "specification" r.spec_digest spec_digest @@ fun () ->
+  expect "implementation" r.impl_digest impl_digest @@ fun () ->
+  if r.candidates <> candidates then
+    refuse "candidate-set mismatch: checkpoint has %s, run uses %s" r.candidates
       candidates
-  else if cp.induction < induction then
+  else if r.induction < induction then
     refuse
       "induction mismatch: a depth-%d checkpoint cannot seed a depth-%d run (its splits \
        are only sound at depth <= %d)"
-      cp.induction induction cp.induction
+      r.induction induction r.induction
   else if cp.seed <> seed then
     refuse "seed mismatch: checkpoint normalized with seed %d, run uses %d" cp.seed seed
-  else if cp.retime_rounds < 0 || cp.retime_rounds > 64 then
-    refuse "implausible retime rounds %d" cp.retime_rounds
-  else Ok ()
+  else
+    match Relation.flaw r with
+    | Some f -> Error (Relation.explain_flaw f)
+    | None -> Ok ()
 
 (* Raising variant, before any engine work is spent on a resume. *)
 let validate ~spec ~impl ~candidates ~induction ~seed cp =
   match
-    compatible ~spec_digest:(fingerprint spec) ~impl_digest:(fingerprint impl)
+    compatible ~spec_digest:(Relation.fingerprint spec)
+      ~impl_digest:(Relation.fingerprint impl)
       ~candidates ~induction ~seed cp
   with
   | Ok () -> ()
@@ -151,7 +100,7 @@ let seed_partition cp partition =
             refuse "literal %d is not a candidate of the resumed run" lit;
           Hashtbl.replace cls_of id i)
         cls)
-    cp.classes;
+    cp.relation.classes;
   Partition.refine_by_key partition (fun id ->
       match Hashtbl.find_opt cls_of id with
       | Some i -> i
@@ -159,61 +108,36 @@ let seed_partition cp partition =
 
 (* --- serialization ------------------------------------------------------------ *)
 
-(* Text format (in the style of the certificate format):
+(* The relation file with the seed after [induction], the iterations
+   after [product-nodes], and the pending pool lanes as its tail:
 
-     seqver-checkpoint 1
-     spec-md5 <32 hex chars>
-     impl-md5 <32 hex chars>
-     engine sat
-     candidates all
-     induction 1
-     seed 17
-     retime-rounds 0
-     product-nodes 420
-     iterations 3
-     classes 2
-     class 4 6 12
-     class 9 13
      patterns 1
      pattern 0110 10010
-     end
 
    A pattern line carries the input bits then the state bits of one
-   pending pool lane; "-" stands for an empty vector.                     *)
+   pending pool lane; "-" stands for an empty vector. *)
+let kind =
+  {
+    Relation.name = "checkpoint";
+    magic = "seqver-checkpoint";
+    own = [ ("seed", "induction", true); ("iterations", "product-nodes", true) ];
+    last = "patterns";
+  }
 
 let bits_to_string bits =
   if Array.length bits = 0 then "-"
   else String.init (Array.length bits) (fun i -> if bits.(i) then '1' else '0')
 
 let to_string cp =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "seqver-checkpoint 1\n";
-  Buffer.add_string buf (Printf.sprintf "spec-md5 %s\n" cp.spec_digest);
-  Buffer.add_string buf (Printf.sprintf "impl-md5 %s\n" cp.impl_digest);
-  Buffer.add_string buf (Printf.sprintf "engine %s\n" cp.engine);
-  Buffer.add_string buf (Printf.sprintf "candidates %s\n" cp.candidates);
-  Buffer.add_string buf (Printf.sprintf "induction %d\n" cp.induction);
-  Buffer.add_string buf (Printf.sprintf "seed %d\n" cp.seed);
-  Buffer.add_string buf (Printf.sprintf "retime-rounds %d\n" cp.retime_rounds);
-  Buffer.add_string buf (Printf.sprintf "product-nodes %d\n" cp.product_nodes);
-  Buffer.add_string buf (Printf.sprintf "iterations %d\n" cp.iterations);
-  Buffer.add_string buf (Printf.sprintf "classes %d\n" (List.length cp.classes));
-  List.iter
-    (fun cls ->
-      Buffer.add_string buf "class";
-      List.iter (fun l -> Buffer.add_string buf (Printf.sprintf " %d" l)) cls;
-      Buffer.add_char buf '\n')
-    cp.classes;
-  Buffer.add_string buf (Printf.sprintf "patterns %d\n" (List.length cp.patterns));
-  List.iter
-    (fun (pi, latch) ->
-      Buffer.add_string buf
-        (Printf.sprintf "pattern %s %s\n" (bits_to_string pi) (bits_to_string latch)))
-    cp.patterns;
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
-
-let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
+  Relation.to_string kind
+    ~own:[ ("seed", cp.seed); ("iterations", cp.iterations) ]
+    cp.relation
+    (fun buf ->
+      Printf.bprintf buf "patterns %d\n" (List.length cp.patterns);
+      List.iter
+        (fun (pi, latch) ->
+          Printf.bprintf buf "pattern %s %s\n" (bits_to_string pi) (bits_to_string latch))
+        cp.patterns)
 
 let bits_of_string s =
   if s = "-" then [||]
@@ -222,104 +146,28 @@ let bits_of_string s =
         match s.[i] with
         | '0' -> false
         | '1' -> true
-        | c -> fail "pattern: expected 0/1, got %C" c)
+        | c -> Relation.fail "pattern: expected 0/1, got %C" c)
+
+let pattern_line line rest =
+  if not (String.starts_with ~prefix:"pattern " line) then
+    Relation.fail "expected a pattern line, got %S" line;
+  match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+  | [ _; pi; latch ] -> ((bits_of_string pi, bits_of_string latch), rest)
+  | _ ->
+    Relation.fail "pattern line: expected two bit vectors, got %S"
+      (String.sub line 8 (String.length line - 8))
 
 let parse_string text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
+  let relation, own, patterns =
+    Relation.parse kind text
+      ~tail:
+        (Relation.section kind ~key:"patterns" ~noun:"pattern" ~items:"pattern(s)"
+           pattern_line)
   in
-  let field key = function
-    | [] -> fail "unexpected end of checkpoint (expected %s)" key
-    | line :: rest -> (
-      match String.index_opt line ' ' with
-      | Some sp when String.sub line 0 sp = key ->
-        (String.sub line (sp + 1) (String.length line - sp - 1), rest)
-      | _ -> fail "expected field %s, got %S" key line)
-  in
-  let int_field key lines =
-    let v, lines = field key lines in
-    match int_of_string_opt (String.trim v) with
-    | Some n -> (n, lines)
-    | None -> fail "field %s: expected an integer, got %S" key v
-  in
-  let version, lines = int_field "seqver-checkpoint" lines in
-  if version <> 1 then fail "unsupported checkpoint version %d" version;
-  let spec_digest, lines = field "spec-md5" lines in
-  let impl_digest, lines = field "impl-md5" lines in
-  let engine, lines = field "engine" lines in
-  let candidates, lines = field "candidates" lines in
-  let induction, lines = int_field "induction" lines in
-  let seed, lines = int_field "seed" lines in
-  let retime_rounds, lines = int_field "retime-rounds" lines in
-  let product_nodes, lines = int_field "product-nodes" lines in
-  let iterations, lines = int_field "iterations" lines in
-  let n, lines = int_field "classes" lines in
-  if n < 0 then fail "negative class count %d" n;
-  let parse_class line =
-    String.split_on_char ' ' line
-    |> List.filter (fun s -> s <> "")
-    |> List.map (fun s ->
-           match int_of_string_opt s with
-           | Some l -> l
-           | None -> fail "class member: expected a literal, got %S" s)
-  in
-  let rec read_classes i acc lines =
-    if i = n then (List.rev acc, lines)
-    else
-      match lines with
-      | [] -> fail "unexpected end of checkpoint (expected %d more class(es))" (n - i)
-      | line :: rest ->
-        if String.length line > 6 && String.sub line 0 6 = "class " then
-          read_classes (i + 1)
-            (parse_class (String.sub line 6 (String.length line - 6)) :: acc)
-            rest
-        else fail "expected a class line, got %S" line
-  in
-  let classes, lines = read_classes 0 [] lines in
-  let np, lines = int_field "patterns" lines in
-  if np < 0 then fail "negative pattern count %d" np;
-  let parse_pattern line =
-    match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-    | [ pi; latch ] -> (bits_of_string pi, bits_of_string latch)
-    | _ -> fail "pattern line: expected two bit vectors, got %S" line
-  in
-  let rec read_patterns i acc lines =
-    if i = np then (List.rev acc, lines)
-    else
-      match lines with
-      | [] -> fail "unexpected end of checkpoint (expected %d more pattern(s))" (np - i)
-      | line :: rest ->
-        if String.length line > 8 && String.sub line 0 8 = "pattern " then
-          read_patterns (i + 1)
-            (parse_pattern (String.sub line 8 (String.length line - 8)) :: acc)
-            rest
-        else fail "expected a pattern line, got %S" line
-  in
-  let patterns, lines = read_patterns 0 [] lines in
-  (match lines with
-  | [ "end" ] -> ()
-  | [] -> fail "missing end marker"
-  | line :: _ -> fail "trailing content after patterns: %S" line);
-  {
-    spec_digest;
-    impl_digest;
-    engine;
-    candidates;
-    induction;
-    seed;
-    retime_rounds;
-    product_nodes;
-    iterations;
-    classes;
-    patterns;
-  }
+  let own key = List.assoc key own in
+  { relation; seed = own "seed"; iterations = own "iterations"; patterns }
 
 let to_file path cp =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string cp))
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_string cp))
 
 let parse_file path = parse_string (In_channel.with_open_bin path In_channel.input_all)

@@ -15,6 +15,7 @@ module Specreduce = Specreduce
 module Engine_bdd = Engine_bdd
 module Engine_sat = Engine_sat
 module Retime_aug = Retime_aug
+module Relation = Relation
 module Checkpoint = Checkpoint
 module Verify = Verify
 

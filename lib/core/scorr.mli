@@ -564,6 +564,85 @@ module Retime_aug : sig
       returns the number of new signals. *)
 end
 
+(** The signal-correspondence relation as a file, behind checkpoints and
+    certificates alike (paper Theorem 1: a partition between the initial
+    one and the greatest fixed point resumes the iteration losslessly, and
+    the fixed point itself is the proof).  One line format — header,
+    [key value] fields, one [class] line per multi-member class, a
+    per-kind tail, [end] — with a few integer fields of each kind's own
+    among the shared ones (DESIGN.md §4e).  Prints, parses and validates;
+    solves nothing. *)
+module Relation : sig
+  type t = {
+    spec_digest : string;  (** MD5 of the canonical AIGER text *)
+    impl_digest : string;
+    engine : string;  (** informational: which engine computed the relation *)
+    candidates : string;  (** ["all"] | ["registers"] *)
+    induction : int;  (** k of the run; 1 = the paper's Equation (3) *)
+    retime_rounds : int;  (** augmentation rounds to replay on the product *)
+    product_nodes : int;  (** product size after the replay (shape check) *)
+    classes : int list list;  (** normalized literals, each class sorted *)
+  }
+
+  exception Parse_error of string
+
+  val fingerprint : Aig.t -> string
+  (** MD5 hex digest of the circuit's canonical AIGER text. *)
+
+  val n_classes : t -> int
+  val n_constraints : t -> int
+
+  val classes_of : Partition.t -> int list list
+  (** The multi-member classes of a partition, as sorted normalized literals. *)
+
+  (** What a relation may claim: at most 64 retiming rounds, and no
+      literal outside the recorded product. *)
+  type flaw = Retime_rounds of int | Literal of int
+
+  val flaw : t -> flaw option
+  (** The reader rejects a flawed file; {!Checkpoint.compatible} and the
+      certificate checker test records built in memory. *)
+
+  val explain_flaw : flaw -> string
+
+  val replay : t -> Product.t -> (unit, int) result
+  (** Replay the recorded retiming augmentations on a fresh product and
+      check its size; [Error n] carries the rebuilt size. *)
+
+  type kind = {
+    name : string;  (** names the file in parse errors *)
+    magic : string;  (** the header keyword *)
+    own : (string * string * bool) list;
+        (** the kind's integer fields: key, the shared field it follows,
+            required *)
+    last : string;  (** the section a trailing-content error names *)
+  }
+
+  val to_string : kind -> own:(string * int) list -> t -> (Buffer.t -> unit) -> string
+  (** The one writer; the function prints the tail. *)
+
+  val parse :
+    kind -> tail:(string list -> 'a * string list) -> string -> t * (string * int) list * 'a
+  (** The one reader: the relation, the kind's own fields present, and
+      what [tail] made of the lines before [end].
+      @raise Parse_error on malformed input or a relation with a {!flaw}. *)
+
+  val has_header : kind -> string -> bool
+
+  val section :
+    kind ->
+    key:string ->
+    noun:string ->
+    items:string ->
+    (string -> string list -> 'a * string list) ->
+    string list ->
+    'a list * string list
+  (** A [key N] count line then [N] items, each parsed from its first
+      line and the lines after it: a tail's building block. *)
+
+  val fail : ('a, unit, string, 'b) format4 -> 'a
+end
+
 (** Resumable checkpoints of the greatest fixed-point iteration.
 
     The refinement is monotone and every split is sound with respect to
@@ -573,53 +652,22 @@ end
     uninterrupted run.  A checkpoint with induction depth [kc] may seed
     any run with effective depth [k <= kc], since gfp(kc) ⊆ gfp(k).
 
-    The line-oriented text format mirrors {!Cert.Certificate}: versioned
-    header, key/value fields, one [class] line of sorted normalized
-    literals per multi-member class, the pending counterexample pool
-    lanes, an [end] marker. *)
+    The file is a {!Relation} file: the seed after [induction], the
+    iterations after [product-nodes], and the pending counterexample pool
+    lanes as its tail. *)
 module Checkpoint : sig
   type t = {
-    spec_digest : string;  (** MD5 of the canonical AIGER text *)
-    impl_digest : string;
-    engine : string;  (** informational: which engine was interrupted *)
-    candidates : string;  (** ["all"] | ["registers"] *)
-    induction : int;  (** k of the interrupted run; 1 = the paper *)
+    relation : Relation.t;  (** fingerprints, options, shape, classes *)
     seed : int;  (** polarity-normalization / simulation seed *)
-    retime_rounds : int;  (** augmentation rounds to replay on the product *)
-    product_nodes : int;  (** product size after replay (shape check) *)
     iterations : int;  (** refinement iterations completed before the cut *)
-    classes : int list list;  (** normalized literals, each class sorted *)
     patterns : (bool array * bool array) list;
         (** pending pool lanes: (inputs, state) *)
   }
 
-  exception Parse_error of string
-
   exception Incompatible of string
   (** Raised by resume validation: fingerprint/shape/option mismatch. *)
 
-  val fingerprint : Aig.t -> string
-  (** MD5 hex digest of the circuit's canonical AIGER text. *)
-
-  val n_classes : t -> int
-  val n_constraints : t -> int
   val n_patterns : t -> int
-
-  val of_partition :
-    spec_digest:string ->
-    impl_digest:string ->
-    engine:string ->
-    candidates:string ->
-    induction:int ->
-    seed:int ->
-    retime_rounds:int ->
-    iterations:int ->
-    patterns:(bool array * bool array) list ->
-    Aig.t ->
-    Partition.t ->
-    t
-  (** Snapshot a partition mid-run; the [Aig.t] is the product machine
-      {e after} [retime_rounds] augmentations. *)
 
   val compatible :
     spec_digest:string ->
@@ -633,7 +681,8 @@ module Checkpoint : sig
       digests so callers holding only fingerprints (the serve cache, the
       [checkpoint inspect] diagnostic) can test a checkpoint without the
       circuits in hand.  [Error msg] carries the human-readable mismatch,
-      fingerprint mismatches reporting both MD5s. *)
+      fingerprint mismatches reporting both MD5s; a relation with a
+      {!Relation.flaw} is refused too. *)
 
   val validate :
     spec:Aig.t -> impl:Aig.t -> candidates:string -> induction:int -> seed:int -> t -> unit
@@ -649,7 +698,7 @@ module Checkpoint : sig
 
   val to_string : t -> string
   val parse_string : string -> t
-  (** @raise Parse_error on malformed or truncated input. *)
+  (** @raise Relation.Parse_error on malformed or truncated input. *)
 
   val to_file : string -> t -> unit
   val parse_file : string -> t
@@ -815,6 +864,15 @@ module Verify : sig
   (** Print the multi-member classes of a relation with side/kind tags. *)
 
   val register_correspondence : ?options:options -> Aig.t -> Aig.t -> verdict
+
+  val relation_of_run :
+    options:options ->
+    spec:Aig.t ->
+    impl:Aig.t ->
+    verdict * Product.t * Partition.t ->
+    Relation.t
+  (** The relation of a {!run_with_relation} result under the options
+      that produced it: what a certificate or a checkpoint records. *)
 
   val checkpoint_of_run :
     options:options ->

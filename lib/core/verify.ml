@@ -155,6 +155,20 @@ let candidates_string options =
 let effective_induction options =
   match options.engine with Bdd_engine -> 1 | Sat_engine -> max 1 options.sat_unroll
 
+(* The relation a run under [options] records for [partition], over
+   [product] after [retime_rounds] augmentations. *)
+let relation_of ~options ~spec_digest ~impl_digest ~retime_rounds product partition =
+  {
+    Relation.spec_digest;
+    impl_digest;
+    engine = engine_string options;
+    candidates = candidates_string options;
+    induction = effective_induction options;
+    retime_rounds;
+    product_nodes = Aig.num_nodes product.Product.aig;
+    classes = Relation.classes_of partition;
+  }
+
 (* Does this run verify the FRAIG-reduced pair instead of the circuits as
    given?  Speculation combined with the analysis layer pre-reduces both
    sides once (semantics-preserving: PIs and POs are preserved exactly,
@@ -612,8 +626,8 @@ let run_with_relation ?(options = default_options) spec impl =
           p_engine = engine.label ();
         }
   in
-  let spec_digest = lazy (Checkpoint.fingerprint spec) in
-  let impl_digest = lazy (Checkpoint.fingerprint impl) in
+  let spec_digest = lazy (Relation.fingerprint spec) in
+  let impl_digest = lazy (Relation.fingerprint impl) in
   let mk_stats partition =
     {
       !acc with
@@ -633,11 +647,14 @@ let run_with_relation ?(options = default_options) spec impl =
     }
   in
   let checkpoint_of ~round ~patterns partition =
-    Checkpoint.of_partition ~spec_digest:(Lazy.force spec_digest)
-      ~impl_digest:(Lazy.force impl_digest) ~engine:(engine_string options)
-      ~candidates:(candidates_string options)
-      ~induction:(effective_induction options) ~seed:options.seed ~retime_rounds:round
-      ~iterations:!acc.iterations ~patterns product.Product.aig partition
+    {
+      Checkpoint.relation =
+        relation_of ~options ~spec_digest:(Lazy.force spec_digest)
+          ~impl_digest:(Lazy.force impl_digest) ~retime_rounds:round product partition;
+      seed = options.seed;
+      iterations = !acc.iterations;
+      patterns;
+    }
   in
   let write_checkpoint ~round ~patterns partition =
     match options.checkpoint_path with
@@ -661,17 +678,15 @@ let run_with_relation ?(options = default_options) spec impl =
       match options.resume with
       | None -> 0
       | Some cp ->
-        for _ = 1 to cp.Checkpoint.retime_rounds do
-          ignore (Retime_aug.augment product)
-        done;
-        if Aig.num_nodes product.Product.aig <> cp.Checkpoint.product_nodes then
+        (match Relation.replay cp.Checkpoint.relation product with
+        | Ok () -> ()
+        | Error got ->
           raise
             (Checkpoint.Incompatible
                (Printf.sprintf
                   "product-machine shape mismatch: checkpoint has %d nodes, rebuilt \
                    product has %d"
-                  cp.Checkpoint.product_nodes
-                  (Aig.num_nodes product.Product.aig)));
+                  cp.Checkpoint.relation.product_nodes got)));
         List.iter
           (fun (pi, latch) ->
             if
@@ -682,10 +697,10 @@ let run_with_relation ?(options = default_options) spec impl =
         count
           {
             Counters.zero with
-            retime_rounds = cp.Checkpoint.retime_rounds;
+            retime_rounds = cp.Checkpoint.relation.retime_rounds;
             iterations = cp.Checkpoint.iterations;
           };
-        cp.Checkpoint.retime_rounds
+        cp.Checkpoint.relation.retime_rounds
     in
     let rec round n =
       let pol = Product.reference_values ~seed:options.seed product in
@@ -828,6 +843,13 @@ let run ?options spec impl =
   let verdict, _, _ = run_with_relation ?options spec impl in
   verdict
 
+(* The relation of a finished (or aborted) run, for a certificate or a
+   checkpoint. *)
+let relation_of_run ~options ~spec ~impl (verdict, product, partition) =
+  relation_of ~options ~spec_digest:(Relation.fingerprint spec)
+    ~impl_digest:(Relation.fingerprint impl)
+    ~retime_rounds:(verdict_stats verdict).retime_rounds product partition
+
 (* Snapshot a finished (or aborted) run as an in-memory checkpoint, so a
    later run — the serve daemon's warm starts — can pick the refinement
    up where this one left off. *)
@@ -835,14 +857,13 @@ let checkpoint_of_run ~(options : options) ~spec ~impl (verdict, product, relati
   match relation with
   | None -> Error "the run produced no correspondence relation to checkpoint"
   | Some partition ->
-    let stats = verdict_stats verdict in
     Ok
-      (Checkpoint.of_partition ~spec_digest:(Checkpoint.fingerprint spec)
-         ~impl_digest:(Checkpoint.fingerprint impl) ~engine:(engine_string options)
-         ~candidates:(candidates_string options)
-         ~induction:(effective_induction options) ~seed:options.seed
-         ~retime_rounds:stats.retime_rounds ~iterations:stats.iterations ~patterns:[]
-         product.Product.aig partition)
+      {
+        Checkpoint.relation = relation_of_run ~options ~spec ~impl (verdict, product, partition);
+        seed = options.seed;
+        iterations = (verdict_stats verdict).iterations;
+        patterns = [];
+      }
 
 (* Register correspondence only ([5], [9]): the special case whose
    generalization to all signals is the paper's contribution. *)
@@ -947,7 +968,7 @@ let portfolio ?(options = default_options) ?(max_unroll = 3) spec impl =
         bmc_depth = (if k = 1 then options.bmc_depth else 0);
         resume =
           (match options.resume with
-          | Some cp when cp.Checkpoint.induction >= k -> Some cp
+          | Some cp when cp.Checkpoint.relation.induction >= k -> Some cp
           | Some _ | None -> None);
         deadline_seconds =
           (if timed then max 0.001 (remaining () /. float_of_int (rungs - k + 1)) else 0.0);

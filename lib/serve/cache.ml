@@ -291,7 +291,7 @@ let best_checkpoint t ~spec_digest ~impl_digest ~candidates ~induction ~seed =
             if not (Sys.file_exists cp_path) then best
             else
               match Scorr.Checkpoint.parse_file cp_path with
-              | exception (Scorr.Checkpoint.Parse_error _ | Sys_error _) -> best
+              | exception (Scorr.Relation.Parse_error _ | Sys_error _) -> best
               | cp -> (
                 match
                   Scorr.Checkpoint.compatible ~spec_digest ~impl_digest ~candidates ~induction

@@ -360,8 +360,8 @@ let handle_submit d conn ~spec ~impl ~opts ~watch =
     | Error e, _ | _, Error e ->
       ignore (send (Protocol.Error_resp (Lint.Intake.explain e)) conn.fd)
     | Ok spec, Ok impl -> (
-      let spec_digest = Scorr.Checkpoint.fingerprint spec in
-      let impl_digest = Scorr.Checkpoint.fingerprint impl in
+      let spec_digest = Scorr.Relation.fingerprint spec in
+      let impl_digest = Scorr.Relation.fingerprint impl in
       let opts_key = Cache.options_key opts in
       let job =
         locked d.mu (fun () ->

@@ -33,7 +33,9 @@ let gen_cert =
     int_range 0 3 >>= fun retime_rounds ->
     opt (int_range 0 99) >>= fun prereduce ->
     int_range 1 500 >>= fun product_nodes ->
-    list_size (int_range 0 5) (list_size (int_range 0 4) (int_range 0 999)) >>= fun classes ->
+    (* every literal inside the product: the reader rejects any other *)
+    list_size (int_range 0 5) (list_size (int_range 0 4) (int_range 0 (2 * product_nodes - 1)))
+    >>= fun classes ->
     (* half the certificates carry a DRAT proof section, so the format
        round-trip covers segments, deletions and the empty clause *)
     let gen_lit = map (fun n -> if n = 0 then 1 else n) (int_range (-50) 50) in
@@ -47,15 +49,18 @@ let gen_cert =
     opt (list_size (int_range 0 3) (list_size (int_range 0 5) gen_step)) >>= fun proof ->
     return
       {
-        Cert.Certificate.spec_digest = Digest.to_hex (Digest.string (string_of_int salt));
-        impl_digest = Digest.to_hex (Digest.string (string_of_int (salt + 1)));
-        engine;
-        candidates;
-        induction;
-        retime_rounds;
+        Cert.Certificate.relation =
+          {
+            Scorr.Relation.spec_digest = Digest.to_hex (Digest.string (string_of_int salt));
+            impl_digest = Digest.to_hex (Digest.string (string_of_int (salt + 1)));
+            engine;
+            candidates;
+            induction;
+            retime_rounds;
+            product_nodes;
+            classes;
+          };
         prereduce;
-        product_nodes;
-        classes;
         proof;
       })
 
@@ -207,7 +212,7 @@ let test_fig2_certificate_checks () =
   let spec, impl, cert = fig2_cert () in
   (* round-trip through the text format before checking *)
   let cert = Cert.Certificate.parse_string (Cert.Certificate.to_string cert) in
-  Alcotest.(check bool) "has constraints" true (Cert.Certificate.n_constraints cert > 0);
+  Alcotest.(check bool) "has constraints" true (Scorr.Relation.n_constraints cert.Cert.Certificate.relation > 0);
   match Cert.Certificate.check ~spec ~impl cert with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Cert.Certificate.explain_check_error e)
@@ -222,15 +227,20 @@ let test_certificate_rejects_mutated_impl () =
 
 let test_certificate_rejects_tampering () =
   let spec, impl, cert = fig2_cert () in
+  let r = cert.Cert.Certificate.relation in
   (match
      Cert.Certificate.check ~spec ~impl
-       { cert with Cert.Certificate.product_nodes = cert.Cert.Certificate.product_nodes + 1 }
+       { cert with
+         Cert.Certificate.relation =
+           { r with Scorr.Relation.product_nodes = r.Scorr.Relation.product_nodes + 1 } }
    with
   | Error (Cert.Certificate.Shape_mismatch _) -> ()
   | _ -> Alcotest.fail "expected Shape_mismatch");
   match
     Cert.Certificate.check ~spec ~impl
-      { cert with Cert.Certificate.classes = [ 1_000_000; 1_000_002 ] :: cert.classes }
+      { cert with
+        Cert.Certificate.relation =
+          { r with Scorr.Relation.classes = [ 1_000_000; 1_000_002 ] :: r.classes } }
   with
   | Error (Cert.Certificate.Bad_literal _) -> ()
   | _ -> Alcotest.fail "expected Bad_literal"
@@ -249,7 +259,9 @@ let test_certificate_bounds_induction () =
       let before = Gc.allocated_bytes () in
       (match
          Cert.Certificate.check ~use_proof ~spec ~impl
-           { proved with Cert.Certificate.induction }
+           { proved with
+             Cert.Certificate.relation =
+               { proved.Cert.Certificate.relation with Scorr.Relation.induction } }
        with
       | Error (Cert.Certificate.Bad_header _) -> ()
       | Ok () -> Alcotest.failf "accepted induction %d" induction
@@ -281,15 +293,18 @@ let latch_follows_input () =
 let handcrafted_cert spec impl classes =
   let product = Scorr.Product.make spec impl in
   ( {
-      Cert.Certificate.spec_digest = Cert.Certificate.fingerprint spec;
-      impl_digest = Cert.Certificate.fingerprint impl;
-      engine = "bdd";
-      candidates = "all";
-      induction = 1;
-      retime_rounds = 0;
+      Cert.Certificate.relation =
+        {
+          Scorr.Relation.spec_digest = Scorr.Relation.fingerprint spec;
+          impl_digest = Scorr.Relation.fingerprint impl;
+          engine = "bdd";
+          candidates = "all";
+          induction = 1;
+          retime_rounds = 0;
+          product_nodes = Aig.num_nodes product.Scorr.Product.aig;
+          classes;
+        };
       prereduce = None;
-      product_nodes = Aig.num_nodes product.Scorr.Product.aig;
-      classes;
       proof = None;
     },
     product )
@@ -337,6 +352,18 @@ let test_proof_roundtrip_and_replay () =
   match Cert.Certificate.check ~use_proof:true ~spec ~impl proved with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Cert.Certificate.explain_check_error e)
+
+(* Printing a parsed certificate gives back its text byte for byte, so
+   certificates already on disk keep their meaning. *)
+let test_text_is_stable () =
+  let stable what text =
+    Alcotest.(check string) what text
+      (Cert.Certificate.to_string (Cert.Certificate.parse_string text))
+  in
+  stable "committed fixture"
+    (In_channel.with_open_bin "cram/fixtures/ctr8-prereduced.cert" In_channel.input_all);
+  let _, _, proved = fig2_proved_cert () in
+  stable "proved certificate" (Cert.Certificate.to_string proved)
 
 let test_proof_missing_is_rejected () =
   let spec, impl, cert = fig2_cert () in
@@ -397,7 +424,24 @@ let test_sat_engine_k2_certificate () =
   match Cert.Certificate.of_run ~options ~spec ~impl run with
   | Error e -> Alcotest.fail (Cert.Certificate.explain_emit_error e)
   | Ok cert -> (
-    Alcotest.(check int) "records k" 2 cert.Cert.Certificate.induction;
+    Alcotest.(check int) "records k" 2 cert.Cert.Certificate.relation.Scorr.Relation.induction;
+    match Cert.Certificate.check ~spec ~impl cert with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Cert.Certificate.explain_check_error e))
+
+(* A depth below 1 runs the SAT engine at depth 1, and the certificate
+   records the depth that ran: it once recorded 0, which the checker
+   rejects. *)
+let test_sat_engine_k0_certificate () =
+  let spec, impl = Circuits.Fig2.pair () in
+  let options =
+    { Scorr.default_options with Scorr.Verify.engine = Scorr.Verify.Sat_engine; sat_unroll = 0 }
+  in
+  let run = Scorr.Verify.run_with_relation ~options spec impl in
+  match Cert.Certificate.of_run ~options ~spec ~impl run with
+  | Error e -> Alcotest.fail (Cert.Certificate.explain_emit_error e)
+  | Ok cert -> (
+    Alcotest.(check int) "records k" 1 cert.Cert.Certificate.relation.Scorr.Relation.induction;
     match Cert.Certificate.check ~spec ~impl cert with
     | Ok () -> ()
     | Error e -> Alcotest.fail (Cert.Certificate.explain_check_error e))
@@ -450,6 +494,9 @@ let suite =
       test_sat_engine_k2_certificate;
     Alcotest.test_case "proved certificate round-trips and replays" `Quick
       test_proof_roundtrip_and_replay;
+    Alcotest.test_case "text survives parse and print" `Quick test_text_is_stable;
+    Alcotest.test_case "sat-engine k=0 certificate checks at depth 1" `Quick
+      test_sat_engine_k0_certificate;
     Alcotest.test_case "proof mode rejects a missing trace" `Quick
       test_proof_missing_is_rejected;
     Alcotest.test_case "proof mode rejects mutated traces" `Quick

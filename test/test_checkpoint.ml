@@ -46,43 +46,46 @@ let interrupted_checkpoint () =
 
 let test_round_trip () =
   let _, _, _, cp = interrupted_checkpoint () in
-  Alcotest.(check bool) "has classes" true (Scorr.Checkpoint.n_classes cp > 0);
+  Alcotest.(check bool) "has classes" true (Scorr.Relation.n_classes cp.Scorr.Checkpoint.relation > 0);
   let cp' = Scorr.Checkpoint.parse_string (Scorr.Checkpoint.to_string cp) in
-  Alcotest.(check string) "spec digest" cp.Scorr.Checkpoint.spec_digest
-    cp'.Scorr.Checkpoint.spec_digest;
-  Alcotest.(check string) "impl digest" cp.Scorr.Checkpoint.impl_digest
-    cp'.Scorr.Checkpoint.impl_digest;
-  Alcotest.(check int) "induction" cp.Scorr.Checkpoint.induction
-    cp'.Scorr.Checkpoint.induction;
+  Alcotest.(check string) "spec digest" cp.Scorr.Checkpoint.relation.Scorr.Relation.spec_digest
+    cp'.Scorr.Checkpoint.relation.Scorr.Relation.spec_digest;
+  Alcotest.(check string) "impl digest" cp.Scorr.Checkpoint.relation.Scorr.Relation.impl_digest
+    cp'.Scorr.Checkpoint.relation.Scorr.Relation.impl_digest;
+  Alcotest.(check int) "induction" cp.Scorr.Checkpoint.relation.Scorr.Relation.induction
+    cp'.Scorr.Checkpoint.relation.Scorr.Relation.induction;
   Alcotest.(check int) "seed" cp.Scorr.Checkpoint.seed cp'.Scorr.Checkpoint.seed;
   Alcotest.(check int) "iterations" cp.Scorr.Checkpoint.iterations
     cp'.Scorr.Checkpoint.iterations;
-  Alcotest.(check int) "product nodes" cp.Scorr.Checkpoint.product_nodes
-    cp'.Scorr.Checkpoint.product_nodes;
-  Alcotest.(check (list (list int))) "classes" cp.Scorr.Checkpoint.classes
-    cp'.Scorr.Checkpoint.classes;
+  Alcotest.(check int) "product nodes" cp.Scorr.Checkpoint.relation.Scorr.Relation.product_nodes
+    cp'.Scorr.Checkpoint.relation.Scorr.Relation.product_nodes;
+  Alcotest.(check (list (list int))) "classes" cp.Scorr.Checkpoint.relation.Scorr.Relation.classes
+    cp'.Scorr.Checkpoint.relation.Scorr.Relation.classes;
   (* and through a file *)
   let path = temp_path () in
   Scorr.Checkpoint.to_file path cp;
   let cp'' = Scorr.Checkpoint.parse_file path in
   Sys.remove path;
-  Alcotest.(check (list (list int))) "file classes" cp.Scorr.Checkpoint.classes
-    cp''.Scorr.Checkpoint.classes
+  Alcotest.(check (list (list int))) "file classes" cp.Scorr.Checkpoint.relation.Scorr.Relation.classes
+    cp''.Scorr.Checkpoint.relation.Scorr.Relation.classes
 
 let test_pattern_round_trip () =
   (* hand-built checkpoint with pool patterns, including empty vectors *)
   let cp =
     {
-      Scorr.Checkpoint.spec_digest = String.make 32 'a';
-      impl_digest = String.make 32 'b';
-      engine = "sat";
-      candidates = "all";
-      induction = 2;
+      Scorr.Checkpoint.relation =
+        {
+          Scorr.Relation.spec_digest = String.make 32 'a';
+          impl_digest = String.make 32 'b';
+          engine = "sat";
+          candidates = "all";
+          induction = 2;
+          retime_rounds = 1;
+          product_nodes = 42;
+          classes = [ [ 4; 6; 13 ]; [ 9; 10 ] ];
+        };
       seed = 17;
-      retime_rounds = 1;
-      product_nodes = 42;
       iterations = 3;
-      classes = [ [ 4; 6; 13 ]; [ 9; 10 ] ];
       patterns = [ ([| true; false; true |], [| false; true |]); ([||], [| true |]) ];
     }
   in
@@ -93,7 +96,7 @@ let test_pattern_round_trip () =
 
 let expect_parse_error text =
   match Scorr.Checkpoint.parse_string text with
-  | exception Scorr.Checkpoint.Parse_error _ -> ()
+  | exception Scorr.Relation.Parse_error _ -> ()
   | _ -> Alcotest.fail "malformed checkpoint accepted"
 
 let test_rejects_malformed () =
@@ -112,7 +115,12 @@ let test_rejects_malformed () =
     (Str.global_replace (Str.regexp "^seqver-checkpoint 1") "seqver-checkpoint 9" text);
   (* a pattern with non-binary characters *)
   expect_parse_error
-    (Str.global_replace (Str.regexp "^patterns 0") "patterns 1\npattern 01x2 1" text)
+    (Str.global_replace (Str.regexp "^patterns 0") "patterns 1\npattern 01x2 1" text);
+  (* a class literal outside the product, or negative: a typed rejection,
+     not an escape from the resume path *)
+  let first_literal = Str.regexp "^class [0-9]+" in
+  expect_parse_error (Str.replace_first first_literal "class 99999999" text);
+  expect_parse_error (Str.replace_first first_literal "class -7" text)
 
 (* --- resume validation --------------------------------------------------------- *)
 
@@ -294,6 +302,62 @@ let prop_resume_reaches_same_fixed_point =
              (Scorr.Verify.Sat_engine, 4);
            ]))
 
+(* --- resuming from a certificate ------------------------------------------------ *)
+
+let retimed_pair name =
+  let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find name)) in
+  (spec, Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed:1 spec)
+
+let emitted_certificate ~options spec impl =
+  let run = Scorr.Verify.run_with_relation ~options spec impl in
+  match Cert.Certificate.of_run ~options ~spec ~impl run with
+  | Ok cert ->
+    let path = temp_path () in
+    Cert.Certificate.to_file path cert;
+    (run, path)
+  | Error e -> Alcotest.fail (Cert.Certificate.explain_emit_error e)
+
+(* A certificate holds the greatest fixed point, itself a partition
+   between the initial one and the fixed point: resuming from it reaches
+   the cold run's verdict and relation in one iteration. *)
+let test_resume_from_certificate () =
+  List.iter
+    (fun (name, engine, label) ->
+      let spec, impl = retimed_pair name in
+      let options =
+        { Scorr.default_options with Scorr.Verify.engine; use_speculation = false }
+      in
+      let (cold, _, _), path = emitted_certificate ~options spec impl in
+      let cp = Cert.Certificate.resume_of_file ~seed:options.Scorr.Verify.seed path in
+      Sys.remove path;
+      let warm = Scorr.check ~options:{ options with Scorr.Verify.resume = Some cp } spec impl in
+      let c = Scorr.verdict_stats cold and w = Scorr.verdict_stats warm in
+      let label = name ^ " " ^ label in
+      Alcotest.(check string) (label ^ " verdict") (verdict_label cold) (verdict_label warm);
+      Alcotest.(check int) (label ^ " classes") c.Scorr.Verify.classes w.Scorr.Verify.classes;
+      Alcotest.(check (float 1e-9)) (label ^ " eq_pct") c.Scorr.Verify.eq_pct
+        w.Scorr.Verify.eq_pct;
+      Alcotest.(check int) (label ^ " iterations") 1 w.Scorr.Verify.iterations)
+    [
+      ("ctr16", Scorr.Verify.Bdd_engine, "bdd");
+      ("ctr16", Scorr.Verify.Sat_engine, "sat");
+      ("gray12", Scorr.Verify.Bdd_engine, "bdd");
+      ("gray12", Scorr.Verify.Sat_engine, "sat");
+    ]
+
+(* A certificate records no seed: it takes the resuming run's, and a
+   run normalizing under another seed refuses the polarities. *)
+let test_certificate_resume_checks_polarity () =
+  let spec, impl = retimed_pair "ctr16" in
+  let options = { Scorr.default_options with Scorr.Verify.use_speculation = false } in
+  let _, path = emitted_certificate ~options spec impl in
+  let seed = options.Scorr.Verify.seed + 1 in
+  let cp = Cert.Certificate.resume_of_file ~seed path in
+  Sys.remove path;
+  match Scorr.check ~options:{ options with Scorr.Verify.seed; resume = Some cp } spec impl with
+  | exception Scorr.Checkpoint.Incompatible _ -> ()
+  | _ -> Alcotest.fail "a certificate normalized under another seed seeded the run"
+
 let suite =
   [ Alcotest.test_case "checkpoint round-trips" `Quick test_round_trip;
     Alcotest.test_case "patterns round-trip" `Quick test_pattern_round_trip;
@@ -307,6 +371,9 @@ let suite =
       test_deadline_abort_checkpoints;
     Alcotest.test_case "periodic checkpoints are well-formed" `Quick
       test_periodic_checkpoint;
+    Alcotest.test_case "resume from a certificate" `Quick test_resume_from_certificate;
+    Alcotest.test_case "certificate resume checks polarity" `Quick
+      test_certificate_resume_checks_polarity;
     prop_resume_reaches_same_fixed_point;
   ]
 

@@ -529,8 +529,8 @@ let prop_intake_total =
             match read (mutate text ms) with
             | () -> ()
             | exception
-                ( Cert.Witness.Parse_error _ | Scorr.Checkpoint.Parse_error _
-                | Cert.Certificate.Parse_error _ | Serve.Json.Parse_error _ ) ->
+                ( Cert.Witness.Parse_error _ | Scorr.Relation.Parse_error _
+                | Serve.Json.Parse_error _ ) ->
               ());
          Gc.allocated_bytes () -. before < intake_alloc_bound))
 

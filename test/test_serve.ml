@@ -493,8 +493,8 @@ let test_cache_best_checkpoint () =
   let cp1 = interrupted 1 and cp2 = interrupted 2 in
   let dir = temp_dir () in
   let cache = Serve.Cache.create ~dir () in
-  let spec_digest = cp2.Scorr.Checkpoint.spec_digest
-  and impl_digest = cp2.Scorr.Checkpoint.impl_digest in
+  let spec_digest = cp2.Scorr.Checkpoint.relation.Scorr.Relation.spec_digest
+  and impl_digest = cp2.Scorr.Checkpoint.relation.Scorr.Relation.impl_digest in
   Serve.Cache.store_checkpoint cache ~spec_digest ~impl_digest
     ~opts_key:(Serve.Cache.options_key Serve.Protocol.default_opts)
     cp1;
@@ -541,8 +541,7 @@ let rec connect_retry path tries =
     Unix.sleepf 0.05;
     connect_retry path (tries - 1)
 
-let with_daemon ?(workers = 2) f =
-  let dir = temp_dir () in
+let with_daemon ?(workers = 2) ?(dir = temp_dir ()) f =
   let socket = Filename.concat dir "d.sock" in
   let cfg =
     {
@@ -588,8 +587,8 @@ let test_daemon_end_to_end () =
         let cert = Cert.Certificate.parse_file path in
         Alcotest.(check bool) "cert fingerprints" true
           (Cert.Certificate.matches_digests
-             ~spec_digest:(Scorr.Checkpoint.fingerprint spec)
-             ~impl_digest:(Scorr.Checkpoint.fingerprint impl)
+             ~spec_digest:(Scorr.Relation.fingerprint spec)
+             ~impl_digest:(Scorr.Relation.fingerprint impl)
              cert);
         (match Cert.Certificate.check ~spec ~impl cert with
         | Ok () -> ()
@@ -678,6 +677,41 @@ let test_daemon_hostile_requests () =
         (verdict "async.aig" (binary Netlist.Clocking.Async));
       Alcotest.(check string) "valid pair after all that" "equivalent"
         (submit client spec impl opts).Serve.Protocol.verdict)
+
+(* A cached checkpoint whose class literals lie outside the product is
+   skipped by the warm-start probe: the job runs cold to the same verdict
+   instead of failing. *)
+let test_daemon_skips_corrupt_checkpoint () =
+  let dir = temp_dir () in
+  let spec, impl = suite_pair "ctr8" in
+  let opts = Serve.Protocol.default_opts in
+  let spec_digest = Scorr.Relation.fingerprint spec
+  and impl_digest = Scorr.Relation.fingerprint impl in
+  let product_nodes = Aig.num_nodes (Scorr.Product.make spec impl).Scorr.Product.aig in
+  Serve.Cache.store_checkpoint
+    (Serve.Cache.create ~dir:(Filename.concat dir "cache") ())
+    ~spec_digest ~impl_digest ~opts_key:(Serve.Cache.options_key opts)
+    {
+      Scorr.Checkpoint.relation =
+        {
+          Scorr.Relation.spec_digest;
+          impl_digest;
+          engine = "bdd";
+          candidates = "all";
+          induction = 1;
+          retime_rounds = 0;
+          product_nodes;
+          classes = [ [ 99_999_998; 99_999_999 ] ];
+        };
+      seed = opts.Serve.Protocol.seed;
+      iterations = 5;
+      patterns = [];
+    };
+  with_daemon ~dir (fun ~socket:_ ~client ->
+      let o = submit client spec impl opts in
+      Alcotest.(check string) "cold verdict" "equivalent" o.Serve.Protocol.verdict;
+      Alcotest.(check (option string)) "no error" None o.Serve.Protocol.reason;
+      Alcotest.(check int) "ran cold" 0 o.Serve.Protocol.resumed_iterations)
 
 let test_daemon_cancel_queued () =
   (* one worker: the first (slow) job occupies it, the second sits in
@@ -792,6 +826,8 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "end to end" `Slow test_daemon_end_to_end;
+          Alcotest.test_case "skips a corrupt cached checkpoint" `Slow
+            test_daemon_skips_corrupt_checkpoint;
           Alcotest.test_case "cancel a queued job" `Slow test_daemon_cancel_queued;
           Alcotest.test_case "survives hostile requests" `Slow test_daemon_hostile_requests;
           Alcotest.test_case "cached = fresh (qcheck)" `Slow test_cached_equals_fresh;
