@@ -481,9 +481,9 @@ let ablation_speculation () =
         (fun (engine, tag) ->
           let run use_speculation =
             (* both arms run the static-analysis layer, so the A/B isolates
-               speculation itself: the plain arm gets the support
-               prefilter, the speculative arm additionally pre-reduces
-               (Verify.prereduces) and screens every sweep.  bus's
+               speculation itself: both verify the pre-reduced pair
+               (Verify.prereduces), and the speculative arm screens every
+               sweep.  bus's
                depth-1 gfp does not imply output equality — depth-2
                induction closes it, at the same depth in both arms so
                the comparison stays engine-for-engine fair *)

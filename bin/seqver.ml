@@ -166,7 +166,7 @@ let run_verify spec_path impl_path meth engine no_sim_seed no_fundep no_retime s
         && not no_speculate;
       use_reach_dontcare = dontcare;
       (* the portfolio is analysis-steered by default; the flag opts the
-         direct methods into the static support prefilter *)
+         direct methods into verifying the pre-reduced pair *)
       use_analysis = analysis || meth = M_auto;
       node_limit;
       sat_unroll = unroll;
@@ -907,9 +907,10 @@ let verify_cmd =
   let analysis =
     Arg.(value & flag
          & info [ "analysis" ]
-             ~doc:"Enable the static-analysis layer: the input-support candidate \
-                   prefilter inside the fixed point (and, with -m auto, reduction and \
-                   engine steering — the default there).")
+             ~doc:"Enable the static-analysis layer: verify the FRAIG-reduced pair \
+                   (semantics-preserving; witnesses and certificates still refer to the \
+                   circuits as given), and with -m auto steer the k = 1 engine by the \
+                   shape metrics.  On by default with -m auto.")
   in
   let node_limit =
     Arg.(value & opt int 2_000_000 & info [ "node-limit" ] ~doc:"BDD node budget.")
@@ -1196,7 +1197,10 @@ let submit_cmd =
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
   let analysis =
-    Arg.(value & flag & info [ "analysis" ] ~doc:"Enable the static-analysis layer.")
+    Arg.(value & flag
+         & info [ "analysis" ]
+             ~doc:"Enable the static-analysis layer: the job verifies the FRAIG-reduced \
+                   pair (always on with -m auto).")
   in
   let speculate =
     Arg.(value & flag

@@ -418,9 +418,13 @@ let resume_of_file ~seed path =
   if not (Scorr.Relation.has_header kind text) then Scorr.Checkpoint.parse_string text
   else
     let cert = parse_string text in
-    if cert.prereduce <> None then
+    match cert.prereduce with
+    | Some seed ->
       raise
         (Scorr.Checkpoint.Incompatible
-           "the certificate's relation is over the pre-reduced circuits, and a resumed \
-            run verifies them as given");
-    { Scorr.Checkpoint.relation = cert.relation; seed; iterations = 0; patterns = [] }
+           (Printf.sprintf
+              "the certificate's relation is over the circuits pre-reduced with seed %d, \
+               and a certificate seeds only a run over the circuits as given; resume from \
+               a checkpoint of the run instead"
+              seed))
+    | None -> { Scorr.Checkpoint.relation = cert.relation; seed; iterations = 0; patterns = [] }

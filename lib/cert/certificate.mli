@@ -17,7 +17,7 @@ type t = {
           options needed to rebuild the product *)
   prereduce : int option;
       (** when the relation was computed on the FRAIG-reduced pair
-          (speculative runs with the analysis layer on), the reduction
+          (runs with the analysis layer on), the reduction
           seed: checking replays {!Analysis.Reduce.run} on the original
           circuits — re-proving every merge obligation with a fresh
           solver — before rebuilding the product *)
@@ -109,5 +109,7 @@ val resume_of_file : seed:int -> string -> Scorr.Checkpoint.t
     [seed] (a certificate records none, so a normalization that differs
     is refused by {!Scorr.Checkpoint.seed_partition}).
     @raise Scorr.Relation.Parse_error on a malformed file.
-    @raise Scorr.Checkpoint.Incompatible on a pre-reduced certificate:
-    resumed runs verify the circuits as given. *)
+    @raise Scorr.Checkpoint.Incompatible on a pre-reduced certificate: a
+    certificate seeds only a run over the circuits as given (a checkpoint
+    of a pre-reduced run does resume it: the resumed run re-applies the
+    reduction). *)

@@ -27,7 +27,7 @@ module Record = struct
     resim_splits : int; (* classes created by bit-parallel pattern replay *)
     batched_solves : int; (* one-per-class disjunctive solves / key scans *)
     cache_hits : int; (* classes skipped by the stability (UNSAT) cache *)
-    static_splits : int; (* classes split by the PI-support prefilter, no solver *)
+    static_splits : int; (* always 0: the static prefilter is gone *)
     spec_rounds : int; (* speculative reductions screened (0 = speculation off) *)
     spec_merges : int; (* candidate members merged onto representatives, all rounds *)
     refuted_assumptions : int; (* always 0: the screen never refutes *)

@@ -43,7 +43,7 @@ let note ctx =
    adjacent); [care_of] may compute a reachable upper bound over the state
    variables once they exist. *)
 let make ?(use_fundep = true) ?latch_order ?care_of ?(node_limit = max_int)
-    ?(deadline = Deadline.none) ?(static_filter = false) p =
+    ?(deadline = Deadline.none) p =
   let aig = p.Product.aig in
   let m = Bdd.create () in
   if node_limit < max_int then Bdd.set_node_limit m (2 * node_limit);
@@ -78,7 +78,7 @@ let make ?(use_fundep = true) ?latch_order ?care_of ?(node_limit = max_int)
     let ctx =
       { p; m; n_pis; n_latches; x1; s; x2; cur; delta; ini; use_fundep;
         fn_size = Array.make (Aig.num_nodes aig) (-1); care;
-        node_limit; deadline; peak_nodes = 0; sweep = Sweep.create ~static_filter aig }
+        node_limit; deadline; peak_nodes = 0; sweep = Sweep.create aig }
     in
     note ctx;
     ctx
@@ -107,7 +107,6 @@ let norm_ini ctx partition id = norm ctx (ctx.ini (Aig.lit_of_node id)) (Partiti
    BDD of the normalized function at s0 — hash-consing makes equality a
    key comparison. *)
 let refine_initial ctx partition =
-  ignore (Sweep.prefilter ctx.sweep partition);
   ignore (Partition.refine_by_key partition (fun id -> Bdd.id (norm_ini ctx partition id)));
   note ctx
 
@@ -266,10 +265,11 @@ let counterexample_valuation ctx subst q nu_a nu_b =
   ( Array.init ctx.n_pis (fun i -> lookup ctx.x2.(i)),
     Array.init ctx.n_latches (fun i -> Bdd.eval m ctx.delta.(i) lookup) )
 
-(* One batched sweep round: each suspect class is scanned once.  Members
-   a and b agree when [Bdd.leq q (xnor nu_a nu_b)] — nu_a /\ Q = nu_b /\ Q,
-   Equation (3) — a test that makes no node, so no member's conjunction
-   with Q (a copy of Q, often thousands of nodes) is ever built.  A scan
+(* One refinement iteration, a batched sweep: each class not proven at
+   the current version is scanned once.  Members a and b agree when
+   [Bdd.leq q (xnor nu_a nu_b)] — nu_a /\ Q = nu_b /\ Q, Equation (3) — a
+   test that makes no node, so no member's conjunction with Q (a copy of
+   Q, often thousands of nodes) is ever built.  A scan
    tests each member against the representative and yields the
    counterexample of the first one that disagrees, or [None] when the
    class is stable.  Every class is scanned against the partition frozen
@@ -280,20 +280,19 @@ let counterexample_valuation ctx subst q nu_a nu_b =
    bit-parallel simulation pre-splits classes before any further BDD
    work) and is regrouped by testing each member against one
    representative per group ([Partition.refine_class]).  An empty Q ends
-   the round before any class is selected. *)
-let round ctx partition ~trust =
+   the round before any class is selected.  [true] when a class split;
+   [false] means every class is proven at the current version, the fixed
+   point. *)
+let refine_once ctx partition =
   let sw = ctx.sweep in
   let splits = ref (Simpool.flush sw.Sweep.pool partition > 0) in
-  (* zero-cost splits first, so the frozen Q and the task list already see
-     the statically refined partition *)
-  if Sweep.prefilter sw partition > 0 then splits := true;
   let vq = Partition.version partition in
   let subst = if ctx.use_fundep then fundep_subst ctx partition else None in
   let q = correspondence_condition ctx partition subst in
   if Bdd.is_false q then !splits
   else begin
     let nu_of = nu_builder ctx partition q subst in
-    let tasks = Sweep.select sw partition ~trust Option.some in
+    let tasks = Sweep.select sw partition Option.some in
     let agree f g =
       let same = Bdd.equal f g || Bdd.leq ctx.m q (Bdd.mk_xnor ctx.m f g) in
       note ctx;
@@ -322,5 +321,3 @@ let round ctx partition ~trust =
     note ctx;
     !splits
   end
-
-let refine_once ctx partition = Sweep.refine_once (round ctx partition)

@@ -27,12 +27,10 @@
      classes at once by one bit-parallel simulation pass when the lane
      buffer fills or a hit class is about to be re-solved;
 
-   - dirty-class scheduling with an UNSAT cache: a class proven stable at
-     partition version V is skipped while no later split moved a node in
-     its structural support cone ({!Support}); because that test is a
-     heuristic, a zero-split sweep is confirmed by a strict pass that
-     re-proves every stale class at the current version before the fixed
-     point is reported.
+   - an UNSAT cache: a class proven stable at partition version V is
+     skipped while the version stands, and an UNSAT proof whose
+     failed-assumption core still holds transfers to a later version
+     without a solve; a sweep that splits nothing is the fixed point.
 
    Eq.(3) sweeps are scheduled through a {!Parsweep} pool: the class
    checks of one round are independent given a frozen partition
@@ -46,10 +44,9 @@
    is the same for every worker count — only which lane found which
    witness varies.
 
-   The pattern pool, the static prefilter, suspect selection and the
-   trusting-then-strict policy are the BDD engine's too: they live in
-   {!Sweep}, and this engine keeps its lanes, the staged-OR class solve
-   and the failed-core transfer.  Lanes share no solver state: each
+   The pattern pool and class selection are the BDD engine's too: they
+   live in {!Sweep}, and this engine keeps its lanes, the staged-OR class
+   solve and the failed-core transfer.  Lanes share no solver state: each
    learns only from its own solves. *)
 
 (* Private per-lane solving state: a full copy of the k+1-frame
@@ -107,8 +104,7 @@ let unrolled_lane aig k =
     w_q = None;
   }
 
-let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.none)
-    ?(static_filter = false) p =
+let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.none) p =
   if k < 1 then invalid_arg "Engine_sat.make: k must be >= 1";
   let aig = p.Product.aig in
   (* Lane 0 is built here and run by the coordinator inside its own pool;
@@ -134,7 +130,7 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
     sat_calls = Atomic.make 0;
     max_sat_calls;
     deadline;
-    sweep = Sweep.create ~static_filter aig;
+    sweep = Sweep.create aig;
     pi_nodes = Array.of_list (Aig.pis aig);
     init_clean = Hashtbl.create 256;
     sched =
@@ -232,7 +228,6 @@ let refine_initial ctx partition =
   let progress = ref true in
   while !progress do
     progress := false;
-    if Sweep.prefilter sw partition > 0 then progress := true;
     List.iter
       (fun cls ->
         let clean =
@@ -299,7 +294,7 @@ let refine_initial ctx partition =
     if Simpool.flush sw.pool partition > 0 then progress := true
   done
 
-(* A sweep task: one suspect class, frozen at round start as its
+(* A sweep task: one class to check, frozen at round start as its
    polarity-normalized member literals (representative first), so worker
    lanes never read the shared partition. *)
 type task = { t_cls : int; t_lits : int array }
@@ -398,37 +393,33 @@ let solve_class ctx w ~version ~pairs task =
     Sat.release w.w_solver g;
     out
 
-(* One batched sweep round of Equation (3).  The partition is frozen
-   into tasks, solved across the pool's lanes, and the outcomes applied
-   serially in ascending class order: UNSAT marks the class proven at
-   the round's version, a witness valuation joins the pattern pool and
-   is replayed bit-parallel against every class.  [trust] enables the
-   cone-based dirty skip of {!Sweep.select}.  Returns whether any class
-   split.
+(* One refinement iteration, a batched sweep round of Equation (3).
+   The partition is frozen into tasks, solved across the pool's lanes,
+   and the outcomes applied serially in ascending class order: UNSAT
+   marks the class proven at the round's version, a witness valuation
+   joins the pattern pool and is replayed bit-parallel against every
+   class.  Returns whether any class split; [false] means every class is
+   proven at the current version, the fixed point.
 
    Soundness and schedule-independence: every pooled witness is a run
    conforming to the Q of a partition coarser than (or equal to) the one
    being split, so no split ever separates two signals equal in the
    greatest fixed point; since splits are also the only state change,
    every worker count converges to the same fixed point.  An UNSAT
-   certificate is recorded at the frozen version and re-examined by the
-   strict pass whenever the partition moved on, exactly as in the
-   sequential schedule.  Budgets are enforced per class solve: every
-   lane reserves a slot on the shared call counter (and polls the
-   shared deadline flag) before issuing a solve, so a parallel round
-   overshoots [max_sat_calls] by at most [jobs] in-flight solves.  The
-   exception of the smallest aborting task index is re-raised by the
-   coordinator once the round's remaining tasks have drained — each of
-   them aborts at its own first poll. *)
-let round ctx partition ~trust =
+   certificate is recorded at the frozen version and re-examined once
+   the partition moved on, exactly as in the sequential schedule.
+   Budgets are enforced per class solve: every lane reserves a slot on
+   the shared call counter (and polls the shared deadline flag) before
+   issuing a solve, so a parallel round overshoots [max_sat_calls] by at
+   most [jobs] in-flight solves.  The exception of the smallest aborting
+   task index is re-raised by the coordinator once the round's remaining
+   tasks have drained — each of them aborts at its own first poll. *)
+let refine_once ctx partition =
   let sw = ctx.sweep in
   let splits = ref (Simpool.flush sw.Sweep.pool partition) in
   if Deadline.expired ctx.deadline then raise (Sweep.Budget_exceeded "deadline");
   if Atomic.get ctx.sat_calls >= ctx.max_sat_calls then
     raise (Sweep.Budget_exceeded "sat calls");
-  (* zero-cost splits first, so the frozen Q and the round's tasks see the
-     statically refined partition *)
-  splits := !splits + Sweep.prefilter sw partition;
   let vq = Partition.version partition in
   let pairs =
     List.map
@@ -437,7 +428,7 @@ let round ctx partition ~trust =
       (Partition.constraint_pairs partition)
   in
   let tasks =
-    Sweep.select sw partition ~trust (fun cls ->
+    Sweep.select sw partition (fun cls ->
         let lits =
           Array.of_list (List.map (Partition.norm_lit partition) (Partition.members partition cls))
         in
@@ -445,8 +436,7 @@ let round ctx partition ~trust =
            member literals whose core equalities all still hold in the
            current partition refutes the obligation at this version too —
            Q entails every equality between co-classed pairs — so the
-           class is re-proved without a solve.  A proof, not a heuristic:
-           valid in strict passes as well. *)
+           class is re-proved without a solve. *)
         let pruned =
           match Hashtbl.find_opt ctx.stable_cores cls with
           | Some (old_lits, core) ->
@@ -477,5 +467,3 @@ let round ctx partition ~trust =
     outcomes;
   splits := !splits + Simpool.flush sw.pool partition;
   !splits > 0
-
-let refine_once ctx partition = Sweep.refine_once (round ctx partition)

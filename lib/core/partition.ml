@@ -16,9 +16,6 @@ type t = {
   mutable members : int list array; (* class id -> member node ids, sorted *)
   mutable n_classes : int;
   mutable version : int; (* bumped once per refinement event that splits *)
-  mutable touched : int array; (* class id -> version of last membership change *)
-  mutable moved : (int * int) list; (* (version, node) journal, newest first *)
-  mutable n_moved : int;
 }
 
 let create ~n_nodes ~candidates ~pol =
@@ -26,16 +23,7 @@ let create ~n_nodes ~candidates ~pol =
   List.iter (fun id -> class_of.(id) <- 0) candidates;
   let members = Array.make (max 16 n_nodes) [] in
   members.(0) <- List.sort_uniq compare candidates;
-  {
-    class_of;
-    pol;
-    members;
-    n_classes = 1;
-    version = 0;
-    touched = Array.make (max 16 n_nodes) 0;
-    moved = [];
-    n_moved = 0;
-  }
+  { class_of; pol; members; n_classes = 1; version = 0 }
 
 let n_classes t = t.n_classes
 let class_of t id = t.class_of.(id)
@@ -43,28 +31,9 @@ let polarity t id = t.pol.(id)
 let members t cls = t.members.(cls)
 let is_candidate t id = t.class_of.(id) >= 0
 let version t = t.version
-let touched_version t cls = t.touched.(cls)
 
-(* Nodes that changed class since [v]; [None] when the journal segment is
-   too long to be worth scanning (callers treat that as "anything may have
-   moved"). *)
-let moved_since ?(limit = 1024) t v =
-  let rec go acc n = function
-    | (ver, id) :: rest when ver > v ->
-      if n >= limit then None else go (id :: acc) (n + 1) rest
-    | _ -> Some acc
-  in
-  go [] 0 t.moved
-
-(* A refinement event: bump the version once, then record each node that
-   changed class and mark the affected classes. *)
+(* A refinement event that splits: bump the version once. *)
 let begin_event t = t.version <- t.version + 1
-
-let record_move t id =
-  t.moved <- (t.version, id) :: t.moved;
-  t.n_moved <- t.n_moved + 1
-
-let mark_touched t cls = t.touched.(cls) <- t.version
 
 (* Normalized literal of a candidate: value 1 at the reference point. *)
 let norm_lit t id = Aig.lit_of_node id lor (if t.pol.(id) then 1 else 0)
@@ -78,13 +47,9 @@ let fresh_class t =
   if t.n_classes = Array.length t.members then begin
     let bigger = Array.make (2 * t.n_classes) [] in
     Array.blit t.members 0 bigger 0 t.n_classes;
-    t.members <- bigger;
-    let bigger_touched = Array.make (2 * t.n_classes) 0 in
-    Array.blit t.touched 0 bigger_touched 0 t.n_classes;
-    t.touched <- bigger_touched
+    t.members <- bigger
   end;
   t.n_classes <- t.n_classes + 1;
-  t.touched.(t.n_classes - 1) <- t.version;
   t.n_classes - 1
 
 (* Split every class by a key function on its members; members sharing a
@@ -116,16 +81,12 @@ let refine_by_key t key =
         mems;
       if Hashtbl.length groups > 1 then begin
         bump ();
-        mark_touched t cls;
         let rep_key = key rep in
         List.iter
           (fun k ->
             let group = List.rev (Hashtbl.find groups k) in
             let target = if k = rep_key then cls else fresh_class t in
-            if k <> rep_key then begin
-              incr created;
-              List.iter (fun id -> record_move t id) group
-            end;
+            if k <> rep_key then incr created;
             t.members.(target) <- group;
             List.iter (fun id -> t.class_of.(id) <- target) group)
           (List.rev !order)
@@ -154,18 +115,13 @@ let refine_class t cls ~equal =
     | [] | [ _ ] -> false
     | (_, first) :: rest ->
       begin_event t;
-      mark_touched t cls;
       t.members.(cls) <- List.rev !first;
       List.iter
         (fun (_, group) ->
           let target = fresh_class t in
           let group = List.rev !group in
           t.members.(target) <- group;
-          List.iter
-            (fun id ->
-              record_move t id;
-              t.class_of.(id) <- target)
-            group)
+          List.iter (fun id -> t.class_of.(id) <- target) group)
         rest;
       true
 

@@ -35,7 +35,8 @@ module Counters : sig
       batched_solves : int;  (** one-per-class disjunctive solves / key scans *)
       cache_hits : int;  (** classes skipped by the stability (UNSAT) cache *)
       static_splits : int;
-          (** classes split by the PI-support prefilter at zero solver cost *)
+          (** always 0: the PI-support prefilter is gone, and the field
+              stays only because perfbench reads it *)
       spec_rounds : int;
           (** speculative reductions screened, one per fixed-point
               iteration; 0 when speculation was off *)
@@ -187,16 +188,9 @@ module Partition : sig
   val multi_member_classes : t -> int list
 
   val version : t -> int
-  (** Monotone counter bumped by every refinement event that splits a
-      class.  Drives the dirty-class scheduling of the engines. *)
-
-  val touched_version : t -> int -> int
-  (** Version at which a class last changed membership (creation counts). *)
-
-  val moved_since : ?limit:int -> t -> int -> int list option
-  (** Nodes moved to a new class by events after the given version;
-      [None] when more than [limit] entries would need scanning (callers
-      should then assume everything moved). *)
+  (** Monotone counter bumped once by every refinement event that splits
+      a class.  A class proof holds while the version stands
+      ({!Sweep.select}). *)
 
   val pp : Format.formatter -> t -> unit
 end
@@ -335,36 +329,13 @@ module Simpool : sig
       witnessed split is lost across an interruption. *)
 end
 
-(** Structural support cones of the product machine, closed through latch
-    next-state functions; drives the engines' dirty-class scheduling and
-    the static candidate prefilter. *)
-module Support : sig
-  type t
-
-  val make : Aig.t -> t
-  val in_cone : t -> node:int -> of_:int -> bool
-
-  val pi_compatible : t -> int -> int -> bool
-  (** May the two nodes be equivalent, judged by structural PI support?
-      [false] exactly when both supports are non-empty and disjoint. *)
-
-  val prefilter_class : t -> Partition.t -> int -> bool
-  (** Split one class into the connected components of PI-support
-      compatibility; [true] when the class split.  Costs no solver or
-      BDD work and never fabricates an equivalence. *)
-
-  val suspect : t -> Partition.t -> int -> proved_at:int -> bool
-  (** Must the class be re-examined after being proven stable at partition
-      version [proved_at]?  Conservative in the direction engines handle:
-      a [false] answer is confirmed by a strict sweep before the fixed
-      point is reported. *)
-end
-
 (** The engine-independent half of the Eq. (3) fixed point, shared by
-    both refinement engines: the counterexample pattern pool, the static
-    prefilter, the stability cache behind suspect selection, the sweep
-    counters and the trusting-then-strict policy.  Each engine keeps only
-    its class check and its Eq. (2) refinement. *)
+    both refinement engines: the counterexample pattern pool, the
+    stability cache behind class selection and the sweep counters.  Each
+    engine keeps only its class check and its Eq. (2) refinement.  The
+    one skip rule: a class proven stable at the current partition version
+    is skipped, and every other multi-member class is checked, so a sweep
+    that splits nothing is the greatest fixed point. *)
 module Sweep : sig
   exception Budget_exceeded of string
   (** The one budget abort of a run, raised by both engines, the
@@ -373,13 +344,11 @@ module Sweep : sig
 
   type t
 
-  val create : ?static_filter:bool -> Aig.t -> t
-  (** Fresh sweep state over a product AIG; [static_filter] (default
-      false) enables the PI-support prefilter before every pass. *)
+  val create : Aig.t -> t
+  (** Fresh sweep state over a product AIG. *)
 
   val harvest : t -> Counters.t
-  (** Pool lanes, replay splits, batched solves, cache hits and static
-      splits so far. *)
+  (** Pool lanes, replay splits, batched solves and cache hits so far. *)
 
   val proved : t -> int -> version:int -> unit
   (** Record a class an engine proved stable at a partition version. *)
@@ -389,13 +358,11 @@ module Sweep : sig
       stable at the partition's current version; the sweep treats them
       like its own proofs at that version. *)
 
-  val select : t -> Partition.t -> trust:bool -> (int -> 'a option) -> 'a array
+  val select : t -> Partition.t -> (int -> 'a option) -> 'a array
   (** A round's tasks in ascending class order: every multi-member class
-      not skipped by the stability cache, mapped through the engine's
-      task function ([None] drops it).  A class proven at the current
-      version is skipped; one proven earlier is skipped only when
-      [trust] holds and no node moved since is in its cone
-      ({!Support.suspect}).  Every skip counts one cache hit. *)
+      not proven at the current version, mapped through the engine's
+      task function ([None] drops it).  Every skipped class counts one
+      cache hit. *)
 end
 
 (** Random sequential simulation seeding (Section 4). *)
@@ -486,7 +453,6 @@ module Engine_bdd : sig
     ?care_of:(Bdd.manager -> int array -> Bdd.t) ->
     ?node_limit:int ->
     ?deadline:Deadline.t ->
-    ?static_filter:bool ->
     Product.t ->
     ctx
   (** @raise Build_exceeded when the node budget or the deadline runs
@@ -500,7 +466,8 @@ module Engine_bdd : sig
 
   val refine_once : ctx -> Partition.t -> bool
   (** Equation (3): one refinement iteration ({!Sweep}'s protocol) with
-      one node-free scan per suspect class; [true] when a class split.
+      one node-free scan per class not proven at the current version;
+      [true] when a class split, [false] at the fixed point.
       @raise Sweep.Budget_exceeded when the node budget or the deadline
       runs out. *)
 
@@ -518,7 +485,6 @@ module Engine_sat : sig
     ?k:int ->
     ?jobs:int ->
     ?deadline:Deadline.t ->
-    ?static_filter:bool ->
     Product.t ->
     ctx
   (** [jobs] worker lanes solve the Eq.(3) sweep rounds; each lane > 0
@@ -543,12 +509,12 @@ module Engine_sat : sig
       frame), counterexamples pooled and replayed bit-parallel. *)
 
   val refine_once : ctx -> Partition.t -> bool
-  (** Equation (3) batched: the suspect classes of a round are frozen
-      into snapshot tasks, solved across the pool's lanes (one staged
-      disjunctive solve each, on the lane's private solver), and the
-      outcomes merged serially in ascending class order — pooled
-      counterexamples, dirty-class scheduling and the trust/strict
-      confirmation protocol.  The fixed point reached is
+  (** Equation (3) batched: the classes not proven at the current
+      version are frozen into snapshot tasks, solved across the pool's
+      lanes (one staged disjunctive solve each, on the lane's private
+      solver), and the outcomes merged serially in ascending class order
+      with pooled counterexamples; [true] when a class split, [false] at
+      the fixed point.  The fixed point reached is
       schedule-independent: the same for every worker count as for the
       sequential sweep (property-tested).  Budgets are enforced {e per
       class solve}: every lane reserves a slot in the shared atomic call
@@ -752,10 +718,10 @@ module Verify : sig
             point, verdict and final partition equal the plain sweeps'
             at the same depth (property-tested). *)
     use_analysis : bool;
-        (** Static-analysis steering (default false): the engines run the
-            zero-cost PI-support prefilter before every pass, and
-            {!portfolio} pre-reduces the circuits and picks its k = 1
-            engine by the shape metrics ({!Analysis.Steer.bdd_first}). *)
+        (** Static-analysis steering (default false): the run verifies
+            the FRAIG-reduced pair ({!prereduces}), and {!portfolio}
+            picks its k = 1 engine by the shape metrics
+            ({!Analysis.Steer.bdd_first}). *)
     use_fundep : bool;
     use_retime : bool;
     max_retime_rounds : int;
@@ -846,11 +812,13 @@ module Verify : sig
 
   val prereduces : options -> bool
   (** Will this run verify the FRAIG-reduced pair instead of the circuits
-      as given?  True when speculation and the analysis layer are both on
-      for a non-resumed run: both sides are pre-reduced once
+      as given?  True exactly when [use_analysis] is on: both sides are
+      pre-reduced once by {!Analysis.Reduce.run} under [seed]
       (semantics-preserving, so verdicts and witness traces carry back to
-      the originals), the transform the portfolio applies.  Certificate
-      emitters must record it so checking can replay the reduction. *)
+      the originals).  Every relation file the run writes binds the
+      circuits as given: a resumed run re-applies the reduction before
+      it validates and replays the checkpoint, and certificate emitters
+      must record it so checking can replay it too. *)
 
   val run_with_relation :
     ?options:options -> Aig.t -> Aig.t -> verdict * Product.t * Partition.t option
@@ -899,10 +867,9 @@ module Verify : sig
       With [deadline_seconds] set, the remaining wall clock is split
       evenly over the remaining rungs.
 
-      With [use_analysis] set, both circuits are first reduced by
-      {!Analysis.Reduce.run} (semantics-preserving, so verdicts and
-      traces carry back to the originals; skipped when resuming), and
-      the k = 1 engine is the one {!Analysis.Steer.bdd_first} picks. *)
+      With [use_analysis] set, both circuits are reduced once for all
+      rungs ({!prereduces}), and the k = 1 engine is the one
+      {!Analysis.Steer.bdd_first} picks. *)
 end
 
 (** {1 Convenience} *)

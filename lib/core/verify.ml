@@ -53,10 +53,9 @@ type options = {
          the same greatest fixed point as the plain sweeps at
          [effective_induction] (see specreduce.ml). *)
   use_analysis : bool;
-      (* static-analysis steering: semantics-preserving pre-reduction (in
-         {!portfolio}, when not resuming), the zero-cost PI-support
-         prefilter inside both engines, and the portfolio's k = 1 engine
-         picked by the shape metrics *)
+      (* static-analysis steering: verify the FRAIG-reduced pair (see
+         [prereduces]), and the portfolio's k = 1 engine picked by the
+         shape metrics *)
   use_fundep : bool;
   use_retime : bool;
   max_retime_rounds : int;
@@ -170,18 +169,17 @@ let relation_of ~options ~spec_digest ~impl_digest ~retime_rounds product partit
   }
 
 (* Does this run verify the FRAIG-reduced pair instead of the circuits as
-   given?  Speculation combined with the analysis layer pre-reduces both
-   sides once (semantics-preserving: PIs and POs are preserved exactly,
-   so verdicts and witness traces carry back to the originals verbatim) —
-   the same transform the portfolio applies, which is what lets a single
-   engine configuration close pairs whose unreduced product has spurious
-   unreachable-state counterexamples (dead latches widen the induction
-   hypothesis space).  Skipped when resuming: checkpoint fingerprints
-   bind to the circuits as given.  Certificates emitted from such a run
-   record the reduction (see Cert.Certificate), so they still check
-   against the original circuit files. *)
-let prereduces options =
-  options.use_speculation && options.use_analysis && options.resume = None
+   given?  The analysis layer pre-reduces both sides once
+   (semantics-preserving: PIs and POs are preserved exactly, so verdicts
+   and witness traces carry back to the originals verbatim), which is
+   what lets a single engine configuration close pairs whose unreduced
+   product has spurious unreachable-state counterexamples (dead latches
+   widen the induction hypothesis space).  The reduction is a
+   deterministic function of the circuit and the seed, so every relation
+   file a run writes binds the circuits as given: a resumed run re-applies
+   it before replaying the checkpoint, and a certificate records it (see
+   Cert.Certificate), so checking replays it on the original files. *)
+let prereduces options = options.use_analysis
 
 (* Rung label for progress streaming and portfolio displays. *)
 let rung_label options =
@@ -274,12 +272,11 @@ let latch_order_from_outputs product =
    exact engine is always this sweep, with the BDD screen of
    {!Specreduce} in front of every sweep: each iteration proves the
    classes the screen settles at the partition's current version, and the
-   sweep (whose strict pass re-proves every class at the version it ends
-   on) takes the rest. *)
+   sweep takes the rest. *)
 let sat_engine (options : options) deadline product =
   let ctx =
     Engine_sat.make ~max_sat_calls:options.max_sat_calls ~k:(effective_induction options)
-      ~jobs:options.jobs ~deadline ~static_filter:options.use_analysis product
+      ~jobs:options.jobs ~deadline product
   in
   let screen =
     if not options.use_speculation then None
@@ -316,7 +313,7 @@ let make_engine ~count (options : options) deadline product =
        cone size was measured on the suite and blows the lfsr16 peak up
        10x — depth-sorted sides lose the cross-side adjacency the
        interleave provides.  Analysis still shapes the BDD run through the
-       pre-reduced circuits and the static prefilter. *)
+       pre-reduced circuits. *)
     let latch_order = latch_order_from_outputs product in
     let care_of =
       if not options.use_reach_dontcare then None
@@ -340,8 +337,8 @@ let make_engine ~count (options : options) deadline product =
        so when the node budget runs out, the partition reached is a sound
        start for the SAT sweep at k = 1, exactly as a checkpoint resume
        is.  The BDD counters and pending pattern lanes carry over and the
-       manager is dropped; the run still ends only on the SAT sweep's
-       strict pass.  [Partition.refine_class] and [refine_by_key] commit
+       manager is dropped; the run still ends only on a SAT sweep that
+       splits nothing.  [Partition.refine_class] and [refine_by_key] commit
        whole classes, so an abort mid-sweep leaves a consistent
        partition.  A node budget that runs out while the engine is built
        hands over before the first step, with the peak the build reached.
@@ -351,8 +348,7 @@ let make_engine ~count (options : options) deadline product =
       ref
         (match
            Engine_bdd.make ~use_fundep:options.use_fundep ~latch_order ?care_of
-             ~node_limit:options.node_limit ~deadline ~static_filter:options.use_analysis
-             product
+             ~node_limit:options.node_limit ~deadline product
          with
         | ctx ->
           {
@@ -561,10 +557,9 @@ let add_phase phases (name, dt) =
   | Some t -> (name, t +. dt) :: List.remove_assoc name phases
   | None -> phases @ [ (name, dt) ]
 
-(* Full entry point: the verdict plus, when a fixed point was computed,
-   the product machine and the final correspondence relation — the
-   checker's certificate ("show your work"). *)
-let run_with_relation ?(options = default_options) spec impl =
+(* The retired baselines and an induction depth past the bound are
+   refused before any circuit work. *)
+let check_options options =
   if not options.use_batched_sweeps then
     invalid_arg "Verify: use_batched_sweeps = false (the pairwise scans are gone)";
   if not options.use_incremental then
@@ -572,20 +567,26 @@ let run_with_relation ?(options = default_options) spec impl =
   if options.sat_unroll > max_induction then
     invalid_arg
       (Printf.sprintf "Verify: sat_unroll %d exceeds the induction bound %d" options.sat_unroll
-         max_induction);
-  (* preflight: refuse to spend BDD/SAT effort on structurally broken
-     circuits — every error-level lint finding is reported at once
-     (raises [Lint.Rejected] with the rendered report) *)
+         max_induction)
+
+(* Preflight the pair as given, then return the pair a run under
+   [options] verifies: preflight refuses to spend BDD/SAT effort on
+   structurally broken circuits — every error-level lint finding is
+   reported at once (raises [Lint.Rejected] with the rendered report). *)
+let admit options spec impl =
   if options.preflight then begin
     Lint.preflight_aig ~subject:"specification" spec;
     Lint.preflight_aig ~subject:"implementation" impl
   end;
-  let spec, impl =
-    if prereduces options then
-      ( fst (Analysis.Reduce.run ~seed:options.seed spec),
-        fst (Analysis.Reduce.run ~seed:options.seed impl) )
-    else (spec, impl)
-  in
+  if prereduces options then
+    ( fst (Analysis.Reduce.run ~seed:options.seed spec),
+      fst (Analysis.Reduce.run ~seed:options.seed impl) )
+  else (spec, impl)
+
+(* The run proper, on the pair [spec], [impl] that {!admit} returned for
+   the pair [given] as supplied: checkpoints, like certificates, bind
+   [given], so a resumed run re-applies the same reduction first. *)
+let verify_pair ~options ~given:(given_spec, given_impl) spec impl =
   let start = Clock.now () in
   let deadline =
     let d = Deadline.make ~seconds:options.deadline_seconds in
@@ -597,7 +598,7 @@ let run_with_relation ?(options = default_options) spec impl =
   (match options.resume with
   | None -> ()
   | Some cp ->
-    Checkpoint.validate ~spec ~impl
+    Checkpoint.validate ~spec:given_spec ~impl:given_impl
       ~candidates:(candidates_string options)
       ~induction:(effective_induction options) ~seed:options.seed cp);
   let product = Product.make spec impl in
@@ -626,8 +627,8 @@ let run_with_relation ?(options = default_options) spec impl =
           p_engine = engine.label ();
         }
   in
-  let spec_digest = lazy (Relation.fingerprint spec) in
-  let impl_digest = lazy (Relation.fingerprint impl) in
+  let spec_digest = lazy (Relation.fingerprint given_spec) in
+  let impl_digest = lazy (Relation.fingerprint given_impl) in
   let mk_stats partition =
     {
       !acc with
@@ -839,6 +840,14 @@ let run_with_relation ?(options = default_options) spec impl =
     in
     round start_round
 
+(* Full entry point: the verdict plus, when a fixed point was computed,
+   the product machine and the final correspondence relation — the
+   checker's certificate ("show your work"). *)
+let run_with_relation ?(options = default_options) spec impl =
+  check_options options;
+  let spec', impl' = admit options spec impl in
+  verify_pair ~options ~given:(spec, impl) spec' impl'
+
 let run ?options spec impl =
   let verdict, _, _ = run_with_relation ?options spec impl in
   verdict
@@ -912,30 +921,22 @@ let pp_relation ppf (product, partition) =
    With a deadline set, the remaining wall clock is split evenly over the
    remaining rungs.
 
-   With [use_analysis] set, both circuits are pre-reduced once
-   (semantics-preserving, so verdicts and traces carry back to the
-   originals; skipped when resuming, because checkpoint fingerprints bind
-   to the circuits as given), and the k = 1 engine is the one
+   With [use_analysis] set, both circuits are pre-reduced once for every
+   rung ({!admit}), and the k = 1 engine is the one
    {!Analysis.Steer.bdd_first} picks from the shape metrics. *)
 let portfolio ?(options = default_options) ?(max_unroll = 3) spec impl =
-  let spec, impl, k1_engine =
-    if not options.use_analysis then (spec, impl, options.engine)
+  let given = (spec, impl) in
+  let spec, impl = admit options spec impl in
+  let k1_engine =
+    if not options.use_analysis then options.engine
     else begin
-      let spec, impl =
-        match options.resume with
-        | Some _ -> (spec, impl)
-        | None ->
-          let spec', _ = Analysis.Reduce.run ~seed:options.seed spec in
-          let impl', _ = Analysis.Reduce.run ~seed:options.seed impl in
-          (spec', impl')
-      in
       let ms = Analysis.Metrics.summary spec and mi = Analysis.Metrics.summary impl in
       let bdd_first =
         Analysis.Steer.bdd_first
           ~product_latches:(ms.Analysis.Metrics.latches + mi.Analysis.Metrics.latches)
           ~levels:(max ms.Analysis.Metrics.levels mi.Analysis.Metrics.levels)
       in
-      (spec, impl, if bdd_first then Bdd_engine else Sat_engine)
+      if bdd_first then Bdd_engine else Sat_engine
     end
   in
   let rungs = max 1 max_unroll in
@@ -974,7 +975,8 @@ let portfolio ?(options = default_options) ?(max_unroll = 3) spec impl =
           (if timed then max 0.001 (remaining () /. float_of_int (rungs - k + 1)) else 0.0);
       }
     in
-    let verdict = run ~options:opts spec impl in
+    check_options opts;
+    let verdict, _, _ = verify_pair ~options:opts ~given spec impl in
     let total = add_rung earlier (verdict_stats verdict) in
     match verdict with
     | Unknown _ when k < rungs && ((not timed) || remaining () > 0.001) -> rung (k + 1) total

@@ -1,4 +1,3 @@
-(* Public API of the combinational-equivalence library; see engines.mli. *)
+(* Public API of the AIG-to-BDD library; see engines.mli. *)
 
 module Aig_bdd = Aig_bdd
-module Cec = Cec

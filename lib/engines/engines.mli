@@ -1,4 +1,4 @@
-(** Combinational equivalence checking — the "state-of-the-art
+(** Combinational functions of AIG nodes as BDDs — the "state-of-the-art
     combinational verification techniques" the paper's method lifts to
     sequential circuits. *)
 
@@ -22,40 +22,4 @@ module Aig_bdd : sig
       choice serves combinational checking (latches free), traversal
       (latches = state variables) and the frames of signal correspondence
       (latches = initial constants or next-state functions). *)
-end
-
-(** Equivalence of two combinational(ly viewed) AIGs: latch outputs are
-    treated as free inputs, so [Equivalent] means equal in every state. *)
-module Cec : sig
-  type engine = [ `Bdd | `Sat | `Hybrid ]
-
-  type counterexample = { cex_pis : bool array; cex_latches : bool array }
-
-  type verdict = Equivalent | Different of counterexample
-
-  val interface_compatible : Aig.t -> Aig.t -> bool
-
-  val check : ?engine:engine -> Aig.t -> Aig.t -> verdict
-  (** Compare all outputs (paired by name).  [`Hybrid] simulates first and
-      only calls SAT on simulation-indistinguishable pairs.
-      @raise Invalid_argument on interface or output-name mismatch. *)
-
-  val check_bdd : Aig.t -> Aig.t -> verdict
-  val check_sat : Aig.t -> Aig.t -> verdict
-  val check_hybrid : ?seed:int -> ?n_words:int -> Aig.t -> Aig.t -> verdict
-
-  val confirm_counterexample : Aig.t -> Aig.t -> counterexample -> bool
-  (** Validate a counterexample by simulation. *)
-
-  (** Reusable SAT context for repeated pair queries. *)
-  type sat_ctx = {
-    solver : Sat.t;
-    pi_vars : int array;
-    latch_vars : int array;
-    lit1 : int -> Sat.Lit.t;
-    lit2 : int -> Sat.Lit.t;
-  }
-
-  val make_sat_ctx : Aig.t -> Aig.t -> sat_ctx
-  val sat_lits_equal : sat_ctx -> Sat.Lit.t -> Sat.Lit.t -> counterexample option
 end

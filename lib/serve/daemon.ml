@@ -176,9 +176,10 @@ let run_job d job =
   in
   if proceed then begin
     (* warm start: the cache probe only serves the direct methods — the
-       portfolio's rungs run at several depths on pre-reduced circuits,
-       while a stored checkpoint binds to one depth and to the circuits
-       as given *)
+       portfolio's rungs run at several depths, while a stored checkpoint
+       binds to one.  Checkpoints bind the circuits as given, and a
+       resumed analysis run re-applies its pre-reduction, so analysis
+       jobs warm-start too *)
     let warm =
       if job.opts.meth = "auto" then None
       else

@@ -1,8 +1,7 @@
 (* Static-analysis layer tests: shape metrics, diagnostics, the
-   PI-support candidate prefilter (including that it can never split a
-   truly equivalent pair of the suite's fixed points), the structural
-   reduction's semantics preservation / idempotence / proof obligations,
-   the engine-steering policy, and the analysis-backed lint rules. *)
+   structural reduction's semantics preservation / idempotence / proof
+   obligations, the engine-steering policy, and the analysis-backed lint
+   rules. *)
 
 let small_aig seed =
   let c = Test_util.random_circuit ~n_inputs:3 ~n_latches:4 ~n_gates:18 seed in
@@ -64,96 +63,6 @@ let test_diag_findings () =
   Alcotest.(check (list int)) "unobservable latch" [ 0 ]
     d.Analysis.Diag.unobservable_latches;
   Alcotest.(check int) "constant po" 1 (List.length d.Analysis.Diag.constant_pos)
-
-(* --- prefilter --------------------------------------------------------------- *)
-
-let test_prefilter_supports () =
-  let t, nx, ny, nq, ng = mk_small () in
-  let s = Scorr.Support.make t in
-  Alcotest.(check bool) "x vs y disjoint" false (Scorr.Support.pi_compatible s nx ny);
-  Alcotest.(check bool) "x vs g share x" true (Scorr.Support.pi_compatible s nx ng);
-  (* q's support closes through its next-state function g *)
-  Alcotest.(check bool) "q vs x share x" true (Scorr.Support.pi_compatible s nq nx);
-  (* an empty support stays compatible: constants can equal anything *)
-  Alcotest.(check bool) "const vs x compatible" true (Scorr.Support.pi_compatible s 0 nx);
-  Alcotest.(check bool) "const vs y compatible" true (Scorr.Support.pi_compatible s 0 ny)
-
-(* The engine-side prefilter splits a class whose members have disjoint
-   non-empty PI supports — zero solver calls. *)
-let test_prefilter_class_fires () =
-  let t, nx, ny, _, _ = mk_small () in
-  let sup = Scorr.Support.make t in
-  let part =
-    Scorr.Partition.create ~n_nodes:(Aig.num_nodes t) ~candidates:[ nx; ny ]
-      ~pol:(Array.make (Aig.num_nodes t) false)
-  in
-  Alcotest.(check bool) "splits" true (Scorr.Support.prefilter_class sup part 0);
-  Alcotest.(check int) "singleton classes"
-    0
-    (List.length (Scorr.Partition.multi_member_classes part))
-
-(* On every suite fixed point the final multi-member classes hold only
-   truly equivalent signals, so the static prefilter must consider all of
-   them compatible: a split there would break a real equivalence. *)
-let test_prefilter_never_splits_suite_fixed_point () =
-  List.iter
-    (fun name ->
-      let spec = suite_aig name in
-      let impl =
-        Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed:11 spec
-      in
-      match Scorr.Verify.run_with_relation spec impl with
-      | _, product, Some partition ->
-        let sup = Scorr.Support.make product.Scorr.Product.aig in
-        List.iter
-          (fun cls ->
-            match Scorr.Partition.members partition cls with
-            | [] | [ _ ] -> ()
-            | rep :: rest ->
-              List.iter
-                (fun m ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s: class %d members pi-compatible" name cls)
-                    true
-                    (Scorr.Support.pi_compatible sup rep m))
-                rest)
-          (Scorr.Partition.multi_member_classes partition)
-      | _, _, None -> Alcotest.fail (name ^ ": no relation computed"))
-    [ "ctr8"; "gray12"; "mod10"; "traffic"; "arb4" ]
-
-(* Same fixed point with and without the static prefilter in the loop:
-   verdict and equivalence percentage must match exactly, on both
-   engines. *)
-let prop_prefilter_preserves_fixed_point =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"prefilter preserves the fixed point" ~count:10
-       QCheck.(int_range 0 100_000)
-       (fun seed ->
-         let a = small_aig seed in
-         let a' = Transform.Opt.rewrite ~seed a in
-         List.for_all
-           (fun engine ->
-             let opts use_analysis =
-               (* speculation pinned off: with it on, the analysis arm
-                  would additionally FRAIG-reduce the pair (Verify.
-                  prereduces) and the partitions would live over
-                  different products *)
-               { Scorr.default_options with
-                 Scorr.Verify.engine;
-                 use_analysis;
-                 use_speculation = false
-               }
-             in
-             let v0 = Scorr.check ~options:(opts false) a a' in
-             let v1 = Scorr.check ~options:(opts true) a a' in
-             let s0 = Scorr.verdict_stats v0 and s1 = Scorr.verdict_stats v1 in
-             (match (v0, v1) with
-             | Scorr.Equivalent _, Scorr.Equivalent _
-             | Scorr.Not_equivalent _, Scorr.Not_equivalent _
-             | Scorr.Unknown _, Scorr.Unknown _ -> true
-             | _ -> false)
-             && s0.Scorr.Verify.eq_pct = s1.Scorr.Verify.eq_pct)
-           [ Scorr.Verify.Bdd_engine; Scorr.Verify.Sat_engine ]))
 
 (* --- reduction --------------------------------------------------------------- *)
 
@@ -299,11 +208,6 @@ let suite =
   [ Alcotest.test_case "metrics on a tiny aig" `Quick test_metrics_small;
     Alcotest.test_case "diagnostics clean" `Quick test_diag_clean;
     Alcotest.test_case "diagnostics findings" `Quick test_diag_findings;
-    Alcotest.test_case "prefilter supports" `Quick test_prefilter_supports;
-    Alcotest.test_case "prefilter splits disjoint class" `Quick test_prefilter_class_fires;
-    Alcotest.test_case "prefilter spares suite fixed points" `Quick
-      test_prefilter_never_splits_suite_fixed_point;
-    prop_prefilter_preserves_fixed_point;
     prop_reduce_preserves_semantics;
     prop_reduce_idempotent;
     prop_reduced_verdict_agrees;

@@ -302,6 +302,50 @@ let prop_resume_reaches_same_fixed_point =
              (Scorr.Verify.Sat_engine, 4);
            ]))
 
+(* A pre-reduced run (analysis on) verifies the FRAIG-reduced pair, but
+   the checkpoints it writes bind the circuits as given, like its
+   certificates: the resumed run re-applies the same seeded reduction
+   before it validates and replays the file, and reaches the
+   uninterrupted run's fixed point. *)
+let test_prereduced_resume () =
+  let spec, impl = suite_pair () in
+  let path = temp_path () in
+  let options =
+    {
+      Scorr.default_options with
+      Scorr.Verify.engine = Scorr.Verify.Sat_engine;
+      sat_unroll = 2;
+      use_analysis = true;
+      use_speculation = true;
+      jobs = 1;
+    }
+  in
+  (match
+     Scorr.Verify.run_with_relation
+       ~options:{ options with Scorr.Verify.max_iterations = 2; checkpoint_path = Some path }
+       spec impl
+   with
+  | Scorr.Unknown { exhausted = Some "iterations"; _ }, _, _ -> ()
+  | _ -> Alcotest.fail "expected an iteration-budget Unknown");
+  let cp = Scorr.Checkpoint.parse_file path in
+  Sys.remove path;
+  let r = cp.Scorr.Checkpoint.relation in
+  Alcotest.(check string) "binds the specification as given" (Scorr.Relation.fingerprint spec)
+    r.Scorr.Relation.spec_digest;
+  Alcotest.(check string) "binds the implementation as given" (Scorr.Relation.fingerprint impl)
+    r.Scorr.Relation.impl_digest;
+  let v1, _, p1 = Scorr.Verify.run_with_relation ~options spec impl in
+  let v2, _, p2 =
+    Scorr.Verify.run_with_relation ~options:{ options with Scorr.Verify.resume = Some cp } spec
+      impl
+  in
+  Alcotest.(check string) "verdict" "equivalent" (verdict_label v2);
+  Alcotest.(check string) "same verdict" (verdict_label v1) (verdict_label v2);
+  Alcotest.(check (float 1e-9)) "eq_pct" (Scorr.verdict_stats v1).Scorr.Verify.eq_pct
+    (Scorr.verdict_stats v2).Scorr.Verify.eq_pct;
+  Alcotest.(check bool) "same classes" true
+    (Option.map normalized_classes p1 = Option.map normalized_classes p2)
+
 (* --- resuming from a certificate ------------------------------------------------ *)
 
 let retimed_pair name =
@@ -371,6 +415,7 @@ let suite =
       test_deadline_abort_checkpoints;
     Alcotest.test_case "periodic checkpoints are well-formed" `Quick
       test_periodic_checkpoint;
+    Alcotest.test_case "pre-reduced runs resume" `Quick test_prereduced_resume;
     Alcotest.test_case "resume from a certificate" `Quick test_resume_from_certificate;
     Alcotest.test_case "certificate resume checks polarity" `Quick
       test_certificate_resume_checks_polarity;

@@ -61,53 +61,21 @@ let test_multi_member_classes () =
   let multi = Scorr.Partition.multi_member_classes p in
   Alcotest.(check int) "one multi class" 1 (List.length multi)
 
+(* The version is what marks class proofs stale: one bump per refinement
+   event that splits, none for an event that splits nothing. *)
 let test_version_dirty_tracking () =
   let p = mk_partition [ 1; 2; 3; 4; 5 ] in
   Alcotest.(check int) "initial version" 0 (Scorr.Partition.version p);
-  Alcotest.(check int) "initial touch" 0 (Scorr.Partition.touched_version p 0);
-  (* a refinement that splits nothing must not bump the version *)
   ignore (Scorr.Partition.refine_by_key p (fun _ -> 0));
   Alcotest.(check int) "no-split keeps version" 0 (Scorr.Partition.version p);
-  ignore (Scorr.Partition.refine_by_key p (fun id -> id mod 2));
-  Alcotest.(check int) "split bumps version once" 1 (Scorr.Partition.version p);
-  Alcotest.(check int) "old class touched" 1 (Scorr.Partition.touched_version p 0);
-  Alcotest.(check int) "new class touched" 1 (Scorr.Partition.touched_version p 1);
-  (* the journal records exactly the members that left class 0 *)
-  (match Scorr.Partition.moved_since p 0 with
-  | None -> Alcotest.fail "journal unexpectedly truncated"
-  | Some moved ->
-    Alcotest.(check (list int)) "moved nodes" [ 2; 4 ] (List.sort compare moved));
-  Alcotest.(check (option (list int)))
-    "nothing since current version" (Some [])
-    (Scorr.Partition.moved_since p 1);
-  (* second event: shatter class 0 = {1;3;5}; class 1 stays untouched *)
-  let changed = Scorr.Partition.refine_class p 0 ~equal:(fun a b -> a = b) in
-  Alcotest.(check bool) "refine_class splits" true changed;
-  Alcotest.(check int) "second event" 2 (Scorr.Partition.version p);
-  Alcotest.(check int) "class 1 untouched by second event" 1
-    (Scorr.Partition.touched_version p 1);
-  (match Scorr.Partition.moved_since p 1 with
-  | None -> Alcotest.fail "journal unexpectedly truncated"
-  | Some moved ->
-    Alcotest.(check (list int)) "second-event moves" [ 3; 5 ] (List.sort compare moved));
-  match Scorr.Partition.moved_since p 0 with
-  | None -> Alcotest.fail "journal unexpectedly truncated"
-  | Some moved ->
-    Alcotest.(check (list int)) "all moves" [ 2; 3; 4; 5 ] (List.sort compare moved)
-
-let test_moved_since_limit () =
-  (* long journals report [None]: the caller must fall back to assuming
-     every class is dirty rather than scanning an unbounded list *)
-  let candidates = List.init 40 (fun i -> i) in
-  let p = mk_partition ~n:64 candidates in
-  ignore (Scorr.Partition.refine_by_key p (fun id -> id));
-  Alcotest.(check (option (list int)))
-    "over limit" None
-    (Scorr.Partition.moved_since ~limit:10 p 0);
-  match Scorr.Partition.moved_since ~limit:64 p 0 with
-  | None -> Alcotest.fail "within limit"
-  | Some moved ->
-    Alcotest.(check int) "all but the representative moved" 39 (List.length moved)
+  ignore (Scorr.Partition.refine_by_key p (fun id -> id mod 3));
+  Alcotest.(check int) "a split creating two classes bumps once" 1 (Scorr.Partition.version p);
+  Alcotest.(check bool) "refine_class without a split" false
+    (Scorr.Partition.refine_class p 0 ~equal:(fun _ _ -> true));
+  Alcotest.(check int) "unchanged by it" 1 (Scorr.Partition.version p);
+  Alcotest.(check bool) "refine_class splits" true
+    (Scorr.Partition.refine_class p 0 ~equal:(fun a b -> a = b));
+  Alcotest.(check int) "second event" 2 (Scorr.Partition.version p)
 
 let prop_refinement_invariants =
   QCheck_alcotest.to_alcotest
@@ -148,7 +116,6 @@ let suite =
     Alcotest.test_case "constraint pairs" `Quick test_constraint_pairs;
     Alcotest.test_case "multi member classes" `Quick test_multi_member_classes;
     Alcotest.test_case "version and dirty tracking" `Quick test_version_dirty_tracking;
-    Alcotest.test_case "moved_since journal limit" `Quick test_moved_since_limit;
     prop_refinement_invariants;
   ]
 

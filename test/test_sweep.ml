@@ -1,7 +1,7 @@
-(* Unit tests of the sweep protocol's suspect selection: which classes a
-   trusting and a strict round re-examine after a class was proven, and
-   that classes marked by another prover behave like the engine's own
-   proofs. *)
+(* Unit tests of the sweep protocol's one skip rule: a class proven at
+   the current partition version is skipped, and after any split it is
+   checked again, wherever the split fell; classes marked by another
+   prover behave like the engine's own proofs. *)
 
 (* PIs x, y; latches p1, p2 fed by x and r1, r2, r3 fed by y; gates
    g1 = x & p1, g2 = x & p2, h = x & ~p1.  Three classes: A = {p1, p2},
@@ -36,34 +36,32 @@ let split_off p node =
   let cls = Scorr.Partition.class_of p node in
   ignore (Scorr.Partition.refine_class p cls ~equal:(fun a b -> (a = node) = (b = node)))
 
-let selected sweep p ~trust cls =
-  Array.mem cls (Scorr.Sweep.select sweep p ~trust Option.some)
+let selected sweep p cls = Array.mem cls (Scorr.Sweep.select sweep p Option.some)
 
 let check_protocol name prove =
   let t, p, a, r3, h, g2 = mk () in
   let sweep = Scorr.Sweep.create t in
-  let check what expected ~trust =
-    Alcotest.(check bool) (name ^ ": " ^ what) expected (selected sweep p ~trust a)
+  let check what expected =
+    Alcotest.(check bool) (name ^ ": " ^ what) expected (selected sweep p a)
   in
-  check "an unproved class is selected" true ~trust:true;
+  check "an unproved class is selected" true;
   prove sweep p a;
-  check "proved at the current version: skipped when trusting" false ~trust:true;
-  check "proved at the current version: skipped when strict" false ~trust:false;
+  check "proved at the current version: skipped" false;
+  check "still skipped while the version stands" false;
   split_off p r3;
-  check "split outside the cone: skipped when trusting" false ~trust:true;
-  check "split outside the cone: re-examined when strict" true ~trust:false;
-  split_off p h;
-  check "split inside the cone: re-examined when trusting" true ~trust:true;
-  (* a fresh proof at the new version holds until the next split inside *)
+  check "split outside the cone: re-examined" true;
   prove sweep p a;
-  check "proved again: skipped" false ~trust:true;
+  check "proved again: skipped" false;
+  split_off p h;
+  check "split inside the cone: re-examined" true;
+  prove sweep p a;
   split_off p g2;
-  check "second split inside the cone: re-examined" true ~trust:true;
+  check "second split inside the cone: re-examined" true;
   (* every skip above counts one cache hit; B and C, never proved, are
      never skipped *)
   Alcotest.(check int)
     (name ^ ": cache hits")
-    4
+    3
     (Scorr.Sweep.harvest sweep).Scorr.Counters.cache_hits
 
 let test_engine_proofs () =

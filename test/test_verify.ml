@@ -351,11 +351,12 @@ let test_progress_labels_follow_handoff () =
 (* ctr16 and lfsr16 against their retime+opt seed-1 implementations at the
    default options (engine, jobs and speculation pinned, so the CI legs
    that override them through the environment run the same fixed point).
-   The counts were recorded when the sweep still compared class members by
-   building each member's nu /\ Q as a hash-consed key; the node-free
-   implication test must leave the work itself unchanged: the same
-   iterations, batched class scans and stability-cache hits, and a peak
-   node count no higher than the recorded one. *)
+   The counts were recorded when every sweep became one pass over the
+   classes not proven at the current version (no class proof survives a
+   split, so the BDD sweep never skips a class); a change to the sweep
+   must leave the work itself unchanged: the same iterations, batched
+   class scans and stability-cache hits, and a peak node count no higher
+   than the recorded one. *)
 let test_bdd_fixpoint_work_pinned () =
   List.iter
     (fun (name, iterations, batched, cache_hits, peak) ->
@@ -377,7 +378,7 @@ let test_bdd_fixpoint_work_pinned () =
           (Printf.sprintf "%s peak %d within %d" name s.peak_bdd_nodes peak)
           true (s.peak_bdd_nodes <= peak)
       | _ -> Alcotest.failf "%s: expected Equivalent" name)
-    [ ("ctr16", 67, 3722, 110, 238_421); ("lfsr16", 3, 207, 75, 357_384) ]
+    [ ("ctr16", 67, 3741, 0, 238_421); ("lfsr16", 3, 207, 0, 357_384) ]
 
 (* --- the SAT engine's fixed-point work, pinned ---------------------------- *)
 
@@ -385,9 +386,10 @@ let test_bdd_fixpoint_work_pinned () =
    analysis layer and the speculation screen (which also pre-reduces the
    pair).  Jobs and speculation are pinned, so the CI legs that override
    them through the environment run the same fixed point.  The counts
-   were recorded before the sweep protocol (pool, prefilter, suspect
-   selection, trusting-then-strict policy) moved out of the engines into
-   [Sweep]; the move must leave every figure of the work unchanged. *)
+   were recorded when every sweep became one pass over the classes not
+   proven at the current version; the cache hits left at k = 2 are the
+   classes the speculation screen proved at that version.  A change to
+   the sweep must leave every figure of the work unchanged. *)
 let test_sat_fixpoint_work_pinned () =
   let sat = { Scorr.default_options with Scorr.Verify.engine = Scorr.Verify.Sat_engine; jobs = 1 } in
   List.iter
@@ -411,8 +413,8 @@ let test_sat_fixpoint_work_pinned () =
              "k2 analysis speculate",
              { sat with sat_unroll = 2; use_analysis = true; use_speculation = true },
              k2 ) ])
-       [ ("ctr16", (73, 531, 114, 0, 3592, 531), (94, 362, 4087, 0, 265, 362));
-         ("lfsr16", (5, 180, 75, 0, 236, 180), (6, 158, 445, 0, 1, 158)) ])
+       [ ("ctr16", (73, 538, 0, 0, 3605, 538), (93, 359, 3934, 0, 273, 359));
+         ("lfsr16", (5, 180, 0, 0, 236, 180), (6, 158, 374, 0, 1, 158)) ])
 
 (* The parallel sweep on real circuits: ctr16 and gray12 put hundreds of
    class checks through every round, so lanes race on the shared task
