@@ -26,7 +26,9 @@ module Record = struct
     pool_lanes : int; (* counterexample patterns accumulated in the pool *)
     resim_splits : int; (* classes created by bit-parallel pattern replay *)
     batched_solves : int; (* one-per-class disjunctive solves / key scans *)
-    cache_hits : int; (* classes skipped by the stability (UNSAT) cache *)
+    cache_hits : int;
+        (* classes the speculation screen proved, and initial-refinement
+           checks already clean *)
     static_splits : int; (* always 0: the static prefilter is gone *)
     spec_rounds : int; (* speculative reductions screened (0 = speculation off) *)
     spec_merges : int; (* candidate members merged onto representatives, all rounds *)

@@ -8,9 +8,9 @@
    solve — so an abort lands within one class-solve of the expiry
    instead of one whole refinement round.
 
-   Expiry never raises here: callers test {!expired} and raise their own
-   budget exception, so the abort path stays uniform with the call-count
-   and node-count budgets.
+   Expiry never raises here: callers test {!expired} and raise
+   [Budget_exceeded] themselves, the one budget abort of a run, so the
+   abort path stays uniform with the call-count and node-count budgets.
 
    A deadline can also carry an {e external} cancellation flag — a shared
    atomic owned by someone outside the run, e.g. the serve daemon's
@@ -19,6 +19,11 @@
    only its own deadline, while a job-level cancel must reach every rung
    the job will ever start.  Each rung therefore builds a fresh deadline
    for its slice and attaches the same external flag to all of them. *)
+
+(* Raised by both engines, the speculation screen and Verify's own poll;
+   it names the budget: "deadline", "sat calls", "bdd nodes",
+   "iterations". *)
+exception Budget_exceeded of string
 
 type flag = bool Atomic.t
 

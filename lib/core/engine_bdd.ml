@@ -29,14 +29,15 @@ type ctx = {
   node_limit : int;
   deadline : Deadline.t; (* wall-clock budget, polled with every [note] *)
   mutable peak_nodes : int;
-  sweep : Sweep.t; (* pattern pool, stability cache and sweep counters *)
+  pool : Simpool.t; (* counterexample patterns, replayed bit-parallel *)
+  mutable batched : int; (* class scans performed *)
 }
 
 let note ctx =
-  if Deadline.expired ctx.deadline then raise (Sweep.Budget_exceeded "deadline");
+  if Deadline.expired ctx.deadline then raise (Deadline.Budget_exceeded "deadline");
   let live = Bdd.live_nodes ctx.m in
   if live > ctx.peak_nodes then ctx.peak_nodes <- live;
-  if live > ctx.node_limit then raise (Sweep.Budget_exceeded "bdd nodes")
+  if live > ctx.node_limit then raise (Deadline.Budget_exceeded "bdd nodes")
 
 (* [latch_order], when given, lists product latch indices in the order
    their state variables should be placed (correspondence candidates
@@ -78,14 +79,14 @@ let make ?(use_fundep = true) ?latch_order ?care_of ?(node_limit = max_int)
     let ctx =
       { p; m; n_pis; n_latches; x1; s; x2; cur; delta; ini; use_fundep;
         fn_size = Array.make (Aig.num_nodes aig) (-1); care;
-        node_limit; deadline; peak_nodes = 0; sweep = Sweep.create aig }
+        node_limit; deadline; peak_nodes = 0; pool = Simpool.create aig; batched = 0 }
     in
     note ctx;
     ctx
   in
   let aborted reason = raise (Build_exceeded { reason; live_nodes = Bdd.live_nodes m }) in
   try build () with
-  | Sweep.Budget_exceeded reason -> aborted reason
+  | Deadline.Budget_exceeded reason -> aborted reason
   | Bdd.Limit_exceeded -> aborted "bdd nodes"
 
 (* [note] samples the peak between operations; a run cut short by
@@ -93,8 +94,9 @@ let make ?(use_fundep = true) ?latch_order ?care_of ?(node_limit = max_int)
    left behind. *)
 let harvest ctx =
   {
-    (Sweep.harvest ctx.sweep) with
-    Counters.peak_bdd_nodes = max ctx.peak_nodes (Bdd.live_nodes ctx.m);
+    (Simpool.harvest ctx.pool) with
+    Counters.batched_solves = ctx.batched;
+    peak_bdd_nodes = max ctx.peak_nodes (Bdd.live_nodes ctx.m);
   }
 
 let norm ctx f pol = if pol then Bdd.mk_not ctx.m f else f
@@ -265,8 +267,8 @@ let counterexample_valuation ctx subst q nu_a nu_b =
   ( Array.init ctx.n_pis (fun i -> lookup ctx.x2.(i)),
     Array.init ctx.n_latches (fun i -> Bdd.eval m ctx.delta.(i) lookup) )
 
-(* One refinement iteration, a batched sweep: each class not proven at
-   the current version is scanned once.  Members a and b agree when
+(* One refinement iteration, a batched sweep: each multi-member class is
+   scanned once.  Members a and b agree when
    [Bdd.leq q (xnor nu_a nu_b)] — nu_a /\ Q = nu_b /\ Q, Equation (3) — a
    test that makes no node, so no member's conjunction with Q (a copy of
    Q, often thousands of nodes) is ever built.  A scan
@@ -274,25 +276,24 @@ let counterexample_valuation ctx subst q nu_a nu_b =
    counterexample of the first one that disagrees, or [None] when the
    class is stable.  Every class is scanned against the partition frozen
    at the round's start before any result is applied; the results are
-   then applied in ascending class order.  A stable class is proven at
-   the round's version.  A split class pools its counterexample (flushed
-   at the start of the next round, and when the buffer is full, so cheap
-   bit-parallel simulation pre-splits classes before any further BDD
-   work) and is regrouped by testing each member against one
-   representative per group ([Partition.refine_class]).  An empty Q ends
-   the round before any class is selected.  [true] when a class split;
-   [false] means every class is proven at the current version, the fixed
+   then applied in ascending class order.  A split class pools its
+   counterexample (flushed at the start of the next round, and when the
+   buffer is full, so cheap bit-parallel simulation pre-splits classes
+   before any further BDD work) and is regrouped by testing each member
+   against one representative per group ([Partition.refine_class]).
+   A stable class needs no record: a round that splits nothing is the
+   last, and any split starts a new Q for every class.  An empty Q ends
+   the round before any class is scanned.  [true] when a class split;
+   [false] means every class is stable under the current Q, the fixed
    point. *)
 let refine_once ctx partition =
-  let sw = ctx.sweep in
-  let splits = ref (Simpool.flush sw.Sweep.pool partition > 0) in
-  let vq = Partition.version partition in
+  let splits = ref (Simpool.flush ctx.pool partition > 0) in
   let subst = if ctx.use_fundep then fundep_subst ctx partition else None in
   let q = correspondence_condition ctx partition subst in
   if Bdd.is_false q then !splits
   else begin
     let nu_of = nu_builder ctx partition q subst in
-    let tasks = Sweep.select sw partition Option.some in
+    let tasks = Array.of_list (Partition.multi_member_classes partition) in
     let agree f g =
       let same = Bdd.equal f g || Bdd.leq ctx.m q (Bdd.mk_xnor ctx.m f g) in
       note ctx;
@@ -300,7 +301,7 @@ let refine_once ctx partition =
     in
     let scan cls =
       note ctx;
-      sw.batched <- sw.batched + 1;
+      ctx.batched <- ctx.batched + 1;
       let mems = Partition.members partition cls in
       let nu_rep = nu_of (List.hd mems) in
       match List.find_opt (fun id -> not (agree nu_rep (nu_of id))) mems with
@@ -312,9 +313,9 @@ let refine_once ctx partition =
       (fun i cex ->
         let cls = tasks.(i) in
         match cex with
-        | None -> Sweep.proved sw cls ~version:vq
+        | None -> ()
         | Some (pi, latch) ->
-          if Sweep.add_witness sw partition pi latch > 0 then splits := true;
+          if Simpool.add_witness ctx.pool partition pi latch > 0 then splits := true;
           if Partition.refine_class partition cls ~equal:(fun a b -> agree (nu_of a) (nu_of b))
           then splits := true)
       found;

@@ -27,10 +27,9 @@
      classes at once by one bit-parallel simulation pass when the lane
      buffer fills or a hit class is about to be re-solved;
 
-   - an UNSAT cache: a class proven stable at partition version V is
-     skipped while the version stands, and an UNSAT proof whose
-     failed-assumption core still holds transfers to a later version
-     without a solve; a sweep that splits nothing is the fixed point.
+   - failed-core transfer: an UNSAT proof whose failed-assumption core
+     still holds after a split re-proves its class without a solve; a
+     sweep that splits nothing is the fixed point.
 
    Eq.(3) sweeps are scheduled through a {!Parsweep} pool: the class
    checks of one round are independent given a frozen partition
@@ -44,10 +43,7 @@
    is the same for every worker count — only which lane found which
    witness varies.
 
-   The pattern pool and class selection are the BDD engine's too: they
-   live in {!Sweep}, and this engine keeps its lanes, the staged-OR class
-   solve and the failed-core transfer.  Lanes share no solver state: each
-   learns only from its own solves. *)
+   Lanes share no solver state: each learns only from its own solves. *)
 
 (* Private per-lane solving state: a full copy of the k+1-frame
    unrolling with its own selector tables and Q-assumption cache.  Lane
@@ -78,7 +74,11 @@ type ctx = {
          solves already in flight *)
   max_sat_calls : int;
   deadline : Deadline.t; (* wall-clock budget, polled per class solve *)
-  sweep : Sweep.t; (* pattern pool, UNSAT cache and sweep counters *)
+  pool : Simpool.t; (* counterexample patterns, replayed bit-parallel *)
+  mutable batched : int; (* staged class solves issued *)
+  mutable cache_hits : int;
+      (* classes the speculation screen proved, and initial-refinement
+         checks already clean *)
   pi_nodes : int array; (* PI node ids by input index *)
   init_clean : (int, int) Hashtbl.t; (* class -> frames proven clean from s0 *)
   sched : wstate Parsweep.t; (* persistent pool; lane 0 = primary solver *)
@@ -130,7 +130,9 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
     sat_calls = Atomic.make 0;
     max_sat_calls;
     deadline;
-    sweep = Sweep.create aig;
+    pool = Simpool.create aig;
+    batched = 0;
+    cache_hits = 0;
     pi_nodes = Array.of_list (Aig.pis aig);
     init_clean = Hashtbl.create 256;
     sched =
@@ -141,7 +143,7 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
   }
 
 let shutdown ctx = Parsweep.shutdown ctx.sched
-let sweep ctx = ctx.sweep
+let pool ctx = ctx.pool
 
 (* The context's run counters, read live from the primary pair plus
    every initialized worker lane (lane 0 aliases the primary solver and
@@ -155,8 +157,10 @@ let harvest ctx =
   let solvers = ctx.solver :: ctx.solver0 :: lane_solvers in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 solvers in
   {
-    (Counters.combine (Sweep.harvest ctx.sweep) (Parsweep.harvest ctx.sched)) with
-    Counters.sat_calls = Atomic.get ctx.sat_calls;
+    (Counters.combine (Simpool.harvest ctx.pool) (Parsweep.harvest ctx.sched)) with
+    Counters.batched_solves = ctx.batched;
+    cache_hits = ctx.cache_hits;
+    sat_calls = Atomic.get ctx.sat_calls;
     conflicts = sum Sat.num_conflicts;
     propagations = sum Sat.num_propagations;
     restarts = sum Sat.num_restarts;
@@ -197,17 +201,17 @@ let difference_selector solver table key a b =
    lane aborts at its next class solve.  A refused reservation is
    backed out so [sat_calls] keeps counting solves actually issued. *)
 let check_budget ctx =
-  if Deadline.expired ctx.deadline then raise (Sweep.Budget_exceeded "deadline");
+  if Deadline.expired ctx.deadline then raise (Deadline.Budget_exceeded "deadline");
   if Atomic.fetch_and_add ctx.sat_calls 1 >= ctx.max_sat_calls then begin
     Atomic.decr ctx.sat_calls;
-    raise (Sweep.Budget_exceeded "sat calls")
+    raise (Deadline.Budget_exceeded "sat calls")
   end
 
 (* Pack the model's valuation of one frame (its state and inputs) into the
    pattern pool; a later flush replays it against every class at once. *)
 let pool_model ctx solver lit_of =
   let aig = ctx.p.Product.aig in
-  Simpool.add ctx.sweep.Sweep.pool
+  Simpool.add ctx.pool
     ~pi:(fun i -> Sat.value_lit solver (lit_of (Aig.lit_of_node ctx.pi_nodes.(i))))
     ~latch:(fun i ->
       Sat.value_lit solver (lit_of (Aig.lit_of_node (Aig.latch_node aig i))))
@@ -224,7 +228,6 @@ let pool_model ctx solver lit_of =
    initialized solver, and the guard is {!Sat.release}d after the
    answer. *)
 let refine_initial ctx partition =
-  let sw = ctx.sweep in
   let progress = ref true in
   while !progress do
     progress := false;
@@ -233,7 +236,7 @@ let refine_initial ctx partition =
         let clean =
           match Hashtbl.find_opt ctx.init_clean cls with Some f -> f | None -> 0
         in
-        if clean >= ctx.k then sw.cache_hits <- sw.cache_hits + 1
+        if clean >= ctx.k then ctx.cache_hits <- ctx.cache_hits + 1
         else begin
           let rec frames frame =
             if frame < ctx.k then begin
@@ -256,7 +259,7 @@ let refine_initial ctx partition =
                   frames (frame + 1)
                 | diffs ->
                   check_budget ctx;
-                  sw.batched <- sw.batched + 1;
+                  ctx.batched <- ctx.batched + 1;
                   ignore
                     (Atomic.fetch_and_add ctx.reused_clauses (Sat.num_clauses ctx.solver0));
                   let dsels =
@@ -285,13 +288,13 @@ let refine_initial ctx partition =
                        splits the witnessed pair, so the next pass makes
                        progress here *)
                     progress := true;
-                    if Simpool.is_full sw.pool then ignore (Simpool.flush sw.pool partition)))
+                    if Simpool.is_full ctx.pool then ignore (Simpool.flush ctx.pool partition)))
             end
           in
           frames clean
         end)
       (Partition.multi_member_classes partition);
-    if Simpool.flush sw.pool partition > 0 then progress := true
+    if Simpool.flush ctx.pool partition > 0 then progress := true
   done
 
 (* A sweep task: one class to check, frozen at round start as its
@@ -394,32 +397,38 @@ let solve_class ctx w ~version ~pairs task =
     out
 
 (* One refinement iteration, a batched sweep round of Equation (3).
-   The partition is frozen into tasks, solved across the pool's lanes,
-   and the outcomes applied serially in ascending class order: UNSAT
-   marks the class proven at the round's version, a witness valuation
-   joins the pattern pool and is replayed bit-parallel against every
-   class.  Returns whether any class split; [false] means every class is
-   proven at the current version, the fixed point.
+   After the opening flush of pooled witnesses, [screen] (the speculation
+   screen, when given) names classes it proved on the flushed partition:
+   they are skipped, one cache hit each.  Every other multi-member class
+   is frozen into a task, solved across the pool's lanes, and the
+   outcomes applied serially in ascending class order: a witness
+   valuation joins the pattern pool and is replayed bit-parallel against
+   every class.  Returns whether any class split; [false] means every
+   class is stable under the round's Q, the fixed point.
 
    Soundness and schedule-independence: every pooled witness is a run
    conforming to the Q of a partition coarser than (or equal to) the one
    being split, so no split ever separates two signals equal in the
    greatest fixed point; since splits are also the only state change,
-   every worker count converges to the same fixed point.  An UNSAT
-   certificate is recorded at the frozen version and re-examined once
-   the partition moved on, exactly as in the sequential schedule.
-   Budgets are enforced per class solve: every lane reserves a slot on
-   the shared call counter (and polls the shared deadline flag) before
-   issuing a solve, so a parallel round overshoots [max_sat_calls] by at
-   most [jobs] in-flight solves.  The exception of the smallest aborting
-   task index is re-raised by the coordinator once the round's remaining
-   tasks have drained — each of them aborts at its own first poll. *)
-let refine_once ctx partition =
-  let sw = ctx.sweep in
-  let splits = ref (Simpool.flush sw.Sweep.pool partition) in
-  if Deadline.expired ctx.deadline then raise (Sweep.Budget_exceeded "deadline");
+   every worker count converges to the same fixed point.  A screened
+   class holds only when every other class holds under the same Q (the
+   argument in specreduce.ml), which a round that splits nothing
+   establishes.  Budgets are enforced per class solve: every lane
+   reserves a slot on the shared call counter (and polls the shared
+   deadline flag) before issuing a solve, so a parallel round overshoots
+   [max_sat_calls] by at most [jobs] in-flight solves.  The exception of
+   the smallest aborting task index is re-raised by the coordinator once
+   the round's remaining tasks have drained — each of them aborts at its
+   own first poll. *)
+let refine_once ?screen ctx partition =
+  let splits = ref (Simpool.flush ctx.pool partition) in
+  let screened = Hashtbl.create 64 in
+  Option.iter
+    (fun screen -> List.iter (fun cls -> Hashtbl.replace screened cls ()) (screen partition))
+    screen;
+  if Deadline.expired ctx.deadline then raise (Deadline.Budget_exceeded "deadline");
   if Atomic.get ctx.sat_calls >= ctx.max_sat_calls then
-    raise (Sweep.Budget_exceeded "sat calls");
+    raise (Deadline.Budget_exceeded "sat calls");
   let vq = Partition.version partition in
   let pairs =
     List.map
@@ -427,43 +436,50 @@ let refine_once ctx partition =
         (Partition.norm_lit partition rep, Partition.norm_lit partition id))
       (Partition.constraint_pairs partition)
   in
+  let task cls =
+    let lits =
+      Array.of_list (List.map (Partition.norm_lit partition) (Partition.members partition cls))
+    in
+    (* Failed-core transfer: an UNSAT proof recorded for exactly these
+       member literals whose core equalities all still hold in the
+       current partition refutes the obligation at this version too —
+       Q entails every equality between co-classed pairs — so the class
+       is re-proved without a solve. *)
+    let pruned =
+      match Hashtbl.find_opt ctx.stable_cores cls with
+      | Some (old_lits, core) ->
+        old_lits = lits
+        && List.for_all (fun (la, lb) -> Partition.lits_equal partition la lb) core
+      | None -> false
+    in
+    if pruned then begin
+      ctx.core_prunes <- ctx.core_prunes + 1;
+      None
+    end
+    else Some { t_cls = cls; t_lits = lits }
+  in
   let tasks =
-    Sweep.select sw partition (fun cls ->
-        let lits =
-          Array.of_list (List.map (Partition.norm_lit partition) (Partition.members partition cls))
-        in
-        (* Failed-core transfer: an UNSAT proof recorded for exactly these
-           member literals whose core equalities all still hold in the
-           current partition refutes the obligation at this version too —
-           Q entails every equality between co-classed pairs — so the
-           class is re-proved without a solve. *)
-        let pruned =
-          match Hashtbl.find_opt ctx.stable_cores cls with
-          | Some (old_lits, core) ->
-            old_lits = lits
-            && List.for_all (fun (la, lb) -> Partition.lits_equal partition la lb) core
-          | None -> false
-        in
-        if pruned then begin
-          ctx.core_prunes <- ctx.core_prunes + 1;
-          Sweep.proved sw cls ~version:vq;
+    List.filter_map
+      (fun cls ->
+        if Hashtbl.mem screened cls then begin
+          ctx.cache_hits <- ctx.cache_hits + 1;
           None
         end
-        else Some { t_cls = cls; t_lits = lits })
+        else task cls)
+      (Partition.multi_member_classes partition)
+    |> Array.of_list
   in
   let outcomes = Parsweep.map ctx.sched ~f:(fun w -> solve_class ctx w ~version:vq ~pairs) tasks in
   Array.iteri
     (fun i outcome ->
-      let cls = tasks.(i).t_cls in
       match outcome with
-      | O_trivial -> Sweep.proved sw cls ~version:vq
+      | O_trivial -> ()
       | O_stable core ->
-        sw.batched <- sw.batched + 1;
-        Sweep.proved sw cls ~version:vq;
-        Hashtbl.replace ctx.stable_cores cls (tasks.(i).t_lits, core)
+        ctx.batched <- ctx.batched + 1;
+        Hashtbl.replace ctx.stable_cores tasks.(i).t_cls (tasks.(i).t_lits, core)
       | O_witness (pi, latch) ->
-        sw.batched <- sw.batched + 1;
-        splits := !splits + Sweep.add_witness sw partition pi latch)
+        ctx.batched <- ctx.batched + 1;
+        splits := !splits + Simpool.add_witness ctx.pool partition pi latch)
     outcomes;
-  splits := !splits + Simpool.flush sw.pool partition;
+  splits := !splits + Simpool.flush ctx.pool partition;
   !splits > 0

@@ -7,7 +7,6 @@ module Clock = Clock
 module Deadline = Deadline
 module Parsweep = Parsweep
 module Simpool = Simpool
-module Sweep = Sweep
 module Simseed = Simseed
 module Ternseed = Ternseed
 module Specreduce = Specreduce

@@ -33,7 +33,9 @@ module Counters : sig
       pool_lanes : int;  (** counterexample patterns accumulated in the pool *)
       resim_splits : int;  (** classes created by bit-parallel pattern replay *)
       batched_solves : int;  (** one-per-class disjunctive solves / key scans *)
-      cache_hits : int;  (** classes skipped by the stability (UNSAT) cache *)
+      cache_hits : int;
+          (** classes the speculation screen proved, and initial-refinement
+              checks already clean *)
       static_splits : int;
           (** always 0: the PI-support prefilter is gone, and the field
               stays only because perfbench reads it *)
@@ -189,8 +191,7 @@ module Partition : sig
 
   val version : t -> int
   (** Monotone counter bumped once by every refinement event that splits
-      a class.  A class proof holds while the version stands
-      ({!Sweep.select}). *)
+      a class: the key of the SAT lanes' per-round Q selectors. *)
 
   val pp : Format.formatter -> t -> unit
 end
@@ -218,9 +219,14 @@ end
     cancellation flag, so the first worker lane that observes expiry
     cancels every other lane's next poll without further clock reads.
     Expiry never raises here — engines test {!Deadline.expired} and raise
-    {!Sweep.Budget_exceeded}, keeping the abort path uniform with the
+    {!Deadline.Budget_exceeded}, keeping the abort path uniform with the
     call-count and node-count budgets. *)
 module Deadline : sig
+  exception Budget_exceeded of string
+  (** The one budget abort of a run, raised by both engines, the
+      speculation screen and Verify's own poll; it names the budget
+      (["deadline"], ["sat calls"], ["bdd nodes"], ["iterations"]). *)
+
   type t
 
   type flag
@@ -323,46 +329,23 @@ module Simpool : sig
       (unused lanes masked out); resets the buffer and returns the number
       of classes created. *)
 
-  val snapshot : t -> (bool array * bool array) list
+  val add_witness : t -> Partition.t -> bool array -> bool array -> int
+  (** [add_witness t p inputs state] pools one witness valuation,
+      flushing a full buffer into [p] first; returns the classes that
+      flush created. *)
+
+  val pending : t -> (bool array * bool array) list
   (** The (input, state) valuations of the currently buffered lanes, in
       insertion order — the patterns a checkpoint must preserve so no
-      witnessed split is lost across an interruption. *)
-end
+      witnessed split is lost across an interruption, and that an engine
+      handing its partition over passes on. *)
 
-(** The engine-independent half of the Eq. (3) fixed point, shared by
-    both refinement engines: the counterexample pattern pool, the
-    stability cache behind class selection and the sweep counters.  Each
-    engine keeps only its class check and its Eq. (2) refinement.  The
-    one skip rule: a class proven stable at the current partition version
-    is skipped, and every other multi-member class is checked, so a sweep
-    that splits nothing is the greatest fixed point. *)
-module Sweep : sig
-  exception Budget_exceeded of string
-  (** The one budget abort of a run, raised by both engines, the
-      speculation screen and Verify's own poll; it names the budget
-      (["deadline"], ["sat calls"], ["bdd nodes"], ["iterations"]). *)
-
-  type t
-
-  val create : Aig.t -> t
-  (** Fresh sweep state over a product AIG. *)
+  val reseed : t -> Partition.t -> (bool array * bool array) list -> unit
+  (** Pool {!pending} valuations again, flushing full buffers on the way:
+      a checkpoint file may list any number of lanes. *)
 
   val harvest : t -> Counters.t
-  (** Pool lanes, replay splits, batched solves and cache hits so far. *)
-
-  val proved : t -> int -> version:int -> unit
-  (** Record a class an engine proved stable at a partition version. *)
-
-  val mark_proved : t -> Partition.t -> int list -> unit
-  (** Record classes another prover (the speculative BDD screen) proved
-      stable at the partition's current version; the sweep treats them
-      like its own proofs at that version. *)
-
-  val select : t -> Partition.t -> (int -> 'a option) -> 'a array
-  (** A round's tasks in ascending class order: every multi-member class
-      not proven at the current version, mapped through the engine's
-      task function ([None] drops it).  Every skipped class counts one
-      cache hit. *)
+  (** Lanes added and classes created by flushes so far. *)
 end
 
 (** Random sequential simulation seeding (Section 4). *)
@@ -392,25 +375,17 @@ end
 module Specreduce : sig
   type obligation = {
     ob_class : int;  (** partition class id at build time *)
-    ob_member : int;  (** original product node merged away *)
-    ob_rep : int;  (** its class representative (original node) *)
     ob_mem_lit : int;  (** reduced literal: the member's own function *)
     ob_rep_lit : int;  (** reduced literal: what fanouts read instead *)
   }
 
   type t = {
     raig : Aig.t;  (** the speculatively reduced product (never cleaned up) *)
-    map : int array;  (** original node id -> reduced literal of its positive literal *)
-    partition_version : int;
     obligations : obligation array;  (** strashing survivors, ascending member id *)
     n_merges : int;  (** members merged onto representatives *)
-    n_trivial : int;  (** merges discharged structurally *)
-    strash_rewrites : int;  (** two-level identities fired during rebuild *)
   }
 
   val build : Product.t -> Partition.t -> t
-  val tr : t -> int -> int
-  (** Reduced image of an original-product literal. *)
 
   (** The BDD screen of a speculative run: per-round manager and node
       budget, plus the classes banned after a blowup. *)
@@ -431,11 +406,11 @@ module Specreduce : sig
   (** Build the reduction of the partition and check every obligation of
       an unbanned class for unconstrained two-frame validity on it.
       Returns the multi-member classes whose obligations are all
-      structurally trivial or valid: they hold at the partition's
-      current version (which the screen does not change) for every
-      induction depth, provided every other class is proven at that
-      same version (the argument in specreduce.ml).  Never refutes.
-      @raise Sweep.Budget_exceeded when the deadline expires. *)
+      structurally trivial or valid: they hold under the partition's Q
+      (which the screen does not change) for every induction depth,
+      provided every other class holds under that same Q (the argument
+      in specreduce.ml).  Never refutes.
+      @raise Deadline.Budget_exceeded when the deadline expires. *)
 end
 
 (** BDD refinement engine (the paper's own implementation style). *)
@@ -459,17 +434,17 @@ module Engine_bdd : sig
       out while the engine is built. *)
 
   val harvest : ctx -> Counters.t
-  (** Peak nodes and the sweep's counters. *)
+  (** Peak nodes, class scans and the pattern pool's counters. *)
 
   val refine_initial : ctx -> Partition.t -> unit
   (** Equation (2): exact initial-state partition. *)
 
   val refine_once : ctx -> Partition.t -> bool
-  (** Equation (3): one refinement iteration ({!Sweep}'s protocol) with
-      one node-free scan per class not proven at the current version;
+  (** Equation (3): one refinement iteration, after a flush of the
+      pattern pool, with one node-free scan per multi-member class;
       [true] when a class split, [false] at the fixed point.
-      @raise Sweep.Budget_exceeded when the node budget or the deadline
-      runs out. *)
+      @raise Deadline.Budget_exceeded when the node budget or the
+      deadline runs out. *)
 
   val norm_ini : ctx -> Partition.t -> int -> Bdd.t
   (** Normalized initial-state function of a candidate node. *)
@@ -495,22 +470,25 @@ module Engine_sat : sig
   val shutdown : ctx -> unit
   (** Join the sweep pool's worker domains; idempotent. *)
 
-  val sweep : ctx -> Sweep.t
-  (** The engine's sweep state, where the speculative screen marks the
-      classes it proves ({!Sweep.mark_proved}). *)
+  val pool : ctx -> Simpool.t
+  (** The engine's counterexample pattern pool. *)
 
   val harvest : ctx -> Counters.t
-  (** SAT calls, pool and sweep counters, solver work (read live from
-      every solver) and the scheduler's counters accumulated so far.
+  (** SAT calls, class solves, cache hits, pool counters, solver work
+      (read live from every solver) and the scheduler's counters
+      accumulated so far.
       Coordinator-only, between rounds (reads the pool's lane states). *)
 
   val refine_initial : ctx -> Partition.t -> unit
   (** Equation (2) batched: one staged disjunctive solve per (class,
       frame), counterexamples pooled and replayed bit-parallel. *)
 
-  val refine_once : ctx -> Partition.t -> bool
-  (** Equation (3) batched: the classes not proven at the current
-      version are frozen into snapshot tasks, solved across the pool's
+  val refine_once : ?screen:(Partition.t -> int list) -> ctx -> Partition.t -> bool
+  (** Equation (3) batched: after a flush of the pattern pool, [screen]
+      (the speculation screen, {!Specreduce.screen}) names classes it
+      proved on the flushed partition, which the round skips and counts
+      as cache hits.  The other multi-member classes are frozen into
+      snapshot tasks, solved across the pool's
       lanes (one staged disjunctive solve each, on the lane's private
       solver), and the outcomes merged serially in ascending class order
       with pooled counterexamples; [true] when a class split, [false] at
@@ -710,9 +688,9 @@ module Verify : sig
             SEQVER_SPECULATE environment variable): before every sweep of
             the fixed point, merge every candidate class onto its
             representative ({!Specreduce}) and BDD-check each surviving
-            merge obligation on the REDUCED product; classes whose
-            obligations all hold are proven at the current partition
-            version and the SAT sweep takes the rest.  The exact engine
+            merge obligation on the REDUCED product; the sweep skips the
+            classes whose obligations all hold and solves the rest.
+            The exact engine
             is then always the SAT sweep, at depth [sat_unroll] under
             [Sat_engine] and at depth 1 under [Bdd_engine].  The fixed
             point, verdict and final partition equal the plain sweeps'

@@ -82,12 +82,27 @@ let flush t partition =
     created
   end
 
+(* Pool one witness valuation (inputs, state), flushing a full buffer
+   first; returns the classes that flush created. *)
+let add_witness t partition pi latch =
+  let created = if is_full t then flush t partition else 0 in
+  add t ~pi:(Array.get pi) ~latch:(Array.get latch);
+  created
+
 (* Pending lanes as concrete (input, state) valuations, oldest first —
-   the checkpoint image of the buffer.  Re-adding the snapshot to a
-   fresh pool replays exactly the witnesses that had not yet been
+   the checkpoint image of the buffer, which an engine handing its
+   partition over passes on too.  [reseed] adds them back, flushing full
+   buffers on the way (a checkpoint file may list any number of lanes),
+   so a fresh pool replays exactly the witnesses that had not yet been
    flushed when the run was interrupted. *)
-let snapshot t =
+let pending t =
   List.init t.lanes (fun lane ->
       let bit w = Int64.logand (Int64.shift_right_logical w lane) 1L = 1L in
       ( Array.init t.n_pis (fun i -> bit t.pi_words.(i)),
         Array.init t.n_latches (fun i -> bit t.latch_words.(i)) ))
+
+let reseed t partition patterns =
+  List.iter (fun (pi, latch) -> ignore (add_witness t partition pi latch)) patterns
+
+let harvest t =
+  { Counters.zero with Counters.pool_lanes = t.total_lanes; resim_splits = t.resim_splits }

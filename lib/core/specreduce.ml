@@ -28,24 +28,15 @@
 
 type obligation = {
   ob_class : int;  (* partition class id at build time *)
-  ob_member : int;  (* original product node merged away *)
-  ob_rep : int;  (* its class representative (original node) *)
   ob_mem_lit : int;  (* reduced literal: the member's own function *)
   ob_rep_lit : int;  (* reduced literal: what fanouts read instead *)
 }
 
 type t = {
   raig : Aig.t;  (* the speculatively reduced product *)
-  map : int array;  (* original node id -> reduced literal of its positive literal *)
-  partition_version : int;
   obligations : obligation array;  (* the strashing survivors, ascending member id *)
   n_merges : int;  (* members merged onto representatives *)
-  n_trivial : int;  (* merges discharged structurally *)
-  strash_rewrites : int;  (* two-level identities fired during rebuild *)
 }
-
-(* Reduced image of an original literal. *)
-let tr t l = t.map.(Aig.node_of_lit l) lxor (l land 1)
 
 let build product partition =
   let aig = product.Product.aig in
@@ -60,11 +51,12 @@ let build product partition =
   let latch_lits =
     Array.init (Aig.num_latches aig) (fun i -> Aig.add_latch raig ~init:(Aig.latch_init aig i))
   in
+  (* original node id -> reduced literal of its positive literal *)
   let map = Array.make (max n 1) 0 in
   let tr l = map.(Aig.node_of_lit l) lxor (l land 1) in
   let rewrites = ref 0 in
   let obligations = ref [] in
-  let n_merges = ref 0 and n_trivial = ref 0 in
+  let n_merges = ref 0 in
   for id = 0 to n - 1 do
     (* the node's own function over the (already merged) fanin images *)
     let shadow =
@@ -82,31 +74,16 @@ let build product partition =
       let pol_diff = Partition.polarity partition id <> Partition.polarity partition rep in
       let rep_img = map.(rep) lxor (if pol_diff then 1 else 0) in
       map.(id) <- rep_img;
-      if shadow = rep_img then incr n_trivial
-      else
+      if shadow <> rep_img then
         obligations :=
-          {
-            ob_class = Partition.class_of partition rep;
-            ob_member = id;
-            ob_rep = rep;
-            ob_mem_lit = shadow;
-            ob_rep_lit = rep_img;
-          }
+          { ob_class = Partition.class_of partition rep; ob_mem_lit = shadow; ob_rep_lit = rep_img }
           :: !obligations
   done;
   List.iteri
     (fun i lit -> Aig.set_latch_next raig lit ~next:(tr (Aig.latch_next aig i)))
     (Array.to_list latch_lits);
   List.iter (fun (name, l) -> Aig.add_po raig name (tr l)) (Aig.pos aig);
-  {
-    raig;
-    map;
-    partition_version = Partition.version partition;
-    obligations = Array.of_list (List.rev !obligations);
-    n_merges = !n_merges;
-    n_trivial = !n_trivial;
-    strash_rewrites = !rewrites;
-  }
+  { raig; obligations = Array.of_list (List.rev !obligations); n_merges = !n_merges }
 
 (* ------------------------------------------------------------------ *)
 (* The BDD screen                                                     *)
@@ -117,13 +94,13 @@ let build product partition =
    one step after ANY state, so in particular after every state the
    sweep's Q admits at frame k, whatever the induction depth k.  A class
    whose obligations are all structurally trivial or BDD-valid is proven
-   at the reduction's partition version; the others are left to the
-   exact sweep.  This is sound class by class because the exactness
-   argument above is topological: when every class is proven at ONE
-   version, some by the screen and the rest by the sweep's Eq.(3) under
-   the same Q, an induction over node ids makes every reduced node equal
-   its original at frame k+1, so every pair of the partition holds
-   there.  The screen never refutes: a BDD counterexample is unconstrained
+   under the reduced partition's Q, and the SAT round on that same
+   partition skips it; the others are left to the exact sweep.  This is
+   sound class by class because the exactness argument above is
+   topological: when every class is proven under ONE Q, some by the
+   screen and the rest by the sweep's Eq.(3), an induction over node ids
+   makes every reduced node equal its original at frame k+1, so every
+   pair of the partition holds there.  The screen never refutes: a BDD counterexample is unconstrained
    and proves nothing, so the class simply goes to the sweep.
 
    The frame-2 functions are built lazily in a fresh manager per
@@ -172,8 +149,7 @@ let frame2 sc man raig =
     ~latch_var:(fun i -> cur (Aig.latch_next raig i))
 
 (* Screen one reduction of [partition]: the multi-member classes it
-   proves, to be marked proven at [Partition.version partition], which
-   the screen does not change. *)
+   proves under the partition's Q, which the screen does not change. *)
 let screen sc product partition =
   let sr = build product partition in
   let left = Hashtbl.create 64 in
@@ -193,7 +169,7 @@ let screen sc product partition =
         && (not (Hashtbl.mem left cls))
         && (not (Hashtbl.mem sc.banned cls))
         &&
-        (if Deadline.expired sc.deadline then raise (Sweep.Budget_exceeded "deadline");
+        (if Deadline.expired sc.deadline then raise (Deadline.Budget_exceeded "deadline");
          match
            let man, nxt = Lazy.force nxt in
            let diff = Bdd.mk_xor man (nxt ob.ob_mem_lit) (nxt ob.ob_rep_lit) in

@@ -45,11 +45,11 @@ type options = {
          throwaway-solver baselines they once selected only because
          perfbench builds the whole record *)
   use_speculation : bool;
-      (* speculative reduction: before every sweep, merge every
-         candidate class onto its representative and BDD-check the
-         assumption obligations on the REDUCED product; classes whose
-         obligations all hold are proven at the current version and the
-         SAT sweep, always the exact engine here, takes the rest.  Reaches
+      (* speculative reduction: in every sweep, merge every candidate
+         class onto its representative and BDD-check the assumption
+         obligations on the REDUCED product; the sweep skips the classes
+         whose obligations all hold, and the SAT sweep, always the exact
+         engine here, takes the rest.  Reaches
          the same greatest fixed point as the plain sweeps at
          [effective_induction] (see specreduce.ml). *)
   use_analysis : bool;
@@ -205,9 +205,9 @@ let verdict_stats = function
 
 type engine_ops = {
   label : unit -> string; (* rung label of the engine now doing the work *)
-  sweep : unit -> Sweep.t;
-      (* the engine's sweep state: the pattern pool a checkpoint saves and
-         a resume re-seeds *)
+  pool : unit -> Simpool.t;
+      (* the engine's pattern pool: the pending lanes a checkpoint saves,
+         a resume re-seeds and a hand-off passes on *)
   refine_initial : Partition.t -> unit;
   refine_once : Partition.t -> bool;
   harvest : unit -> Counters.t; (* the engine's run counters so far *)
@@ -270,9 +270,8 @@ let latch_order_from_outputs product =
 
 (* The SAT sweep at [effective_induction options].  Under speculation the
    exact engine is always this sweep, with the BDD screen of
-   {!Specreduce} in front of every sweep: each iteration proves the
-   classes the screen settles at the partition's current version, and the
-   sweep takes the rest. *)
+   {!Specreduce} in every round: the round skips the classes the screen
+   proves on its flushed partition and solves the rest. *)
 let sat_engine (options : options) deadline product =
   let ctx =
     Engine_sat.make ~max_sat_calls:options.max_sat_calls ~k:(effective_induction options)
@@ -285,17 +284,14 @@ let sat_engine (options : options) deadline product =
         (Specreduce.screen_create ~node_limit:options.node_limit
            ~latch_order:(latch_order_from_outputs product) ~deadline)
   in
-  let refine_once p =
-    Option.iter
-      (fun sc -> Sweep.mark_proved ctx.Engine_sat.sweep p (Specreduce.screen sc product p))
-      screen;
-    Engine_sat.refine_once ctx p
-  in
   {
     label = (fun () -> rung_label options);
-    sweep = (fun () -> ctx.Engine_sat.sweep);
+    pool = (fun () -> Engine_sat.pool ctx);
     refine_initial = Engine_sat.refine_initial ctx;
-    refine_once;
+    refine_once =
+      Engine_sat.refine_once
+        ?screen:(Option.map (fun sc -> Specreduce.screen sc product) screen)
+        ctx;
     harvest =
       (fun () ->
         let c = Engine_sat.harvest ctx in
@@ -353,7 +349,7 @@ let make_engine ~count (options : options) deadline product =
         | ctx ->
           {
             label = (fun () -> "bdd");
-            sweep = (fun () -> ctx.Engine_bdd.sweep);
+            pool = (fun () -> ctx.Engine_bdd.pool);
             refine_initial = Engine_bdd.refine_initial ctx;
             refine_once = Engine_bdd.refine_once ctx;
             harvest = (fun () -> Engine_bdd.harvest ctx);
@@ -361,21 +357,21 @@ let make_engine ~count (options : options) deadline product =
           }
         | exception Engine_bdd.Build_exceeded { reason; live_nodes } ->
           count { Counters.zero with peak_bdd_nodes = live_nodes };
-          if reason = "bdd nodes" then sat () else raise (Sweep.Budget_exceeded reason))
+          if reason = "bdd nodes" then sat () else raise (Deadline.Budget_exceeded reason))
     in
     let step f ~after p =
       try f !current p with
-      | Sweep.Budget_exceeded "bdd nodes" | Bdd.Limit_exceeded ->
+      | Deadline.Budget_exceeded "bdd nodes" | Bdd.Limit_exceeded ->
         let bdd = !current in
         count (bdd.harvest ());
         current := sat ();
-        Sweep.reseed (!current.sweep ()) p (Sweep.pending (bdd.sweep ()));
+        Simpool.reseed (!current.pool ()) p (Simpool.pending (bdd.pool ()));
         !current.refine_initial p;
         after
     in
     {
       label = (fun () -> !current.label ());
-      sweep = (fun () -> !current.sweep ());
+      pool = (fun () -> !current.pool ());
       refine_initial = step (fun e -> e.refine_initial) ~after:();
       refine_once = step (fun e -> e.refine_once) ~after:true;
       harvest = (fun () -> !current.harvest ());
@@ -729,7 +725,7 @@ let verify_pair ~options ~given:(given_spec, given_impl) spec impl =
             if not !recorded then begin
               recorded := true;
               count (engine.harvest ());
-              pool_pending := Sweep.pending (engine.sweep ())
+              pool_pending := Simpool.pending (engine.pool ())
             end
           in
           Fun.protect
@@ -770,12 +766,12 @@ let verify_pair ~options ~given:(given_spec, given_impl) spec impl =
                 | Some cp when n = start_round ->
                   phase "seed" (fun () ->
                       ignore (Checkpoint.seed_partition cp partition);
-                      Sweep.reseed (engine.sweep ()) partition cp.Checkpoint.patterns)
+                      Simpool.reseed (engine.pool ()) partition cp.Checkpoint.patterns)
                 | Some _ | None -> ());
                 let poll () =
-                  if Deadline.expired deadline then raise (Sweep.Budget_exceeded "deadline");
+                  if Deadline.expired deadline then raise (Deadline.Budget_exceeded "deadline");
                   if options.max_iterations > 0 && !acc.iterations >= options.max_iterations
-                  then raise (Sweep.Budget_exceeded "iterations")
+                  then raise (Deadline.Budget_exceeded "iterations")
                 in
                 phase "fixpoint" (fun () ->
                     poll ();
@@ -787,7 +783,7 @@ let verify_pair ~options ~given:(given_spec, given_impl) spec impl =
                         options.checkpoint_every > 0
                         && !acc.iterations mod options.checkpoint_every = 0
                       then
-                        write_checkpoint ~round:n ~patterns:(Sweep.pending (engine.sweep ()))
+                        write_checkpoint ~round:n ~patterns:(Simpool.pending (engine.pool ()))
                           partition
                     done);
                 count { Counters.zero with iterations = 1 };
@@ -796,7 +792,7 @@ let verify_pair ~options ~given:(given_spec, given_impl) spec impl =
                   `Done (Equivalent (mk_stats (Some partition)))
                 else `Unproved
               end)
-        with Sweep.Budget_exceeded why -> `Aborted why
+        with Deadline.Budget_exceeded why -> `Aborted why
       in
       (* The bounded refutation (Theorem 1 needs none): exhaustive up to
          [bmc_depth], it catches the corner-case differences random

@@ -189,10 +189,6 @@ let run_job d job =
     let resumed_iterations =
       match warm with Some cp -> cp.Scorr.Checkpoint.iterations | None -> 0
     in
-    if resumed_iterations > 0 then begin
-      locked d.mu (fun () -> d.n_warm_starts <- d.n_warm_starts + 1);
-      logf d "%s: warm start from a checkpoint at %d iterations" job.id resumed_iterations
-    end;
     let t0 = Scorr.Clock.now () in
     let attempt resume =
       let options = scorr_options d job ~resume in
@@ -213,6 +209,12 @@ let run_job d job =
         | exception exn -> Error (Printexc.to_string exn))
       | exception exn -> Error (Printexc.to_string exn)
     in
+    (* a warm start counts only once the resumed run was accepted *)
+    (match result with
+    | Ok (_, n) when n > 0 ->
+      locked d.mu (fun () -> d.n_warm_starts <- d.n_warm_starts + 1);
+      logf d "%s: warm start from a checkpoint at %d iterations" job.id n
+    | Ok _ | Error _ -> ());
     let runtime = Scorr.Clock.since t0 in
     let outcome =
       match result with

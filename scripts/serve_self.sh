@@ -3,8 +3,9 @@
 #
 # Starts a daemon on a private socket, submits two suite pairs twice
 # (the second submission of each must be answered from the result
-# cache), cancels an in-flight job, shuts the daemon down gracefully,
-# and fails if the daemon leaks its socket file.
+# cache), checks the warm-start count after an --analysis job that the
+# cached checkpoint does not fit, cancels an in-flight job, shuts the
+# daemon down gracefully, and fails if the daemon leaks its socket file.
 #
 # Usage: serve_self.sh path/to/seqver
 
@@ -69,6 +70,21 @@ for name in ctr8 lfsr16; do
   jobs=$((jobs + 2))
   echo "serve-self: $name verified fresh + cached"
 done
+
+# A warm start counts only when the resumed run accepts the checkpoint:
+# the plain ctr8 run above left one that does not fit the pre-reduced
+# pair an --analysis job verifies, so that job falls back cold.  The
+# daemon's warm-start count must equal the outcomes that resumed.
+"$SEQVER" submit "$WORK/ctr8.blif" "$WORK/ctr8-impl.aag" --analysis \
+  --socket "$SOCK" --json > "$WORK/ctr8-analysis.json"
+grep -q '"verdict":"equivalent"' "$WORK/ctr8-analysis.json" \
+  || fail "ctr8 --analysis: not proved equivalent"
+jobs=$((jobs + 1))
+resumed=$(cat "$WORK"/*.json | grep -c '"resumed_iterations":[1-9]' || true)
+"$SEQVER" submit --stats --json --socket "$SOCK" > "$WORK/stats.out"
+grep -q "\"warm_starts\":$resumed[,}]" "$WORK/stats.out" \
+  || fail "warm_starts does not equal the $resumed resumed outcome(s)"
+echo "serve-self: warm starts counted only when accepted ($resumed)"
 
 # Cancel an in-flight job: job ids are sequential, so the next
 # submission is job-$((jobs + 1)).  ctr32 is slow enough that the

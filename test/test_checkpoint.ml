@@ -179,9 +179,55 @@ let test_resume_replays_many_patterns () =
   in
   let cp = { cp with Scorr.Checkpoint.patterns = List.init 100 (fun _ -> initial) } in
   let options = { options with Scorr.Verify.resume = Some cp; max_iterations = 0 } in
-  match Scorr.Verify.run_with_relation ~options spec impl with
+  (match Scorr.Verify.run_with_relation ~options spec impl with
   | Scorr.Equivalent _, _, _ -> ()
-  | _ -> Alcotest.fail "expected Equivalent on resume"
+  | _ -> Alcotest.fail "expected Equivalent on resume");
+  (* Under speculation the first round's opening flush replays the lanes
+     left over from a resume, and its screen runs on the partition that
+     flush leaves: the run must reach a cold run's classes and eq%.  The
+     checkpoint is taken after one round without simulation seeding, and
+     the resumed run seeds none either, so states reached by random
+     simulation still split its classes.  They are genuine witnesses: no
+     reachable state separates two signals of the greatest fixed point.
+     The 64 initial-state lanes fill one buffer, which the resume
+     flushes; the 36 reached states are left to the opening flush. *)
+  let options =
+    { options with
+      Scorr.Verify.use_speculation = true;
+      use_sim_seed = false;
+      max_iterations = 1;
+      resume = None
+    }
+  in
+  let cp =
+    match Scorr.Verify.run_with_relation ~options spec impl with
+    | (Scorr.Unknown _, _, _) as run -> (
+      match Scorr.Verify.checkpoint_of_run ~options ~spec ~impl run with
+      | Ok cp -> cp
+      | Error msg -> Alcotest.fail ("no checkpoint from the aborted run: " ^ msg))
+    | _ -> Alcotest.fail "expected an iteration-budget Unknown"
+  in
+  let reached =
+    let frames = Aig.Sim.random_frames ~seed:99 ~n_pis:(Aig.num_pis aig) ~n_frames:36 in
+    let bit w = Int64.logand w 1L = 1L in
+    let latches = ref (Aig.Sim.initial_latch_words aig) in
+    List.map
+      (fun pis ->
+        let state = !latches in
+        latches := snd (Aig.Sim.step aig ~pi_words:pis ~latch_words:state);
+        (Array.map bit pis, Array.map bit state))
+      frames
+  in
+  let cp = { cp with Scorr.Checkpoint.patterns = List.init 64 (fun _ -> initial) @ reached } in
+  let summary options =
+    match Scorr.Verify.run_with_relation ~options spec impl with
+    | Scorr.Equivalent s, _, _ -> (s.Scorr.Verify.classes, s.Scorr.Verify.eq_pct)
+    | _ -> Alcotest.fail "expected Equivalent under speculation"
+  in
+  let options = { options with Scorr.Verify.max_iterations = 0 } in
+  Alcotest.(check (pair int (float 0.0)))
+    "speculative resume matches a cold run" (summary options)
+    (summary { options with Scorr.Verify.resume = Some cp })
 
 (* --- deadline aborts ------------------------------------------------------------ *)
 

@@ -56,13 +56,34 @@ let test_ban_falls_back_to_sat () =
   let proven = Scorr.Specreduce.screen relieved product partition in
   Alcotest.(check bool) "a banned class is not screened again" false (List.mem cls proven);
   (* the sweep proves it: the screened fixed point is the oracle's, and
-     the banned class's members stay together *)
-  let sweep = Scorr.Engine_sat.sweep ctx in
-  Scorr.Sweep.mark_proved sweep partition proven;
-  while Scorr.Engine_sat.refine_once ctx partition do
-    Scorr.Sweep.mark_proved sweep partition
-      (Scorr.Specreduce.screen relieved product partition)
+     the banned class's members stay together.  Each round skips the
+     classes its screen proved, one cache hit each, and solves (or
+     prunes by a failed core) every other class, none of the screened *)
+  let screened = ref [] and unscreened = ref 0 in
+  let screen_round p =
+    let proven = Scorr.Specreduce.screen relieved product p in
+    screened := proven;
+    unscreened := List.length (Scorr.Partition.multi_member_classes p) - List.length proven;
+    proven
+  in
+  let round () =
+    let before = Scorr.Engine_sat.harvest ctx in
+    let split = Scorr.Engine_sat.refine_once ~screen:screen_round ctx partition in
+    let after = Scorr.Engine_sat.harvest ctx in
+    let delta f = f after - f before in
+    Alcotest.(check int)
+      "a cache hit per screened class" (List.length !screened)
+      (delta (fun c -> c.Scorr.Counters.cache_hits));
+    Alcotest.(check int)
+      "every other class is solved or pruned" !unscreened
+      (delta (fun c -> c.Scorr.Counters.batched_solves)
+      + delta (fun c -> c.Scorr.Counters.core_prunes));
+    split
+  in
+  while round () do
+    ()
   done;
+  Alcotest.(check bool) "the last screen proved classes" true (!screened <> []);
   Alcotest.(check (list (list int)))
     "the oracle's classes"
     (List.map (List.map fst) (Test_util.scorr_gfp ~k:1 product))

@@ -384,8 +384,8 @@ let prop_engines_compute_same_relation =
    must match the explicit-state oracle class for class, relative
    polarities included, and every conclusive verdict must match
    exhaustive exploration.  Retiming is off, so the relation lives over
-   the product as built (of the pre-reduced circuits when speculation
-   and analysis are both on).  Seeding is off: on machines this small,
+   the product as built (of the pre-reduced circuits whenever analysis
+   is on).  Seeding is off: on machines this small,
    simulation alone reaches the fixed point, and Eq. (3) would have
    nothing left to split.  The machines mix retimed pairs, rewrites,
    and mutants that may or may not be observable; a retiming that leaves

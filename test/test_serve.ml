@@ -713,6 +713,29 @@ let test_daemon_skips_corrupt_checkpoint () =
       Alcotest.(check (option string)) "no error" None o.Serve.Protocol.reason;
       Alcotest.(check int) "ran cold" 0 o.Serve.Protocol.resumed_iterations)
 
+(* A warm start whose checkpoint the resumed run refuses falls back cold
+   and is not counted: the probe hands an analysis job the plain run's
+   checkpoint, whose product shape does not match the pre-reduced pair. *)
+let test_daemon_counts_accepted_warm_starts () =
+  with_daemon (fun ~socket:_ ~client ->
+      let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find "ctr8")) in
+      let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed:3 spec in
+      let opts = { Serve.Protocol.default_opts with Serve.Protocol.engine = "bdd" } in
+      let outcomes =
+        [ submit client spec impl opts;
+          submit client spec impl { opts with Serve.Protocol.analysis = true } ]
+      in
+      List.iter
+        (fun o -> Alcotest.(check string) "verdict" "equivalent" o.Serve.Protocol.verdict)
+        outcomes;
+      let resumed =
+        List.length (List.filter (fun o -> o.Serve.Protocol.resumed_iterations > 0) outcomes)
+      in
+      match Serve.Client.request client Serve.Protocol.Stats with
+      | Serve.Protocol.Stats_report s ->
+        Alcotest.(check int) "warm starts = resumed outcomes" resumed s.Serve.Protocol.warm_starts
+      | _ -> Alcotest.fail "no stats report")
+
 let test_daemon_cancel_queued () =
   (* one worker: the first (slow) job occupies it, the second sits in
      the queue and is cancelled before it ever starts *)
@@ -828,6 +851,8 @@ let () =
           Alcotest.test_case "end to end" `Slow test_daemon_end_to_end;
           Alcotest.test_case "skips a corrupt cached checkpoint" `Slow
             test_daemon_skips_corrupt_checkpoint;
+          Alcotest.test_case "counts only accepted warm starts" `Slow
+            test_daemon_counts_accepted_warm_starts;
           Alcotest.test_case "cancel a queued job" `Slow test_daemon_cancel_queued;
           Alcotest.test_case "survives hostile requests" `Slow test_daemon_hostile_requests;
           Alcotest.test_case "cached = fresh (qcheck)" `Slow test_cached_equals_fresh;
